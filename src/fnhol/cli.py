@@ -45,7 +45,7 @@ from .surface import (
     curve_loop_word,
     parse_word,
 )
-from .wp import wp_matrix
+from .wp import block_form_deviation, wp_matrix
 from . import spin as spin_mod
 
 LENGTH_RANGE = (1e-6, 50.0)
@@ -296,16 +296,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
 
     if command == "wp":
         labels, matrix = wp_matrix(complex_, doc.fn)
-        n = len(labels) // 2
-        worst = 0.0
-        for i in range(2 * n):
-            for j in range(2 * n):
-                expected = 0.0
-                if i < n and j == n + i:
-                    expected = -1.0
-                elif i >= n and j == i - n:
-                    expected = 1.0
-                worst = max(worst, abs(matrix[i][j] - expected))
+        worst = block_form_deviation(matrix)
         ok = worst <= tolerance
         lines = [" ".join(labels)]
         for row in matrix:

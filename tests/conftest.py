@@ -40,6 +40,22 @@ def handle_spec():
     )
 
 
+def caterpillar(g):
+    """Genus g >= 2 with 2g-2 pants in a row: pants 0 and 2g-3 each glue
+    two of their own boundaries (1 to 2), a path of curves runs from
+    boundary 0 of each pants to boundary 1 of the previous one (boundary
+    0 of pants 0), and the free boundaries 2 of the interior pants are
+    paired off, 1 with 2, 3 with 4, ...  At g = 2 this is handle_spec."""
+    last = 2 * g - 3
+    glued = [((0, 1), (0, 2))]
+    glued += [((p - 1, 0 if p == 1 else 1), (p, 0)) for p in range(1, last + 1)]
+    glued += [((last, 1), (last, 2))]
+    glued += [((p, 2), (p + 1, 2)) for p in range(1, last - 1, 2)]
+    curves = tuple(Curve(i, a, b) for i, (a, b) in enumerate(glued))
+    assert len(curves) == 3 * g - 3
+    return SurfaceSpec(g, tuple(range(last + 1)), curves)
+
+
 @pytest.fixture(scope="session")
 def genus2_complex():
     return build_complex(genus2_spec())

@@ -1,9 +1,11 @@
+import math
 from collections import defaultdict
 
 import pytest
 
+import fnhol.wp
 from fnhol.mat2 import TracelessMat2
-from fnhol.surface import FNPoint, build_complex
+from fnhol.surface import FNPoint, build_complex, validate_surface
 from fnhol.variation import (
     TangentVector,
     coboundary,
@@ -11,6 +13,8 @@ from fnhol.variation import (
     variation_cocycle,
 )
 from fnhol.wp import (
+    PairingKernel,
+    block_form_deviation,
     diagonal_chain,
     killing_form,
     pair_chain,
@@ -20,7 +24,15 @@ from fnhol.wp import (
     wp_matrix,
     wp_pairing,
 )
-from conftest import genus2_spec, genus3_spec, handle_spec, random_fn, random_tangent, rng_for
+from conftest import (
+    caterpillar,
+    genus2_spec,
+    genus3_spec,
+    handle_spec,
+    random_fn,
+    random_tangent,
+    rng_for,
+)
 
 
 def test_killing_form_values():
@@ -232,22 +244,114 @@ def test_wolpert_reference_values():
     assert wolpert_reference(TangentVector({1: 1.0}, {}), TangentVector({2: 1.0}, {})) == 0.0
 
 
+def test_caterpillar_specs_are_valid():
+    assert caterpillar(2) == handle_spec()
+    for g in (3, 5, 8, 12):
+        assert validate_surface(caterpillar(g)).ok
+
+
 def test_wp_matrix_block_form():
-    for spec in (genus2_spec(), handle_spec()):
+    for spec in (genus2_spec(), handle_spec(), caterpillar(5), caterpillar(8)):
         cx = build_complex(spec)
         rng = rng_for(f"matrix-{len(spec.pants)}")
         fn = random_fn(rng, spec)
         labels, matrix = wp_matrix(cx, fn)
-        n = len(labels) // 2
-        assert n == 3 * spec.genus - 3
-        for i in range(2 * n):
-            for j in range(2 * n):
-                expected = 0.0
-                if i < n and j == n + i:
-                    expected = -1.0
-                elif i >= n and j == i - n:
-                    expected = 1.0
-                assert abs(matrix[i][j] - expected) <= 1e-8
+        assert len(labels) == len(matrix) == 2 * (3 * spec.genus - 3)
+        assert all(len(row) == len(matrix) for row in matrix)
+        assert block_form_deviation(matrix) <= 1e-8
+
+
+def test_block_form_deviation():
+    exact = [[0.0, -1.0], [1.0, 0.0]]
+    assert block_form_deviation(exact) == 0.0
+    assert block_form_deviation([[0.0, -1.0], [1.0, 0.25]]) == 0.25
+    assert block_form_deviation([[0.5, 0.0], [1.0, 0.0]]) == 1.0
+    assert math.isnan(block_form_deviation([[math.nan, -1.0], [1.0, 2.0]]))
+
+
+def _face_by_face(base, zu, zv):
+    return math.fsum(pair_on_face(base, zu, zv, f) for f in sorted(base.complex.faces))
+
+
+@pytest.mark.parametrize("spec_fn", [genus2_spec, handle_spec, genus3_spec])
+def test_kernel_equals_face_by_face_sum_exactly(spec_fn):
+    spec = spec_fn()
+    cx = build_complex(spec)
+    rng = rng_for(f"exact-{spec_fn.__name__}")
+    for _ in range(3):
+        fn = random_fn(rng, spec)
+        zu = variation_cocycle(cx, fn, random_tangent(rng, spec))
+        zv = variation_cocycle(cx, fn, random_tangent(rng, spec))
+        base = zu.base
+        w = {
+            vx: TracelessMat2(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for vx in cx.vertices
+        }
+        dense = zu.combined(coboundary(base, w), 1.0, 1.0)
+        # every slot tiny but nonzero: a tolerance in place of the exact
+        # zero test would drop them all
+        tiny = zu.combined(zu, 1e-200, 0.0)
+        for a, b in ((zu, zv), (dense, zv), (zv, dense), (tiny, zv)):
+            assert wp_pairing(base, a, b) == _face_by_face(base, a, b)
+    # sparse coordinate directions, where most slots are exactly zero
+    labels, matrix = wp_matrix(cx, fn)
+    curves = sorted((c.id for c in spec.curves), key=str)
+    basis = [TangentVector({c: 1.0}, {}) for c in curves] + [
+        TangentVector({}, {c: 1.0}) for c in curves
+    ]
+    cocycles = [variation_cocycle(cx, fn, v) for v in basis]
+    for i, zi in enumerate(cocycles):
+        for j, zj in enumerate(cocycles):
+            assert matrix[i][j] == _face_by_face(zi.base, zi, zj)
+
+
+def _transport_paths(cx):
+    return {
+        path
+        for fid in cx.faces
+        for term in diagonal_chain(cx, fid).terms
+        for path in (term.path_first, term.path_second)
+        if path
+    }
+
+
+def test_one_holonomy_per_transport_path(monkeypatch):
+    spec = genus3_spec()
+    cx = build_complex(spec)
+    rng = rng_for("holonomy-count")
+    fn = random_fn(rng, spec)
+    expected = _transport_paths(cx)
+    words = []
+    holonomy = fnhol.wp.holonomy
+
+    def counted(cocycle, word):
+        words.append(tuple(word))
+        return holonomy(cocycle, word)
+
+    monkeypatch.setattr(fnhol.wp, "holonomy", counted)
+    wp_matrix(cx, fn)
+    assert len(words) == len(expected) and set(words) == expected
+    words.clear()
+    zu = variation_cocycle(cx, fn, random_tangent(rng, spec))
+    zv = variation_cocycle(cx, fn, random_tangent(rng, spec))
+    wp_pairing(zu.base, zu, zv)
+    assert len(words) == len(expected) and set(words) == expected
+
+
+def test_kernel_transport_keeps_only_nonzero_slots():
+    spec = genus2_spec()
+    cx = build_complex(spec)
+    fn = random_fn(rng_for("sparse"), spec)
+    z = variation_cocycle(cx, fn, TangentVector({}, {0: 1.0}))
+    kernel = PairingKernel(z.base)
+    values, faces = kernel.transport(z)
+    assert values and all(v.x or v.y or v.z for v in values.values())
+    # a twist direction lives on the crossings of its curve, which only
+    # the two squares of that curve contain
+    assert {sorted(cx.faces)[f] for f in faces} == set(cx.squares_of_curve(0))
+    zero = variation_cocycle(cx, fn, TangentVector())
+    assert kernel.transport(zero) == ({}, set())
+    assert kernel.pair(kernel.transport(zero), kernel.transport(z)) == 0.0
 
 
 def test_wp_genus3():

@@ -317,6 +317,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         if list_spin:
             eps_list, classes = spin_mod.enumerate_spin(doc.spec)
             tree = spin_mod.spanning_tree_curves(doc.spec)
+            order = sorted(doc.spec.curve_ids(), key=str)
             lines = [
                 f"boundary-sign assignments {len(eps_list)}",
                 f"crossing-sign classes per assignment {len(classes)}",
@@ -325,20 +326,20 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
             ]
             for eps in eps_list:
                 lines.append(
-                    "eps " + " ".join(f"{c}:{eps[c]:+d}" for c in sorted(eps, key=str))
+                    "eps " + " ".join(f"{c}:{eps[c]:+d}" for c in order)
                 )
             for signs in classes:
                 lines.append(
                     "class "
-                    + " ".join(f"{c}:{signs[c]:+d}" for c in sorted(signs, key=str))
+                    + " ".join(f"{c}:{signs[c]:+d}" for c in order)
                 )
             report = {
                 "command": "spin",
                 "eps_assignments": [
-                    {str(c): e[c] for c in sorted(e, key=str)} for e in eps_list
+                    {str(c): e[c] for c in order} for e in eps_list
                 ],
                 "crossing_classes": [
-                    {str(c): s[c] for c in sorted(s, key=str)} for s in classes
+                    {str(c): s[c] for c in order} for s in classes
                 ],
                 "tree_curves": [str(c) for c in tree],
                 "lines": lines,
@@ -359,7 +360,6 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
             lines.append(f"curve {c.id}  rot {r}")
         pants_sums = {}
         for pid in doc.spec.pants:
-            sides = doc.spec.sides_of_pants(pid)
             s = 0
             for k in range(3):
                 loop = ((f"p{pid}.b{k}0", 1), (f"p{pid}.b{k}1", 1))

@@ -5,15 +5,19 @@ A lift assigns a genuine SL2 matrix to every edge so that each face
 word multiplies to +I (never -I); trace signs of lifted holonomies are
 then mod-2 rotation numbers of the corresponding loops.  On one pair of
 pants the boundary trace signs eps_k always satisfy
-eps_0 eps_1 eps_2 = -1, and under that constraint there is a unique
-lift whose seam and b{k}0 arc values have positive (1,1) entry; it is
-found here by exhausting the 2^6 sign assignments.
+eps_0 eps_1 eps_2 = -1, and under that constraint there is at most one
+lift whose seam and b{k}0 arc values have positive (1,1) entry: the
+positivity rules fix every seam and b{k}0 sign to +1, b{k}1 is eps_k
+times b{k}0, and the one candidate is checked against both hexagon
+words.
 
-Globally, the free data beyond the per-pants lifts is one sign per
-crossing edge pair.  Gauging by the per-pants transformations (-I on
-all six vertices of one pants) lets the signs on a spanning tree of the
-gluing graph be fixed to +1; the remaining g signs enumerate the 2^g
-spin structures compatible with a given boundary-sign assignment.
+Globally, the boundary signs form an affine system over GF(2), one
+equation per pants, of rank 2g-3; Gaussian elimination gives its 2^g
+solutions directly.  The free data beyond the per-pants lifts is one
+sign per crossing edge pair.  Gauging by the per-pants transformations
+(-I on all six vertices of one pants) lets the signs on a spanning tree
+of the gluing graph be fixed to +1; the remaining g signs enumerate the
+2^g spin structures compatible with a given boundary-sign assignment.
 """
 
 import itertools
@@ -82,37 +86,28 @@ def sl2_pants_cocycle(lengths, signs):
 
     Returns edge id -> Mat2.  Both hexagon words evaluate to +I; the
     seams and the b{k}0 arcs have positive (1,1) entry, and each
-    boundary holonomy b{k}0 b{k}1 has trace of sign eps_k.  The sign
-    assignment is located by brute force over the 64 possibilities and
-    is checked to be unique."""
+    boundary holonomy b{k}0 b{k}1 has trace of sign eps_k.  Positivity
+    leaves one candidate: seam_matrix_sl2 and diag(exp(l_k/4)) unsigned,
+    with b{k}1 = eps_k b{k}0.  AssertionError ("found 0") when that
+    candidate fails a hexagon word or has a seam with (1,1) entry not
+    positive, as happens for very short boundaries."""
     if not isinstance(signs, BoundarySigns):
         signs = BoundarySigns(*signs)
     seams = [pants_mod.seam_matrix_sl2(lengths, k) for k in range(3)]
     arcs = [Mat2.diagonal(math.exp(0.25 * lengths[k])) for k in range(3)]
 
-    solutions = []
-    for seam_signs in itertools.product((1, -1), repeat=3):
-        for arc_signs in itertools.product((1, -1), repeat=3):
-            values = {}
-            for k in range(3):
-                values[f"seam{k}"] = seams[k] if seam_signs[k] > 0 else -seams[k]
-                a0 = arcs[k] if arc_signs[k] > 0 else -arcs[k]
-                values[f"b{k}0"] = a0
-                values[f"b{k}1"] = a0 if signs[k] > 0 else -a0
-            if not _is_plus_identity(_face_value(values, pants_mod.PANTS_FACES["hex+"])):
-                continue
-            if not _is_plus_identity(_face_value(values, pants_mod.PANTS_FACES["hex-"])):
-                continue
-            if any(values[f"seam{k}"].a <= 0.0 for k in range(3)):
-                continue
-            if any(values[f"b{k}0"].a <= 0.0 for k in range(3)):
-                continue
-            solutions.append(values)
-    if len(solutions) != 1:
-        raise AssertionError(
-            f"expected a unique sign assignment, found {len(solutions)}"
-        )
-    return solutions[0]
+    values = {}
+    for k in range(3):
+        values[f"seam{k}"] = seams[k]
+        values[f"b{k}0"] = arcs[k]
+        values[f"b{k}1"] = arcs[k] if signs[k] > 0 else -arcs[k]
+    if not (
+        all(seam.a > 0.0 for seam in seams)
+        and _is_plus_identity(_face_value(values, pants_mod.PANTS_FACES["hex+"]))
+        and _is_plus_identity(_face_value(values, pants_mod.PANTS_FACES["hex-"]))
+    ):
+        raise AssertionError("expected a unique sign assignment, found 0")
+    return values
 
 
 def spanning_tree_curves(spec):
@@ -162,17 +157,13 @@ class SpinSurfaceCocycle:
         )
 
 
-def _pants_sign_constraint(spec, eps):
+def _pants_sign_constraint(pants_sides, eps):
     """Check eps: curve id -> +-1 multiplies to -1 around every pants
-    (a curve glued to one pants twice contributes +1)."""
-    for pid in spec.pants:
-        sides = spec.sides_of_pants(pid)
-        prod = 1
-        for k in range(3):
-            prod *= eps[sides[k]]
-        if prod != -1:
-            return False
-    return True
+    (a curve glued to one pants twice contributes +1); ``pants_sides``
+    maps pants id -> the curves at its boundaries 0, 1, 2."""
+    return all(
+        eps[c0] * eps[c1] * eps[c2] == -1 for c0, c1, c2 in pants_sides.values()
+    )
 
 
 def assemble_spin(spec, fn, eps, crossing_signs=None):
@@ -188,7 +179,7 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     eps = {c.id: int(eps[c.id]) for c in spec.curves}
     if any(e not in (-1, 1) for e in eps.values()):
         raise SpinSignError("boundary signs must be +-1")
-    if not _pants_sign_constraint(spec, eps):
+    if not _pants_sign_constraint(complex_.pants_lengths_order, eps):
         raise SpinSignError(
             "boundary signs must multiply to -1 around every pants"
         )
@@ -203,10 +194,9 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
             raise SpinSignError(f"crossing sign on tree curve {cid} must be +1")
 
     values = {}
-    for pid in spec.pants:
-        sides = spec.sides_of_pants(pid)
+    for pid, sides in complex_.pants_lengths_order.items():
         lengths = pants_boundary_lengths(complex_, fn, pid)
-        triple = BoundarySigns(*(eps[sides[k]] for k in range(3)))
+        triple = BoundarySigns(*(eps[c] for c in sides))
         for e, m in sl2_pants_cocycle(lengths, triple).items():
             values[f"p{pid}.{e}"] = m
     for c in spec.curves:
@@ -223,22 +213,65 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     return out
 
 
+def _solve_pants_signs(curve_ids, pants_sides):
+    """Every eps: curve id -> +-1 that multiplies to -1 around every
+    pants, in the order of itertools.product((1, -1), ...) over
+    ``curve_ids``.
+
+    Over GF(2), with bit i of a mask standing for curve_ids[i] and a set
+    bit for -1, each pants gives the equation (row . x) = 1, where a
+    curve glued to the pants twice cancels out of its row.  Rows are
+    reduced with each pivot at the highest index in its row, so a pivot
+    depends only on lower-index free variables; two solutions then first
+    differ at a free variable, and doubling the list over the free
+    variables, lowest index first, keeps the product order."""
+    bit = {cid: 1 << i for i, cid in enumerate(curve_ids)}
+    pivots = {}  # pivot index -> [row mask, right-hand side]
+    for c0, c1, c2 in pants_sides.values():
+        row, rhs = bit[c0] ^ bit[c1] ^ bit[c2], 1
+        for p, (prow, prhs) in pivots.items():
+            if row >> p & 1:
+                row ^= prow
+                rhs ^= prhs
+        if not row:
+            # every row has odd weight, so only an even number of rows
+            # can sum to zero and their right-hand sides cancel: the
+            # system is always consistent
+            continue
+        p = row.bit_length() - 1
+        for entry in pivots.values():
+            if entry[0] >> p & 1:
+                entry[0] ^= row
+                entry[1] ^= rhs
+        pivots[p] = [row, rhs]
+
+    # setting free variable i flips x_i and every pivot whose row holds i
+    masks = [sum(rhs << p for p, (_, rhs) in pivots.items())]
+    for i in range(len(curve_ids)):
+        if i not in pivots:
+            flip = 1 << i
+            for p, (row, _) in pivots.items():
+                flip |= (row >> i & 1) << p
+            masks = [y for x in masks for y in (x, x ^ flip)]
+    return [
+        {cid: -1 if x >> i & 1 else 1 for i, cid in enumerate(curve_ids)}
+        for x in masks
+    ]
+
+
 def enumerate_spin(spec):
     """All boundary-sign assignments satisfying every pants constraint,
     and the crossing-sign classes (one per choice of sign on the g
     curves outside the spanning tree; tree curves are held at +1).
 
     Returns (eps assignments, crossing-sign classes), each a list of
-    dicts over curve ids.  Every pair combines into a valid lift, so
+    dicts over the curve ids sorted by str, in itertools.product order
+    of the signs (1, -1).  Every pair combines into a valid lift, so
     there are len(eps) * 2^g lifts in normal form."""
     if isinstance(spec, CellComplex):
         spec = spec.spec
     curve_ids = sorted((c.id for c in spec.curves), key=str)
-    eps_assignments = []
-    for combo in itertools.product((1, -1), repeat=len(curve_ids)):
-        eps = dict(zip(curve_ids, combo))
-        if _pants_sign_constraint(spec, eps):
-            eps_assignments.append(eps)
+    eps_assignments = _solve_pants_signs(curve_ids, spec.pants_sides())
 
     tree = set(spanning_tree_curves(spec))
     free = [c for c in curve_ids if c not in tree]

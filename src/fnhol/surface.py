@@ -69,14 +69,14 @@ class SurfaceSpec:
     def curve_ids(self):
         return tuple(c.id for c in self.curves)
 
-    def sides_of_pants(self, pid):
-        """The curve glued at each boundary index k of pants ``pid``."""
-        out = {}
+    def pants_sides(self):
+        """Pants id -> the curves glued at its boundary indices 0, 1, 2,
+        from one pass over the curves."""
+        sides = {pid: [None, None, None] for pid in self.pants}
         for c in self.curves:
             for (p, k) in (c.left, c.right):
-                if p == pid:
-                    out[k] = c.id
-        return out
+                sides[p][k] = c.id
+        return {pid: tuple(s) for pid, s in sides.items()}
 
 
 @dataclass
@@ -175,10 +175,8 @@ class CellComplex:
         self.vertices = []
         self.edges = {}
         self.faces = {}
-        self.pants_lengths_order = {}  # pants id -> (curve at k=0, 1, 2)
+        self.pants_lengths_order = spec.pants_sides()
         for pid in spec.pants:
-            sides = spec.sides_of_pants(pid)
-            self.pants_lengths_order[pid] = tuple(sides[k] for k in range(3))
             for v in pants_mod.PANTS_VERTICES:
                 self.vertices.append(f"p{pid}.{v}")
             for e, (v0, v1, kind) in pants_mod.PANTS_EDGES.items():

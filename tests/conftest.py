@@ -56,6 +56,31 @@ def caterpillar(g):
     return SurfaceSpec(g, tuple(range(last + 1)), curves)
 
 
+def comb(g):
+    """Genus g >= 2 with g self-glued leaf pants 0..g-1 (boundary 0 glued
+    to 1) on a spine path of pants g..2g-3 (boundary 1 of each spine
+    pants glued to boundary 0 of the next).  Boundary 2 of the leaves
+    takes the free spine boundaries in order; at g = 2 the spine is
+    empty and the two leaves are glued to each other."""
+    leaves = range(g)
+    spine = range(g, 2 * g - 2)
+    glued = [((p, 0), (p, 1)) for p in leaves]
+    glued += [((p, 1), (p + 1, 0)) for p in spine[:-1]]
+    free = [
+        (p, k)
+        for p in spine
+        for k in range(3)
+        if not (k == 0 and p != spine[0]) and not (k == 1 and p != spine[-1])
+    ]
+    if g == 2:
+        glued.append(((0, 2), (1, 2)))
+    else:
+        glued += [((leaf, 2), side) for leaf, side in zip(leaves, free)]
+    curves = tuple(Curve(i, a, b) for i, (a, b) in enumerate(glued))
+    assert len(curves) == 3 * g - 3
+    return SurfaceSpec(g, tuple(range(2 * g - 2)), curves)
+
+
 @pytest.fixture(scope="session")
 def genus2_complex():
     return build_complex(genus2_spec())

@@ -17,7 +17,17 @@ from fnhol.spin import (
     sl2_pants_cocycle,
     spanning_tree_curves,
 )
-from conftest import genus2_spec, genus3_spec, handle_spec, random_fn, rng_for
+import fnhol.spin
+from fnhol.surface import Curve, SurfaceSpec
+from conftest import (
+    caterpillar,
+    comb,
+    genus2_spec,
+    genus3_spec,
+    handle_spec,
+    random_fn,
+    rng_for,
+)
 
 
 def test_boundary_signs_constraint():
@@ -39,6 +49,31 @@ def _face_value(values, word):
     return m
 
 
+def _pants_lift_oracle(l, eps, is_plus_identity):
+    """Every one of the 64 seam and b{k}0 sign choices whose hexagon
+    words pass ``is_plus_identity`` and whose seams and b{k}0 arcs have
+    positive (1,1) entry."""
+    seams = [seam_matrix_sl2(l, k) for k in range(3)]
+    arcs = [Mat2.diagonal(math.exp(0.25 * l[k])) for k in range(3)]
+    hits = []
+    for signs in itertools.product((1, -1), repeat=6):
+        vals = {}
+        for k in range(3):
+            vals[f"seam{k}"] = seams[k] if signs[k] > 0 else -seams[k]
+            a = arcs[k] if signs[3 + k] > 0 else -arcs[k]
+            vals[f"b{k}0"] = a
+            vals[f"b{k}1"] = a if eps[k] > 0 else -a
+        plus_faces = all(
+            is_plus_identity(_face_value(vals, PANTS_FACES[f])) for f in PANTS_FACES
+        )
+        positive = all(vals[f"seam{k}"].a > 0 for k in range(3)) and all(
+            vals[f"b{k}0"].a > 0 for k in range(3)
+        )
+        if plus_faces and positive:
+            hits.append(vals)
+    return hits
+
+
 def test_pants_lift_brute_force_uniqueness():
     # independent sweep over all 64 sign choices: exactly one satisfies
     # the two +I face relations together with the positivity rules
@@ -46,28 +81,48 @@ def test_pants_lift_brute_force_uniqueness():
     for _ in range(10):
         l = PantsLengths(*(rng.uniform(0.4, 5.0) for _ in range(3)))
         eps = rng.choice([(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)])
-        seams = [seam_matrix_sl2(l, k) for k in range(3)]
-        arcs = [Mat2.diagonal(math.exp(0.25 * l[k])) for k in range(3)]
-        hits = []
-        for signs in itertools.product((1, -1), repeat=6):
-            vals = {}
-            for k in range(3):
-                vals[f"seam{k}"] = seams[k] if signs[k] > 0 else -seams[k]
-                a = arcs[k] if signs[3 + k] > 0 else -arcs[k]
-                vals[f"b{k}0"] = a
-                vals[f"b{k}1"] = a if eps[k] > 0 else -a
-            plus_faces = all(
-                _face_value(vals, PANTS_FACES[f]).dist(Mat2.identity()) < 1e-8
-                for f in PANTS_FACES
-            )
-            positive = all(vals[f"seam{k}"].a > 0 for k in range(3)) and all(
-                vals[f"b{k}0"].a > 0 for k in range(3)
-            )
-            if plus_faces and positive:
-                hits.append(vals)
+        hits = _pants_lift_oracle(
+            l, eps, lambda m: m.dist(Mat2.identity()) < 1e-8
+        )
         assert len(hits) == 1
         found = sl2_pants_cocycle(l, eps)
         assert all(found[e].dist(hits[0][e]) < 1e-12 for e in found)
+
+
+def test_pants_lift_matches_oracle_down_to_thin_part():
+    # lengths across [1e-6, 50]: with the face test the lift applies
+    # (distance to +I at most 1e-8 times max(1, norm)), the closed form
+    # fails with the same message exactly where the 64-way search finds
+    # nothing, and otherwise returns the search's matrices bit for bit
+    def plus_identity(m):
+        return m.dist(Mat2.identity()) <= 1e-8 * max(1.0, m.norm())
+
+    rng = rng_for("spin-sweep")
+    ladder = [10.0**e for e in range(-6, 2)] + [50.0]
+    cases = [(x, x, x) for x in ladder]
+    cases += [(x, y, 2.0) for x in ladder for y in ladder]
+    cases += [
+        tuple(math.exp(rng.uniform(math.log(1e-6), math.log(50.0))) for _ in range(3))
+        for _ in range(60)
+    ]
+    outcomes = {0: 0, 1: 0}
+    for lengths in cases:
+        l = PantsLengths(*lengths)
+        eps = rng.choice([(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)])
+        hits = _pants_lift_oracle(l, eps, plus_identity)
+        assert len(hits) <= 1, lengths
+        outcomes[len(hits)] += 1
+        if not hits:
+            with pytest.raises(AssertionError) as info:
+                sl2_pants_cocycle(l, eps)
+            assert str(info.value) == "expected a unique sign assignment, found 0"
+            continue
+        found = sl2_pants_cocycle(l, eps)
+        assert list(found) == list(hits[0])
+        for e, m in found.items():
+            want = hits[0][e]
+            assert (m.a, m.b, m.c, m.d) == (want.a, want.b, want.c, want.d), e
+    assert outcomes[0] and outcomes[1]
 
 
 def test_pants_lift_boundary_trace_signs():
@@ -252,3 +307,71 @@ def test_sl2_holonomy_word_check():
     lifted = assemble_spin(cx, fn, {0: -1, 1: -1, 2: -1})
     with pytest.raises(ValueError):
         sl2_holonomy(lifted, (("p0.b00", 1), ("p0.b10", 1)))
+
+
+def _relabel(spec, rng):
+    """The same decomposition with pants and curve ids permuted and the
+    curves listed in a random order."""
+    pants = dict(zip(spec.pants, rng.sample(spec.pants, len(spec.pants))))
+    ids = rng.sample(range(len(spec.curves)), len(spec.curves))
+    curves = [
+        Curve(cid, (pants[c.left[0]], c.left[1]), (pants[c.right[0]], c.right[1]))
+        for cid, c in zip(ids, spec.curves)
+    ]
+    rng.shuffle(curves)
+    return SurfaceSpec(spec.genus, tuple(sorted(pants.values())), tuple(curves))
+
+
+def _brute_force_eps(spec):
+    """Every sign vector over the curves sorted by str(id), in
+    itertools.product order, whose signs multiply to -1 around every
+    pants (a curve glued to one pants twice counts twice)."""
+    curve_ids = sorted((c.id for c in spec.curves), key=str)
+    around = {p: [] for p in spec.pants}
+    for c in spec.curves:
+        around[c.left[0]].append(c.id)
+        around[c.right[0]].append(c.id)
+    out = []
+    for combo in itertools.product((1, -1), repeat=len(curve_ids)):
+        eps = dict(zip(curve_ids, combo))
+        if all(math.prod(eps[c] for c in cs) == -1 for cs in around.values()):
+            out.append(eps)
+    return out
+
+
+def test_enumeration_matches_brute_force_in_order():
+    rng = rng_for("spin-gf2")
+    specs = [handle_spec(), genus2_spec(), genus3_spec()]
+    for g in range(2, 7):
+        for shape in (caterpillar, comb):
+            specs += [shape(g), _relabel(shape(g), rng), _relabel(shape(g), rng)]
+    for spec in specs:
+        eps_list, _ = enumerate_spin(spec)
+        want = _brute_force_eps(spec)
+        assert len(eps_list) == 2**spec.genus
+        assert [list(e.items()) for e in eps_list] == [list(e.items()) for e in want]
+
+
+def test_enumeration_never_tests_every_sign_vector(monkeypatch):
+    calls = []
+    constraint = fnhol.spin._pants_sign_constraint
+
+    def counted(pants_sides, eps):
+        calls.append(1)
+        return constraint(pants_sides, eps)
+
+    monkeypatch.setattr(fnhol.spin, "_pants_sign_constraint", counted)
+    rng = rng_for("spin-count")
+    for g in (6, 12):
+        spec = _relabel(caterpillar(g), rng)
+        calls.clear()
+        eps_list, classes = enumerate_spin(spec)
+        assert len(calls) <= len(eps_list) < 2 ** (3 * g - 3)
+        assert len(eps_list) == 2**g and len(classes) == 2**g
+        assert len({tuple(sorted(e.items())) for e in eps_list}) == 2**g
+        for eps in eps_list:
+            prod = {p: 1 for p in spec.pants}
+            for c in spec.curves:
+                prod[c.left[0]] *= eps[c.id]
+                prod[c.right[0]] *= eps[c.id]
+            assert all(v == -1 for v in prod.values())

@@ -26,6 +26,7 @@ from fnhol.wp import (
 )
 from conftest import (
     caterpillar,
+    comb,
     genus2_spec,
     genus3_spec,
     handle_spec,
@@ -248,6 +249,11 @@ def test_caterpillar_specs_are_valid():
     assert caterpillar(2) == handle_spec()
     for g in (3, 5, 8, 12):
         assert validate_surface(caterpillar(g)).ok
+    for g in (2, 3, 5, 8, 12):
+        spec = comb(g)
+        assert validate_surface(spec).ok
+        self_glued = [c for c in spec.curves if c.left[0] == c.right[0]]
+        assert sorted(c.left[0] for c in self_glued) == list(range(g))
 
 
 def test_wp_matrix_block_form():

@@ -210,10 +210,37 @@ def _emit(report, fmt, stream):
             stream.write(line + "\n")
 
 
+def _spin_list(spec):
+    """The ``spin --list`` report: every boundary-sign assignment and
+    crossing-sign class; it needs no cell complex."""
+    eps_list, classes = spin_mod.enumerate_spin(spec)
+    tree = spin_mod.spanning_tree_curves(spec)
+    order = sorted(spec.curve_ids(), key=str)
+    lines = [
+        f"boundary-sign assignments {len(eps_list)}",
+        f"crossing-sign classes per assignment {len(classes)}",
+        f"total lifts in normal form {len(eps_list) * len(classes)}",
+        f"tree curves {' '.join(str(c) for c in tree)}",
+    ]
+    for eps in eps_list:
+        lines.append("eps " + " ".join(f"{c}:{eps[c]:+d}" for c in order))
+    for signs in classes:
+        lines.append("class " + " ".join(f"{c}:{signs[c]:+d}" for c in order))
+    return {
+        "command": "spin",
+        "eps_assignments": [{str(c): e[c] for c in order} for e in eps_list],
+        "crossing_classes": [{str(c): s[c] for c in order} for s in classes],
+        "tree_curves": [str(c) for c in tree],
+        "lines": lines,
+    }
+
+
 def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
     """Execute a command against a parsed document.
 
     Returns (report dict with a "lines" key, exit code)."""
+    if command == "spin" and list_spin:
+        return _spin_list(doc.spec), 0
     complex_ = build_complex(doc.spec)
     if command == "verify":
         cocycle = assemble_cocycle(complex_, doc.fn)
@@ -314,43 +341,12 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         return report, 0 if ok else 1
 
     if command == "spin":
-        if list_spin:
-            eps_list, classes = spin_mod.enumerate_spin(doc.spec)
-            tree = spin_mod.spanning_tree_curves(doc.spec)
-            order = sorted(doc.spec.curve_ids(), key=str)
-            lines = [
-                f"boundary-sign assignments {len(eps_list)}",
-                f"crossing-sign classes per assignment {len(classes)}",
-                f"total lifts in normal form {len(eps_list) * len(classes)}",
-                f"tree curves {' '.join(str(c) for c in tree)}",
-            ]
-            for eps in eps_list:
-                lines.append(
-                    "eps " + " ".join(f"{c}:{eps[c]:+d}" for c in order)
-                )
-            for signs in classes:
-                lines.append(
-                    "class "
-                    + " ".join(f"{c}:{signs[c]:+d}" for c in order)
-                )
-            report = {
-                "command": "spin",
-                "eps_assignments": [
-                    {str(c): e[c] for c in order} for e in eps_list
-                ],
-                "crossing_classes": [
-                    {str(c): s[c] for c in order} for s in classes
-                ],
-                "tree_curves": [str(c) for c in tree],
-                "lines": lines,
-            }
-            return report, 0
         if doc.spin is None:
             raise DocumentError("document has no spin block (or use --list)")
         lifted = spin_mod.assemble_spin(
             complex_, doc.fn, doc.spin["eps"], doc.spin["crossing_signs"]
         )
-        worst = lifted.max_face_residual()
+        worst = lifted.max_residual
         lines = [f"max face residual against +I {_num(worst)}"]
         rots = {}
         for c in doc.spec.curves:

@@ -132,15 +132,19 @@ def spanning_tree_curves(spec):
 
 class SpinSurfaceCocycle:
     """A determinant-one cocycle (edge id -> Mat2) lifting the
-    normalized cocycle, with its classifying sign data."""
+    normalized cocycle, with its classifying sign data.
 
-    __slots__ = ("complex", "values", "eps", "crossing_signs")
+    ``max_residual`` is :meth:`max_face_residual`, evaluated once when
+    the cocycle is made."""
+
+    __slots__ = ("complex", "values", "eps", "crossing_signs", "max_residual")
 
     def __init__(self, complex_, values, eps, crossing_signs):
         self.complex = complex_
         self.values = dict(values)
         self.eps = dict(eps)
         self.crossing_signs = dict(crossing_signs)
+        self.max_residual = self.max_face_residual()
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
@@ -207,9 +211,10 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
         values[f"c{c.id}.x0"] = m
         values[f"c{c.id}.x1"] = m if eps[c.id] > 0 else -m
     out = SpinSurfaceCocycle(complex_, values, eps, crossing_signs)
-    residual = out.max_face_residual()
-    if residual > _FACE_TOL:
-        raise SpinSignError(f"face word failed to lift to +I (residual {residual:g})")
+    if out.max_residual > _FACE_TOL:
+        raise SpinSignError(
+            f"face word failed to lift to +I (residual {out.max_residual:g})"
+        )
     return out
 
 

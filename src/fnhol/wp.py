@@ -24,17 +24,25 @@ The bigon corrections are the self-terms +b10 x b10 - b11 x b11 along
 one boundary circle of each pants; their pairings cancel exactly and
 they are kept as explicit terms rather than omitted.
 
+The terms of a chain, their signs and which positions of the cycle they
+pair, depend only on the exponents with which the cycle runs its
+generators; :func:`_chain_shape` computes them once per pattern, and a
+surface has only a few (its hexagons and squares).
+
 The pairing is a bilinear form on H^1, so :class:`PairingKernel` builds
-it once per base cocycle: the face chains, and one transport matrix per
-distinct transport path.  A variation cocycle is transported once, and
-the pairing of two transported cocycles is a contraction over the faces
-they share.  Slots whose value is exactly zero are left out; every sum
-is a ``math.fsum``, which is correctly rounded, so the result is the
-same to the bit as the face-by-face sum of :func:`pair_on_face`.
+it once per base cocycle: per face, one walk along the boundary whose
+prefix products are the transport matrices of every position.  A
+variation cocycle is transported once, and the pairing of two
+transported cocycles is a contraction over the faces they share.  Slots
+whose value is exactly zero are left out; every sum is a ``math.fsum``,
+which is correctly rounded, and :func:`pair_on_face` transports along
+the same left-to-right products, so the result is the same to the bit
+as the face-by-face sum.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .mat2 import ad_action
 from .surface import CellComplex, assemble_cocycle, build_complex, holonomy
@@ -70,8 +78,8 @@ class DiagonalTerm:
 
     ``first``/``second`` are (edge id, +1/-1) giving the edge with the
     orientation the chain carries it in; ``path_first``/``path_second``
-    run from the start vertex of that oriented edge to the face
-    basepoint along the face boundary."""
+    run from the face basepoint to the start vertex of that oriented
+    edge along the face boundary."""
 
     sign: int
     first: tuple
@@ -104,6 +112,26 @@ def _oriented_cycle(complex_, fid, start):
     return out
 
 
+@lru_cache(maxsize=None)
+def _chain_shape(exponents):
+    """The diagonal chain of a face cycle that runs its i-th generator
+    with exponent ``exponents[i]``, by positions: the terms as
+    (sign, j, i) for sign * gen_j x gen_i, and per position the length
+    of the cycle prefix that runs from the basepoint to the start of the
+    generator (one step longer when the cycle runs it backwards).
+
+    Faces have cycles of length 4 or 6, so there are at most 80 patterns
+    and the cache stays small."""
+    terms = []
+    for j, exp_j in enumerate(exponents):
+        for i in range(j):
+            terms.append((-exponents[i] * exp_j, j, i))
+        if exp_j < 0:
+            terms.append((-1, j, j))
+    uptos = tuple(i if e > 0 else i + 1 for i, e in enumerate(exponents))
+    return tuple(terms), uptos
+
+
 def diagonal_chain(complex_, fid, start=0):
     """Diagonal chain of the face, based at the vertex where the
     (rotated) boundary cycle begins.
@@ -121,26 +149,16 @@ def diagonal_chain(complex_, fid, start=0):
     edge0 = complex_.edges[first_eid]
     basepoint = edge0.start if first_sign > 0 else edge0.end
 
-    # path from the basepoint to the start of generator i (prefix of the
-    # rotated cycle; one step longer when the cycle runs the generator
-    # backwards), stored reversed so it ends at the basepoint
-    paths = []
-    for i, (_, exponent) in enumerate(gens):
-        upto = i if exponent > 0 else i + 1
-        back = tuple((eid, -sign) for eid, sign in reversed(rotated[:upto]))
-        paths.append(back)
-
-    terms = []
-    for j in range(n):
-        gen_j, exp_j = gens[j]
-        for i in range(j):
-            gen_i, exp_i = gens[i]
-            terms.append(
-                DiagonalTerm(-exp_i * exp_j, gen_j, gen_i, paths[j], paths[i])
-            )
-        if exp_j < 0:
-            terms.append(DiagonalTerm(-1, gen_j, gen_j, paths[j], paths[j]))
-    return FaceChain(fid, basepoint, tuple(terms))
+    terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
+    paths = [rotated[:upto] for upto in uptos]
+    return FaceChain(
+        fid,
+        basepoint,
+        tuple(
+            DiagonalTerm(sign, gens[j][0], gens[i][0], paths[j], paths[i])
+            for sign, j, i in terms
+        ),
+    )
 
 
 def pants_bigon_chain(complex_, pid):
@@ -149,25 +167,24 @@ def pants_bigon_chain(complex_, pid):
     (1/8) dl1 dl1 with opposite signs and cancel exactly."""
     b10 = f"p{pid}.b10"
     b11 = f"p{pid}.b11"
-    back = ((b10, -1),)
+    path = ((b10, 1),)
     return FaceChain(
         f"p{pid}.bigons",
         complex_.edges[b10].start,
         (
             DiagonalTerm(1, (b10, 1), (b10, 1), (), ()),
-            DiagonalTerm(-1, (b11, 1), (b11, 1), back, back),
+            DiagonalTerm(-1, (b11, 1), (b11, 1), path, path),
         ),
     )
 
 
 def _transported(cocycle, variation, oriented_edge, path):
     """The variation value on the oriented edge, moved to the basepoint
-    along ``path`` (which runs start-of-edge -> basepoint)."""
+    along ``path`` (which runs basepoint -> start-of-edge)."""
     eid, orient = oriented_edge
     z = variation.value(eid, orient)
     if path:
-        move = holonomy(cocycle, path).rep.inv()
-        z = ad_action(move, z)
+        z = ad_action(holonomy(cocycle, path).rep, z)
     return z
 
 
@@ -195,41 +212,42 @@ def pair_on_face(cocycle, z1, z2, fid, start=0):
 class PairingKernel:
     """The pairing against one base cocycle, assembled once.
 
-    A chain slot is an oriented edge of a face chain together with the
-    path that moves its value to the face basepoint.  The kernel holds
-    every face's chain terms (faces in sorted order) as signs and pairs
-    of slots, and the transport matrix holonomy(path)^-1 of each
-    distinct nonempty path, evaluated once."""
+    A slot is one position of a face cycle: the oriented edge the chain
+    carries there, and the matrix that moves its value to the face
+    basepoint.  Per face (sorted order) the kernel walks the boundary
+    once and keeps the raw prefix products P_k = r_1 ... r_k of the edge
+    values, inverted where the cycle runs an edge backwards.  The move of
+    a position is its prefix P_upto, renormalized: the holonomy of the
+    path from the basepoint to the start of the edge, up to a sign that
+    ``ad_action`` ignores.  The chain terms are the face's
+    :func:`_chain_shape`."""
 
     def __init__(self, cocycle):
         complex_ = cocycle.complex
-        moves = {}  # nonempty path -> transport matrix
+        values = cocycle.values
         self._edge_slots = {}  # oriented edge -> [(slot, face, matrix or None)]
-        self._face_terms = []  # face -> (signs, first slots, second slots)
+        self._face_terms = []  # face -> (slot of position 0, chain terms)
         n_slots = 0
         for face, fid in enumerate(sorted(complex_.faces)):
-            terms = diagonal_chain(complex_, fid).terms
-            index = {}  # (oriented edge, path) -> slot
-            for t in terms:
-                for key in ((t.first, t.path_first), (t.second, t.path_second)):
-                    if key in index:
-                        continue
-                    oriented_edge, path = key
-                    if path and path not in moves:
-                        moves[path] = holonomy(cocycle, path).rep.inv()
-                    index[key] = n_slots
-                    n_slots += 1
-                    self._edge_slots.setdefault(oriented_edge, []).append(
-                        (index[key], face, moves.get(path))
-                    )
-            # comprehensions, not tuple(generator): on CPython 3.11 the
-            # latter raised the peak RSS of a one-off genus-8 pairing
-            # loop by about 0.7 MB
-            self._face_terms.append((
-                [t.sign for t in terms],
-                [index[t.first, t.path_first] for t in terms],
-                [index[t.second, t.path_second] for t in terms],
-            ))
+            gens = _oriented_cycle(complex_, fid, 0)
+            prefixes = [None]  # P_0: the empty path needs no move
+            for (eid, orient), exponent in gens:
+                rep = values[eid].rep
+                # exponent == orient exactly when the cycle runs the
+                # edge forwards
+                r = rep if exponent == orient else rep.inv()
+                prefixes.append(r if prefixes[-1] is None else prefixes[-1] @ r)
+            terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
+            moves = {0: None}
+            for pos, (oriented_edge, _) in enumerate(gens):
+                upto = uptos[pos]
+                if upto not in moves:
+                    moves[upto] = prefixes[upto].renormalized()
+                self._edge_slots.setdefault(oriented_edge, []).append(
+                    (n_slots + pos, face, moves[upto])
+                )
+            self._face_terms.append((n_slots, terms))
+            n_slots += len(gens)
 
     def transport(self, variation):
         """The variation's value on every slot, moved to its face
@@ -258,11 +276,12 @@ class PairingKernel:
         values2, faces2 = t2
         parts = []
         for face in sorted(faces1 & faces2):
+            base, terms = self._face_terms[face]
             total = []
-            for sign, a, b in zip(*self._face_terms[face]):
-                x = values1.get(a)
+            for sign, j, i in terms:
+                x = values1.get(base + j)
                 if x is not None:
-                    y = values2.get(b)
+                    y = values2.get(base + i)
                     if y is not None:
                         total.append(sign * killing_form(x, y))
             parts.append(PAIRING_NORMALIZATION * math.fsum(total))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fnhol.cli
 from fnhol.cli import (
     DocumentError,
     main,
@@ -9,6 +10,7 @@ from fnhol.cli import (
     run_command,
     serialize_document,
 )
+from fnhol.spin import SpinSurfaceCocycle
 
 
 def genus2_doc(spin=True):
@@ -116,6 +118,32 @@ def test_spin_list_counts():
     assert code == 0
     assert len(report["eps_assignments"]) == 4
     assert len(report["crossing_classes"]) == 4
+
+
+def test_spin_list_builds_no_complex(monkeypatch):
+    doc = parse_document(json.dumps(genus2_doc()))
+    expected = run_command(doc, "spin", list_spin=True)
+
+    def refused(spec):
+        raise AssertionError("spin --list never reads the cell complex")
+
+    monkeypatch.setattr(fnhol.cli, "build_complex", refused)
+    assert run_command(doc, "spin", list_spin=True) == expected
+
+
+def test_spin_walks_face_words_once(monkeypatch):
+    doc = parse_document(json.dumps(genus2_doc()))
+    walks = []
+    max_face_residual = SpinSurfaceCocycle.max_face_residual
+
+    def counted(self):
+        walks.append(max_face_residual(self))
+        return walks[-1]
+
+    monkeypatch.setattr(SpinSurfaceCocycle, "max_face_residual", counted)
+    report, code = run_command(doc, "spin")
+    assert code == 0
+    assert len(walks) == 1 and report["max_residual"] == walks[0]
 
 
 def test_holonomy_requires_word():

@@ -4,7 +4,7 @@ from collections import defaultdict
 import pytest
 
 import fnhol.wp
-from fnhol.mat2 import TracelessMat2
+from fnhol.mat2 import Mat2, TracelessMat2
 from fnhol.surface import FNPoint, build_complex, validate_surface
 from fnhol.variation import (
     TangentVector,
@@ -279,8 +279,33 @@ def _face_by_face(base, zu, zv):
     return math.fsum(pair_on_face(base, zu, zv, f) for f in sorted(base.complex.faces))
 
 
-@pytest.mark.parametrize("spec_fn", [genus2_spec, handle_spec, genus3_spec])
-def test_kernel_equals_face_by_face_sum_exactly(spec_fn):
+def comb4_spec():
+    return comb(4)  # four self-glued pants
+
+
+def caterpillar5_spec():
+    return caterpillar(5)
+
+
+@pytest.mark.parametrize(
+    "spec_fn", [genus2_spec, handle_spec, genus3_spec, comb4_spec, caterpillar5_spec]
+)
+def test_kernel_equals_face_by_face_sum_exactly(spec_fn, monkeypatch):
+    # pair_on_face transports a slot again for every term that uses it;
+    # reusing the oracle's own results keeps its arithmetic and makes
+    # the larger surfaces affordable (values keep their keys' objects
+    # alive, so no id is reused)
+    cache = {}
+    transported = fnhol.wp._transported
+
+    def reused(cocycle, variation, oriented_edge, path):
+        key = (id(cocycle), id(variation), oriented_edge, path)
+        if key not in cache:
+            z = transported(cocycle, variation, oriented_edge, path)
+            cache[key] = (cocycle, variation, z)
+        return cache[key][2]
+
+    monkeypatch.setattr(fnhol.wp, "_transported", reused)
     spec = spec_fn()
     cx = build_complex(spec)
     rng = rng_for(f"exact-{spec_fn.__name__}")
@@ -311,37 +336,98 @@ def test_kernel_equals_face_by_face_sum_exactly(spec_fn):
             assert matrix[i][j] == _face_by_face(zi.base, zi, zj)
 
 
-def _transport_paths(cx):
-    return {
-        path
-        for fid in cx.faces
-        for term in diagonal_chain(cx, fid).terms
-        for path in (term.path_first, term.path_second)
-        if path
-    }
-
-
-def test_one_holonomy_per_transport_path(monkeypatch):
+def test_kernel_build_walks_each_face_once(monkeypatch):
+    """Building the kernel takes one product per step of every face
+    cycle after the first, and evaluates no holonomy word and no
+    diagonal chain."""
     spec = genus3_spec()
     cx = build_complex(spec)
-    rng = rng_for("holonomy-count")
+    rng = rng_for("kernel-build")
     fn = random_fn(rng, spec)
-    expected = _transport_paths(cx)
-    words = []
-    holonomy = fnhol.wp.holonomy
-
-    def counted(cocycle, word):
-        words.append(tuple(word))
-        return holonomy(cocycle, word)
-
-    monkeypatch.setattr(fnhol.wp, "holonomy", counted)
-    wp_matrix(cx, fn)
-    assert len(words) == len(expected) and set(words) == expected
-    words.clear()
     zu = variation_cocycle(cx, fn, random_tangent(rng, spec))
     zv = variation_cocycle(cx, fn, random_tangent(rng, spec))
+    calls = dict.fromkeys(("holonomy", "diagonal_chain", "products"), 0)
+    building = []
+
+    def counted(name):
+        original = getattr(fnhol.wp, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    matmul = Mat2.__matmul__
+    init = PairingKernel.__init__
+
+    def counted_matmul(self, other):
+        calls["products"] += bool(building)
+        return matmul(self, other)
+
+    def counted_init(self, cocycle):
+        building.append(True)
+        try:
+            init(self, cocycle)
+        finally:
+            building.pop()
+
+    for name in ("holonomy", "diagonal_chain"):
+        monkeypatch.setattr(fnhol.wp, name, counted(name))
+    monkeypatch.setattr(Mat2, "__matmul__", counted_matmul)
+    monkeypatch.setattr(PairingKernel, "__init__", counted_init)
+    expected = {
+        "holonomy": 0,
+        "diagonal_chain": 0,
+        "products": sum(len(face.cycle) - 1 for face in cx.faces.values()),
+    }
+    wp_matrix(cx, fn)
+    assert calls == expected
+    calls.update(dict.fromkeys(calls, 0))
     wp_pairing(zu.base, zu, zv)
-    assert len(words) == len(expected) and set(words) == expected
+    assert calls == expected
+
+
+def _walk(cx, vertex, word):
+    """The vertex a composable edge word leads to from ``vertex``."""
+    for eid, sign in word:
+        edge = cx.edges[eid]
+        start, end = (edge.start, edge.end) if sign > 0 else (edge.end, edge.start)
+        assert start == vertex
+        vertex = end
+    return vertex
+
+
+@pytest.mark.parametrize("spec_fn", [comb4_spec, caterpillar5_spec])
+def test_diagonal_chain_terms_follow_chain_shape(spec_fn):
+    cx = build_complex(spec_fn())
+    for fid, face in sorted(cx.faces.items()):
+        n = len(face.cycle)
+        for start in range(n):
+            rotated = face.cycle[start:] + face.cycle[:start]
+            gens = [(eid, _edge_chain_orientation(cx, eid)) for eid, _ in rotated]
+            exponents = tuple(s * o for (_, s), (_, o) in zip(rotated, gens))
+            terms, uptos = fnhol.wp._chain_shape(exponents)
+            assert len(terms) == n * (n - 1) // 2 + exponents.count(-1)
+            chain = diagonal_chain(cx, fid, start)
+            assert [
+                (t.sign, t.first, t.second, t.path_first, t.path_second)
+                for t in chain.terms
+            ] == [
+                (sign, gens[j], gens[i], rotated[: uptos[j]], rotated[: uptos[i]])
+                for sign, j, i in terms
+            ]
+            # each path runs from the basepoint to the start of its
+            # edge in the orientation the chain carries it in
+            for t in chain.terms:
+                for (eid, orient), path in (
+                    (t.first, t.path_first),
+                    (t.second, t.path_second),
+                ):
+                    edge = cx.edges[eid]
+                    assert _walk(cx, chain.basepoint, path) == (
+                        edge.start if orient > 0 else edge.end
+                    )
 
 
 def test_kernel_transport_keeps_only_nonzero_slots():

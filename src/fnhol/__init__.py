@@ -12,9 +12,6 @@ from .mat2 import (
     ProjMat2,
     TracelessMat2,
     ad_action,
-    axis_feet,
-    fixed_points,
-    mobius,
     nearest_point_on_imaginary_axis,
     translation_length,
 )

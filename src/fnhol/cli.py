@@ -25,13 +25,24 @@ Document schema::
       "spin": {"eps": {"0": -1, ...}, "crossing_signs": {"0": 1, ...}}
     }
 
-``spin`` is optional.  Lengths must lie in [1e-6, 50].
+Curve and pants ids are JSON integers or strings, and no two ids of
+one kind may share a string form (cell names and JSON keys are built
+from it).  ``spin`` is optional.  Lengths must lie in [1e-6, 50].
+Twists must be finite, and the crossing entries exp(-twist/2) and
+exp(twist/2) must both be finite and nonzero doubles (about
+|twist| <= 1419.56).
+
+A parsed document is immutable; its cell complex, assembled cocycle and
+read-back coordinates are computed on first use and shared by every
+command run on it.
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .mat2 import NonHyperbolicError, translation_length
 from .surface import (
@@ -56,11 +67,27 @@ class DocumentError(ValueError):
     offending field path."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceDocument:
+    """A parsed, validated document.  What the document determines is
+    computed once, on first use, and lives as long as the document."""
+
     spec: SurfaceSpec
     fn: FNPoint
     spin: dict | None  # {"eps": {...}, "crossing_signs": {...}} with curve-id keys
+
+    @cached_property
+    def complex(self):
+        return build_complex(self.spec)
+
+    @cached_property
+    def cocycle(self):
+        return assemble_cocycle(self.complex, self.fn)
+
+    @cached_property
+    def fn_back(self):
+        """The coordinates read back off the cocycle."""
+        return extract_fn(self.cocycle)
 
 
 def _fail(path, msg):
@@ -83,13 +110,31 @@ def _require(obj, key, kind, path):
     return val
 
 
-def _curve_key(raw_id, curve_ids, path):
-    """Resolve a curve reference used as a JSON object key (always a
-    string there) against the declared curve ids."""
-    for cid in curve_ids:
-        if str(cid) == str(raw_id):
-            return cid
-    _fail(path, f"unknown curve {raw_id!r}")
+def _id(val, path):
+    """A pants or curve id: a JSON integer or string, never a boolean."""
+    if isinstance(val, bool) or not isinstance(val, (int, str)):
+        _fail(path, f"expected int or str, got {val!r}")
+    return val
+
+
+def _curve_key(raw_id, curves_by_str, path):
+    """Resolve a curve reference (a JSON object key is always a string)
+    by its string form, which validation made unique per curve."""
+    cid = curves_by_str.get(str(raw_id))
+    if cid is None:
+        _fail(path, f"unknown curve {raw_id!r}")
+    return cid
+
+
+def _crossing_finite(twist):
+    """Whether the crossing entries T = exp(-twist/2) and 1/T that
+    ``assemble_cocycle`` and ``assemble_spin`` build are both finite and
+    nonzero."""
+    try:
+        t = math.exp(-0.5 * twist)
+    except OverflowError:
+        return False
+    return 0.0 < t < math.inf and 1.0 / t < math.inf
 
 
 def parse_document(text):
@@ -106,14 +151,17 @@ def parse_document(text):
     curves_raw = _require(raw, "curves", list, "document")
     fn_raw = _require(raw, "fn", list, "document")
 
+    for i, pid in enumerate(pants):
+        _id(pid, f"pants[{i}]")
     curves = []
     for i, item in enumerate(curves_raw):
         path = f"curves[{i}]"
-        cid = _require(item, "id", (int, str), path)
+        cid = _id(_require(item, "id", (int, str), path), f"{path}.id")
         sides = []
         for side in ("left", "right"):
             rec = _require(item, side, dict, path)
             pid = _require(rec, "pants", (int, str), f"{path}.{side}")
+            _id(pid, f"{path}.{side}.pants")
             k = _require(rec, "k", int, f"{path}.{side}")
             sides.append((pid, k))
         curves.append(Curve(cid, sides[0], sides[1]))
@@ -126,17 +174,23 @@ def parse_document(text):
         _fail("document", str(diag))
 
     curve_ids = spec.curve_ids()
+    curves_by_str = {str(c): c for c in curve_ids}
     lengths, twists = {}, {}
     for i, item in enumerate(fn_raw):
         path = f"fn[{i}]"
-        cid = _curve_key(_require(item, "curve", (int, str), path), curve_ids, path)
+        ref = _require(item, "curve", (int, str), path)
+        cid = _curve_key(_id(ref, f"{path}.curve"), curves_by_str, path)
         l = _require(item, "length", float, path)
         if not (LENGTH_RANGE[0] <= l <= LENGTH_RANGE[1]):
             _fail(f"{path}.length", f"{l!r} outside [{LENGTH_RANGE[0]}, {LENGTH_RANGE[1]}]")
         if cid in lengths:
             _fail(path, f"duplicate coordinates for curve {cid!r}")
+        tw = _require(item, "twist", float, path)
+        if not _crossing_finite(tw):
+            _fail(f"{path}.twist", f"{tw!r} makes exp(-twist/2) or its inverse "
+                  "zero or not finite")
         lengths[cid] = l
-        twists[cid] = _require(item, "twist", float, path)
+        twists[cid] = tw
     missing = [c for c in curve_ids if c not in lengths]
     if missing:
         _fail("fn", f"no coordinates for curves {missing!r}")
@@ -149,7 +203,7 @@ def parse_document(text):
             _fail("spin", "expected an object")
         eps = {}
         for key, val in _require(block, "eps", dict, "spin").items():
-            cid = _curve_key(key, curve_ids, "spin.eps")
+            cid = _curve_key(key, curves_by_str, "spin.eps")
             if val not in (-1, 1):
                 _fail(f"spin.eps.{key}", f"expected +-1, got {val!r}")
             eps[cid] = val
@@ -158,7 +212,7 @@ def parse_document(text):
         signs = {c: 1 for c in curve_ids}
         if "crossing_signs" in block:
             for key, val in block["crossing_signs"].items():
-                cid = _curve_key(key, curve_ids, "spin.crossing_signs")
+                cid = _curve_key(key, curves_by_str, "spin.crossing_signs")
                 if val not in (-1, 1):
                     _fail(f"spin.crossing_signs.{key}", f"expected +-1, got {val!r}")
                 signs[cid] = val
@@ -241,12 +295,11 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
     Returns (report dict with a "lines" key, exit code)."""
     if command == "spin" and list_spin:
         return _spin_list(doc.spec), 0
-    complex_ = build_complex(doc.spec)
     if command == "verify":
-        cocycle = assemble_cocycle(complex_, doc.fn)
-        residuals = {fid: cocycle.face_residual(fid) for fid in sorted(complex_.faces)}
+        cocycle = doc.cocycle
+        residuals = {fid: cocycle.face_residual(fid) for fid in sorted(doc.complex.faces)}
         worst = max(residuals.values())
-        fnback = extract_fn(cocycle)
+        fnback = doc.fn_back
         rt = max(
             max(abs(fnback.lengths[c] - doc.fn.lengths[c]) for c in fnback.lengths),
             max(abs(fnback.twists[c] - doc.fn.twists[c]) for c in fnback.twists),
@@ -270,9 +323,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
     if command == "holonomy":
         if not word:
             raise DocumentError("holonomy requires --word")
-        cocycle = assemble_cocycle(complex_, doc.fn)
-        w = parse_word(complex_, word)
-        hol = holonomy(cocycle, w)
+        hol = holonomy(doc.cocycle, parse_word(doc.complex, word))
         m = hol.rep
         tr = hol.trace_abs()
         lines = [
@@ -296,8 +347,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         return report, 0
 
     if command == "fn":
-        cocycle = assemble_cocycle(complex_, doc.fn)
-        back = extract_fn(cocycle)
+        back = doc.fn_back
         lines = []
         worst = 0.0
         for c in doc.spec.curves:
@@ -322,7 +372,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         return report, 0 if ok else 1
 
     if command == "wp":
-        labels, matrix = wp_matrix(complex_, doc.fn)
+        labels, matrix = wp_matrix(doc.complex, doc.fn)
         worst = block_form_deviation(matrix)
         ok = worst <= tolerance
         lines = [" ".join(labels)]
@@ -344,7 +394,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         if doc.spin is None:
             raise DocumentError("document has no spin block (or use --list)")
         lifted = spin_mod.assemble_spin(
-            complex_, doc.fn, doc.spin["eps"], doc.spin["crossing_signs"]
+            doc.complex, doc.fn, doc.spin["eps"], doc.spin["crossing_signs"]
         )
         worst = lifted.max_residual
         lines = [f"max face residual against +I {_num(worst)}"]

@@ -251,33 +251,6 @@ def ad_action(m, t):
     return TracelessMat2(p * d - q * c, -p * b + q * a, r * d - s * c)
 
 
-def mobius(m, z):
-    """Apply the half-plane action z -> (az+b)/(cz+d).
-
-    The input must lie strictly in the upper half-plane."""
-    if isinstance(m, ProjMat2):
-        m = m.rep
-    z = complex(z)
-    if z.imag <= 0.0:
-        raise ValueError(f"point {z!r} is not in the upper half-plane")
-    return (m.a * z + m.b) / (m.c * z + m.d)
-
-
-def fixed_points(conj, lam=None):
-    """Fixed points on the real line of conj @ diag(lam, 1/lam) @ conj^-1.
-
-    For lam > 1 the attracting fixed point is a/c and the repelling one
-    is b/d, where conj = (a b; c d).  Raises if either axis endpoint is
-    at infinity (c = 0 or d = 0)."""
-    if lam is not None and lam <= 1.0:
-        raise ValueError("expansion factor must exceed 1")
-    m = conj.rep if isinstance(conj, ProjMat2) else conj
-    scale = m.norm()
-    if abs(m.c) <= 1e-12 * scale or abs(m.d) <= 1e-12 * scale:
-        raise AxisLocationError("axis passes through infinity (c or d vanishes)")
-    return (m.a / m.c, m.b / m.d)
-
-
 def nearest_point_on_imaginary_axis(conj, lam=None):
     """Height R of the point R*i on the imaginary axis closest to the
     axis of conj @ diag(lam, 1/lam) @ conj^-1.
@@ -305,26 +278,3 @@ def translation_length(m):
         raise NonHyperbolicError(f"|trace| = {t!r} is not above 2")
     lam = 0.5 * (t + math.sqrt(t * t - 4.0))
     return 2.0 * math.log(lam)
-
-
-def axis_feet(m):
-    """Real fixed points (attracting, repelling) of a hyperbolic class.
-
-    Solves c t^2 + (d - a) t - b = 0 for the matrix itself, then orders
-    the roots by the derivative of the action.  Raises when the axis
-    passes through infinity (c = 0)."""
-    rep = m.rep if isinstance(m, ProjMat2) else m
-    if rep.trace() < 0.0:
-        rep = -rep
-    t = rep.trace()
-    if t <= 2.0 + HYPERBOLIC_MARGIN:
-        raise NonHyperbolicError(f"|trace| = {t!r} is not above 2")
-    if abs(rep.c) <= 1e-12 * rep.norm():
-        raise AxisLocationError("axis passes through infinity (c vanishes)")
-    disc = math.sqrt(t * t - 4.0)
-    r1 = (rep.a - rep.d + disc) / (2.0 * rep.c)
-    r2 = (rep.a - rep.d - disc) / (2.0 * rep.c)
-    # |derivative| = 1/(c t + d)^2; attracting where it is < 1
-    if abs(rep.c * r1 + rep.d) >= abs(rep.c * r2 + rep.d):
-        return (r1, r2)
-    return (r2, r1)

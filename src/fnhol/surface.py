@@ -107,6 +107,13 @@ def validate_surface(spec):
         diag.add("pants ids are not distinct")
     if len(set(c.id for c in spec.curves)) != len(spec.curves):
         diag.add("curve ids are not distinct")
+    # cell names and JSON keys are built from str(id)
+    for kind, ids in (("pants", spec.pants), ("curve", spec.curve_ids())):
+        by_str = {}
+        for x in ids:
+            y = by_str.setdefault(str(x), x)
+            if y != x:
+                diag.add(f"{kind} ids {y!r} and {x!r} have the same string form")
     if len(spec.pants) != 2 * spec.genus - 2:
         diag.add(f"expected {2 * spec.genus - 2} pants, got {len(spec.pants)}")
     if len(spec.curves) != 3 * spec.genus - 3:

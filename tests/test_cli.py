@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -144,6 +146,122 @@ def test_spin_walks_face_words_once(monkeypatch):
     report, code = run_command(doc, "spin")
     assert code == 0
     assert len(walks) == 1 and report["max_residual"] == walks[0]
+
+
+def test_each_document_is_built_once(monkeypatch):
+    text = json.dumps(genus2_doc())
+    commands = (
+        ("verify", {}),
+        ("fn", {}),
+        ("holonomy", {"word": "p0.b00 p0.b01"}),
+        ("wp", {}),
+        ("spin", {}),
+    )
+    fresh = [run_command(parse_document(text), cmd, **kw) for cmd, kw in commands]
+
+    calls = {"build_complex": 0, "assemble_cocycle": 0, "extract_fn": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(fnhol.cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(fnhol.cli, name, counted)
+    doc = parse_document(text)
+    shared = [run_command(doc, cmd, **kw) for cmd, kw in commands]
+    assert shared == fresh
+    assert calls == {"build_complex": 1, "assemble_cocycle": 1, "extract_fn": 1}
+    # the cached values do not depend on the tolerance
+    report, code = run_command(doc, "verify", tolerance=1e-30)
+    assert code == 1 and report["lines"][-1] == "FAIL"
+    assert run_command(doc, "verify") == fresh[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        doc.fn = None
+
+
+def _exit_code(tmp_path, capsys, raw):
+    path = tmp_path / "doc.json"
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+    code = main(["verify", "--input", str(path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pants", [[[0], 1], [0.0, 1], [True, 1], [None, 1]])
+def test_parse_rejects_pants_ids_of_other_types(tmp_path, capsys, pants):
+    raw = genus2_doc(spin=False)
+    raw["pants"] = pants
+    code, err = _exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert f"pants[0]: expected int or str, got {pants[0]!r}" in err
+
+
+def test_parse_rejects_boolean_pants_references_and_curve_ids():
+    raw = genus2_doc(spin=False)
+    raw["curves"][0]["left"]["pants"] = True
+    with pytest.raises(DocumentError, match=r"curves\[0\]\.left\.pants: expected int or str"):
+        parse_document(json.dumps(raw))
+    raw = genus2_doc(spin=False)
+    raw["curves"][1]["id"] = True
+    with pytest.raises(DocumentError, match=r"curves\[1\]\.id: expected int or str"):
+        parse_document(json.dumps(raw))
+
+
+def test_parse_rejects_pants_ids_with_one_string_form(tmp_path, capsys):
+    raw = genus2_doc(spin=False)
+    raw["pants"] = [1, "1"]
+    for c in raw["curves"]:
+        c["left"]["pants"], c["right"]["pants"] = 1, "1"
+    code, err = _exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert "pants ids 1 and '1' have the same string form" in err
+
+
+def test_parse_rejects_curve_ids_with_one_string_form(tmp_path, capsys):
+    raw = genus2_doc()
+    raw["curves"][1]["id"] = "0"
+    raw["fn"][1]["curve"] = "0"
+    code, err = _exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert "curve ids 0 and '0' have the same string form" in err
+
+
+def test_string_ids_resolve_by_string_form():
+    raw = genus2_doc()
+    for c in raw["curves"]:
+        c["id"] = f"c{c['id']}"
+    for item in raw["fn"]:
+        item["curve"] = f"c{item['curve']}"
+    raw["spin"] = {"eps": {"c0": -1, "c1": -1, "c2": -1}, "crossing_signs": {"c1": -1}}
+    doc = parse_document(json.dumps(raw))
+    assert doc.fn.twists["c2"] == 7.3
+    assert doc.spin["crossing_signs"] == {"c0": 1, "c1": -1, "c2": 1}
+    raw["fn"][2]["curve"] = "c3"
+    with pytest.raises(DocumentError, match="unknown curve 'c3'"):
+        parse_document(json.dumps(raw))
+
+
+@pytest.mark.parametrize(
+    "twist",
+    ["1419.6", "1420.0", "1491.0", "1492.0", "1e308", "1e309", "-1419.6", "-1420.0",
+     "-1e309", "Infinity", "-Infinity", "NaN"],
+)
+def test_parse_rejects_twists_beyond_the_crossing_range(tmp_path, capsys, twist):
+    text = json.dumps(genus2_doc()).replace('"twist": 7.3', f'"twist": {twist}')
+    code, err = _exit_code(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("fnhol: fn[2].twist: ")
+
+
+def test_accepted_twists_give_finite_crossing_entries():
+    def with_twist(twist):
+        raw = genus2_doc()
+        raw["fn"][0]["twist"] = twist
+        return parse_document(json.dumps(raw))
+
+    for twist in (1400.0, 1419.5, -1419.5):
+        m = with_twist(twist).cocycle.values["c0.x0"].rep
+        assert all(math.isfinite(x) for x in m.entries()) and m.b != 0.0 != m.c
+    for twist in (1400.0, -1419.5):
+        assert run_command(with_twist(twist), "verify")[1] == 0
 
 
 def test_holonomy_requires_word():

@@ -10,9 +10,6 @@ from fnhol.mat2 import (
     ProjMat2,
     TracelessMat2,
     ad_action,
-    axis_feet,
-    fixed_points,
-    mobius,
     nearest_point_on_imaginary_axis,
     translation_length,
 )
@@ -30,55 +27,6 @@ def test_proj_sign_insensitive():
     assert ProjMat2(m) == ProjMat2(-m)
     # canonical representative has its first significant entry positive
     assert ProjMat2(m).rep.b > 0
-
-
-def test_mobius_basics():
-    i = 1j
-    assert mobius(ProjMat2.identity(), i) == i
-    lam = 1.7
-    assert abs(mobius(ProjMat2.diagonal(lam), i) - lam * lam * i) < 1e-15
-    assert abs(mobius(ProjMat2.rotation_j(), i) - i) < 1e-15
-    with pytest.raises(ValueError):
-        mobius(ProjMat2.identity(), 1.0 - 2.0j)
-
-
-def test_mobius_preserves_half_plane():
-    rng = rng_for("mobius")
-    for _ in range(100):
-        m = random_projmat(rng)
-        z = complex(rng.uniform(-5, 5), rng.uniform(0.01, 5))
-        assert mobius(m, z).imag > 0
-
-
-def test_fixed_points_formula():
-    att, rep = fixed_points(ProjMat2.of(2.0, 1.0, 1.0, 1.0), math.e)
-    assert att == 2.0 and rep == 1.0
-    with pytest.raises(AxisLocationError):
-        fixed_points(ProjMat2.identity(), math.e)
-
-
-def test_fixed_points_against_eigenvectors():
-    # conjugate a diagonal expansion and compare with the numeric
-    # eigenvectors of the product
-    rng = rng_for("fixed-eig")
-    for _ in range(50):
-        conj = random_projmat(rng)
-        m = conj.rep
-        if abs(m.c) < 1e-3 or abs(m.d) < 1e-3:
-            continue
-        lam = rng.uniform(1.2, 5.0)
-        g = (m @ Mat2.diagonal(lam) @ m.inv()).entries()
-        w, v = np.linalg.eig(np.array(g).reshape(2, 2))
-        order = np.argsort(-np.abs(w))
-        att_vec = v[:, order[0]]
-        rep_vec = v[:, order[1]]
-        att, rep = fixed_points(conj, lam)
-        assert abs(att - att_vec[0] / att_vec[1]) < 1e-9 * max(1, abs(att))
-        assert abs(rep - rep_vec[0] / rep_vec[1]) < 1e-9 * max(1, abs(rep))
-
-
-def _hyp_dist(z, w):
-    return math.acosh(1 + (abs(z - w) ** 2) / (2 * z.imag * w.imag))
 
 
 def _dist_to_geodesic(z, p, q):
@@ -164,21 +112,6 @@ def test_det_preserved_over_products():
     for _ in range(100):
         p = _random_unimodular(rng) @ _random_unimodular(rng)
         assert abs(p.det() - 1.0) < 1e-12 * max(1.0, p.norm())
-
-
-def test_axis_feet_match_fixed_points():
-    rng = rng_for("feet")
-    for _ in range(50):
-        conj = random_projmat(rng)
-        m = conj.rep
-        if abs(m.c) < 0.1 or abs(m.d) < 0.1:
-            continue
-        lam = rng.uniform(1.2, 4.0)
-        g = ProjMat2(m @ Mat2.diagonal(lam) @ m.inv())
-        att, rep = axis_feet(g)
-        att2, rep2 = fixed_points(conj, lam)
-        assert abs(att - att2) < 1e-8 * max(1, abs(att))
-        assert abs(rep - rep2) < 1e-8 * max(1, abs(rep))
 
 
 def test_ad_action_is_conjugation():

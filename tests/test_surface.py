@@ -81,6 +81,22 @@ def test_validate_disconnected():
     assert any("connected" in p for p in diag.problems)
 
 
+def test_validate_ids_with_one_string_form():
+    # cell names are built from str(id), so 1 and "1" cannot both be ids
+    spec = SurfaceSpec(2, (1, "1"), tuple(Curve(i, (1, i), ("1", i)) for i in range(3)))
+    assert validate_surface(spec).problems == [
+        "pants ids 1 and '1' have the same string form"
+    ]
+    spec = SurfaceSpec(
+        2, (0, 1), (Curve(0, (0, 0), (1, 0)), Curve("0", (0, 1), (1, 1)), Curve(2, (0, 2), (1, 2)))
+    )
+    assert validate_surface(spec).problems == [
+        "curve ids 0 and '0' have the same string form"
+    ]
+    with pytest.raises(ValueError, match="same string form"):
+        build_complex(spec)
+
+
 def test_complex_counts():
     assert build_complex(genus2_spec()).counts() == (12, 24, 10)
     assert build_complex(genus3_spec()).counts() == (24, 48, 20)

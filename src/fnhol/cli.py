@@ -37,7 +37,6 @@ read-back coordinates are computed on first use and shared by every
 command run on it.
 """
 
-import argparse
 import json
 import math
 import sys
@@ -55,6 +54,7 @@ from .surface import (
     holonomy,
     curve_loop_word,
     parse_word,
+    validate_surface,
 )
 from .wp import block_form_deviation, wp_matrix
 from . import spin as spin_mod
@@ -166,9 +166,6 @@ def parse_document(text):
             sides.append((pid, k))
         curves.append(Curve(cid, sides[0], sides[1]))
     spec = SurfaceSpec(genus, tuple(pants), tuple(curves))
-
-    from .surface import validate_surface
-
     diag = validate_surface(spec)
     if not diag.ok:
         _fail("document", str(diag))
@@ -372,7 +369,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         return report, 0 if ok else 1
 
     if command == "wp":
-        labels, matrix = wp_matrix(doc.complex, doc.fn)
+        labels, matrix = wp_matrix(doc.cocycle, doc.fn)
         worst = block_form_deviation(matrix)
         ok = worst <= tolerance
         lines = [" ".join(labels)]
@@ -428,6 +425,9 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
 
 
 def main(argv=None):
+    # imported here: only the command line needs it, not importers
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fnhol",
         description="holonomy cocycles of pants-decomposed surfaces: "

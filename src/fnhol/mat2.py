@@ -1,14 +1,19 @@
-"""Unimodular 2x2 real matrices, their projective classes, and upper
-half-plane utilities.
+"""Unimodular 2x2 matrices, the word walk, and upper half-plane
+utilities.
 
 Conventions used throughout the package:
 
 * ``Mat2(a, b, c, d)`` is the matrix ``(a b; c d)`` with ``det = 1``.
-* ``ProjMat2`` is the class ``{+M, -M}``; its canonical representative
-  makes the first nonzero entry in reading order positive.
+  Cocycle values are sign-free representatives of their projective
+  classes; "projective" is only a comparison (:meth:`Mat2.proj_dist`)
+  and, when a report is written, a canonical sign (:class:`ProjMat2`).
 * ``TracelessMat2(x, y, z)`` is ``(x y; z -x)``, a tangent direction in
   the 2x2 traceless matrices.
 * Matrices act on the upper half-plane by ``z -> (az+b)/(cz+d)``.
+
+The product path (``@``, :func:`walk`, ``inv``, :func:`ad_action`)
+converts no scalar and calls no ``math`` function, so it runs unchanged
+on entries such as ``fractions.Fraction``.
 """
 
 import math
@@ -30,18 +35,20 @@ class AxisLocationError(ValueError):
 
 
 class Mat2:
-    """A real 2x2 matrix of determinant one."""
+    """A 2x2 matrix of determinant one."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d, check=True):
-        self.a = float(a)
-        self.b = float(b)
-        self.c = float(c)
-        self.d = float(d)
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
         if check:
-            err = abs(self.det() - 1.0)
-            if err > DET_TOL * max(1.0, self.norm()):
+            err = abs(self.det() - 1)
+            # divided rather than multiplied, so that scalars which do
+            # not mix with floats (Decimal) compare too
+            if err / max(1, self.norm()) > DET_TOL:
                 raise ValueError(f"determinant {self.det()!r} is not 1")
 
     @staticmethod
@@ -51,14 +58,10 @@ class Mat2:
     @staticmethod
     def diagonal(h):
         """diag(h, 1/h) for h != 0."""
-        if h == 0.0:
+        if h == 0:
             raise ValueError("diagonal entry must be nonzero")
-        return Mat2(h, 0.0, 0.0, 1.0 / h, check=False)
-
-    @staticmethod
-    def rotation_j():
-        """The quarter turn (0 -1; 1 0)."""
-        return Mat2(0.0, -1.0, 1.0, 0.0, check=False)
+        zero = type(h)(0)
+        return Mat2(h, zero, zero, 1 / h, check=False)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -89,7 +92,8 @@ class Mat2:
     def renormalized(self):
         """Rescale so the determinant is exactly 1 again.
 
-        Used inside long products to stop determinant drift."""
+        Used on the result of a long product to stop determinant drift;
+        not scalar-generic (a float square root)."""
         det = self.det()
         if det <= 0.0:
             raise ValueError(f"cannot renormalize matrix with det {det!r}")
@@ -104,6 +108,20 @@ class Mat2:
             abs(self.d - other.d),
         )
 
+    def proj_dist(self, other):
+        """Max-entry distance between the classes {+self, -self} and
+        {+other, -other}: the smaller of the distances to +other and to
+        -other.  With ``other`` the identity this is a face residual."""
+        return min(
+            self.dist(other),
+            max(
+                abs(self.a + other.a),
+                abs(self.b + other.b),
+                abs(self.c + other.c),
+                abs(self.d + other.d),
+            ),
+        )
+
     def close_to(self, other, tol=CMP_TOL):
         return self.dist(other) <= tol * max(1.0, self.norm(), other.norm())
 
@@ -114,71 +132,60 @@ class Mat2:
         return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
+def walk(values, word, start=None):
+    """The product of the values along an edge word.
+
+    ``values`` maps edge ids to Mat2; ``word`` is a sequence of
+    (edge id, +1/-1), where -1 reads the edge backwards, as its inverse
+    (d, -b, -c, a).  The product runs left to right from ``start``, or
+    from the identity, and is not renormalized.  The running product is
+    kept in four locals and one Mat2 is made per call.  The word is not
+    checked for composability: face cycles were checked when the complex
+    was built, and user words are checked where they come in."""
+    if start is None:
+        a, b, c, d = 1, 0, 0, 1
+    else:
+        a, b, c, d = start.a, start.b, start.c, start.d
+    for eid, sign in word:
+        m = values[eid]
+        if sign > 0:
+            p, q, r, s = m.a, m.b, m.c, m.d
+        else:
+            p, q, r, s = m.d, -m.b, -m.c, m.a
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return Mat2(a, b, c, d, check=False)
+
+
 class ProjMat2:
-    """The pair {+M, -M} of a unimodular matrix, with a canonical sign.
+    """The class {+M, -M} of a unimodular matrix, as a report shows it.
 
     The representative stored in ``.rep`` has its first entry of
-    significant size (in the order a, b, c, d) positive, which makes
-    equality and serialization independent of the incoming sign.
+    significant size (in the order a, b, c, d) positive, so a written
+    matrix does not depend on the sign a product happened to carry.
     """
 
     __slots__ = ("rep",)
 
     def __init__(self, m):
-        self.rep = _canonical_sign(m)
-
-    @staticmethod
-    def of(a, b, c, d):
-        return ProjMat2(Mat2(a, b, c, d))
-
-    @staticmethod
-    def identity():
-        return ProjMat2(Mat2.identity())
-
-    @staticmethod
-    def diagonal(h):
-        return ProjMat2(Mat2.diagonal(h))
-
-    @staticmethod
-    def rotation_j():
-        return ProjMat2(Mat2.rotation_j())
-
-    def __matmul__(self, other):
-        return ProjMat2(self.rep @ other.rep)
-
-    def inv(self):
-        return ProjMat2(self.rep.inv())
+        scale = m.norm()
+        if scale == 0.0:
+            raise ValueError("zero matrix has no projective class")
+        self.rep = m
+        for x in m.entries():
+            if abs(x) > 1e-12 * scale:
+                if x < 0.0:
+                    self.rep = -m
+                break
 
     def trace_abs(self):
         return abs(self.rep.trace())
 
     def dist(self, other):
         """Max-entry distance between the classes (minimum over signs)."""
-        return min(self.rep.dist(other.rep), self.rep.dist(-other.rep))
-
-    def close_to(self, other, tol=CMP_TOL):
-        return self.dist(other) <= tol * max(1.0, self.rep.norm(), other.rep.norm())
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjMat2):
-            return NotImplemented
-        return self.close_to(other)
-
-    __hash__ = None
+        return self.rep.proj_dist(other.rep)
 
     def __repr__(self):
-        m = self.rep
-        return f"ProjMat2.of({m.a!r}, {m.b!r}, {m.c!r}, {m.d!r})"
-
-
-def _canonical_sign(m):
-    scale = m.norm()
-    if scale == 0.0:
-        raise ValueError("zero matrix has no projective class")
-    for x in m.entries():
-        if abs(x) > 1e-12 * scale:
-            return -m if x < 0.0 else m
-    return m
+        return f"ProjMat2({self.rep!r})"
 
 
 class TracelessMat2:
@@ -187,9 +194,9 @@ class TracelessMat2:
     __slots__ = ("x", "y", "z")
 
     def __init__(self, x, y, z):
-        self.x = float(x)
-        self.y = float(y)
-        self.z = float(z)
+        self.x = x
+        self.y = y
+        self.z = z
 
     @staticmethod
     def zero():
@@ -237,11 +244,9 @@ class TracelessMat2:
 
 
 def ad_action(m, t):
-    """Conjugation m @ t @ m^-1 of a traceless matrix; m may be Mat2 or
-    ProjMat2 (the sign of m does not matter)."""
-    if isinstance(m, ProjMat2):
-        m = m.rep
-    a, b, c, d = m.entries()
+    """Conjugation m @ t @ m^-1 of a traceless matrix by a Mat2 (the
+    sign of m does not matter)."""
+    a, b, c, d = m.a, m.b, m.c, m.d
     x, y, z = t.x, t.y, t.z
     # (a b; c d) (x y; z -x) (d -b; -c a), using det = 1
     p = a * x + b * z
@@ -257,11 +262,10 @@ def nearest_point_on_imaginary_axis(conj, lam=None):
 
     Requires the two axes to be disjoint, i.e. ab/cd > 0; then
     R = sqrt(ab/cd)."""
-    m = conj.rep if isinstance(conj, ProjMat2) else conj
-    scale = m.norm()
-    if abs(m.c) <= 1e-12 * scale or abs(m.d) <= 1e-12 * scale:
+    scale = conj.norm()
+    if abs(conj.c) <= 1e-12 * scale or abs(conj.d) <= 1e-12 * scale:
         raise AxisLocationError("axis passes through infinity (c or d vanishes)")
-    ratio = (m.a * m.b) / (m.c * m.d)
+    ratio = (conj.a * conj.b) / (conj.c * conj.d)
     if ratio <= 0.0:
         raise AxisLocationError("axis meets the imaginary axis (ab/cd <= 0)")
     return math.sqrt(ratio)
@@ -270,10 +274,7 @@ def nearest_point_on_imaginary_axis(conj, lam=None):
 def translation_length(m):
     """Translation length 2*log(lambda) of a hyperbolic class, where
     lambda = (|tr| + sqrt(tr^2 - 4))/2."""
-    if isinstance(m, ProjMat2):
-        t = m.trace_abs()
-    else:
-        t = abs(m.trace())
+    t = abs((m.rep if isinstance(m, ProjMat2) else m).trace())
     if t <= 2.0 + HYPERBOLIC_MARGIN:
         raise NonHyperbolicError(f"|trace| = {t!r} is not above 2")
     lam = 0.5 * (t + math.sqrt(t * t - 4.0))

@@ -8,6 +8,9 @@ boundary arcs are diagonal matrices diag(lambda_k^(1/2), ...) and whose
 seam values satisfy a*b = c*d; this module constructs it in closed
 form, applies gauge moves to it, and recovers it from any gauged copy.
 
+Values are sign-free :class:`fnhol.mat2.Mat2` representatives of their
+projective classes.
+
 Labels (k runs over Z/3):
 
 * vertices ``v{k}0``, ``v{k}1`` on boundary k,
@@ -18,7 +21,7 @@ Labels (k runs over Z/3):
 
 import math
 
-from .mat2 import Mat2, ProjMat2, NonHyperbolicError, translation_length
+from .mat2 import Mat2, NonHyperbolicError, translation_length, walk
 
 __all__ = [
     "PantsLengths",
@@ -143,16 +146,10 @@ def bc_magnitude_minus_one(lengths, k):
 
 def seam_matrix(lengths, k):
     """Seam value A_k = (sqrt(f-1), -sqrt(f); sqrt(f), -sqrt(f-1)) with
-    f = |b_k c_k|; it squares to the identity in the projective class
-    and satisfies the normalization a*b = c*d."""
-    alpha = math.sqrt(bc_magnitude_minus_one(lengths, k))
-    beta = math.sqrt(bc_magnitude(lengths, k))
-    return ProjMat2(Mat2(alpha, -beta, beta, -alpha, check=False))
-
-
-def seam_matrix_sl2(lengths, k):
-    """The determinant-one representative of seam_matrix with positive
-    (1,1) entry; it squares to minus the identity."""
+    f = |b_k c_k|; it squares to minus the identity, so to the identity
+    in the projective class, and satisfies the normalization a*b = c*d.
+    This representative, with positive (1,1) entry, is also the one the
+    determinant-one lift uses."""
     alpha = math.sqrt(bc_magnitude_minus_one(lengths, k))
     beta = math.sqrt(bc_magnitude(lengths, k))
     return Mat2(alpha, -beta, beta, -alpha, check=False)
@@ -169,31 +166,19 @@ class PantsCocycle:
         self.standard = standard
 
     def holonomy(self, word):
-        """Product of edge values along a composable word of
-        (edge id, +1/-1) pairs."""
-        m = Mat2.identity()
-        at = None
-        for edge, sign in word:
-            start, end, _ = PANTS_EDGES[edge]
-            if sign < 0:
-                start, end = end, start
-            if at is not None and at != start:
-                raise ValueError(f"word breaks at {edge}: {at} != {start}")
-            at = end
-            rep = self.values[edge].rep
-            m = m @ (rep if sign > 0 else rep.inv())
-        return ProjMat2(m.renormalized())
+        """Product of edge values along a word of (edge id, +1/-1)
+        pairs, renormalized; a sign-free representative."""
+        return walk(self.values, word).renormalized()
 
     def face_residual(self, face):
-        hol = self.holonomy(PANTS_FACES[face])
-        return hol.dist(ProjMat2.identity())
+        return self.holonomy(PANTS_FACES[face]).proj_dist(Mat2.identity())
 
     def max_face_residual(self):
         return max(self.face_residual(f) for f in PANTS_FACES)
 
     def boundary_holonomy(self, k):
         """Holonomy around boundary k, based at v{k}0."""
-        return ProjMat2(self.values[f"b{k}0"].rep @ self.values[f"b{k}1"].rep)
+        return self.values[f"b{k}0"] @ self.values[f"b{k}1"]
 
 
 def pants_cocycle(lengths):
@@ -203,7 +188,7 @@ def pants_cocycle(lengths):
     values = {}
     for k in range(3):
         root_lam = math.exp(0.25 * lengths[k])
-        arc = ProjMat2.diagonal(root_lam)
+        arc = Mat2.diagonal(root_lam)
         values[f"b{k}0"] = arc
         values[f"b{k}1"] = arc
         values[f"seam{k}"] = seam_matrix(lengths, k)
@@ -214,27 +199,27 @@ def gauge_transform(cocycle, gauge):
     """Conjugate every edge value by the vertex function ``gauge``:
     an edge from v0 to v1 becomes gauge(v0)^-1 @ value @ gauge(v1).
     Vertices missing from ``gauge`` are treated as the identity."""
-    ident = ProjMat2.identity()
+    ident = Mat2.identity()
     values = {}
     for edge, (v0, v1, _) in PANTS_EDGES.items():
         b0 = gauge.get(v0, ident)
         b1 = gauge.get(v1, ident)
-        values[edge] = ProjMat2(b0.rep.inv() @ cocycle.values[edge].rep @ b1.rep)
+        values[edge] = b0.inv() @ cocycle.values[edge] @ b1
     out = PantsCocycle(cocycle.lengths, values, standard=False)
     out.standard = is_standard(out)
     return out
 
 
 def is_standard(cocycle, tol=1e-9):
-    """Whether arcs are the diagonal matrices of the boundary lengths and
-    seams satisfy the a*b = c*d normalization."""
+    """Whether arcs are the diagonal matrices of the boundary lengths, up
+    to sign, and seams satisfy the a*b = c*d normalization."""
     for k in range(3):
-        arc = ProjMat2.diagonal(math.exp(0.25 * cocycle.lengths[k]))
-        if not cocycle.values[f"b{k}0"].close_to(arc, tol):
-            return False
-        if not cocycle.values[f"b{k}1"].close_to(arc, tol):
-            return False
-        m = cocycle.values[f"seam{k}"].rep
+        arc = Mat2.diagonal(math.exp(0.25 * cocycle.lengths[k]))
+        for eps in (0, 1):
+            m = cocycle.values[f"b{k}{eps}"]
+            if m.proj_dist(arc) > tol * max(1.0, m.norm(), arc.norm()):
+                return False
+        m = cocycle.values[f"seam{k}"]
         if abs(m.a * m.b - m.c * m.d) > tol * max(1.0, m.norm() ** 2):
             return False
     return True
@@ -243,18 +228,17 @@ def is_standard(cocycle, tol=1e-9):
 def _eigen_conjugator(m):
     """A determinant-one matrix whose columns are the expanding and
     contracting eigenvectors of the hyperbolic matrix ``m``."""
-    rep = m.rep if isinstance(m, ProjMat2) else m
-    if rep.trace() < 0.0:
-        rep = -rep
-    t = rep.trace()
+    if m.trace() < 0.0:
+        m = -m
+    t = m.trace()
     if t <= 2.0 + 1e-9:
         raise NotFuchsianError(f"boundary holonomy trace {t!r} is not hyperbolic")
     lam = 0.5 * (t + math.sqrt(t * t - 4.0))
     cols = []
     for other in (1.0 / lam, lam):
         # the columns of (m - other*I) span the complementary eigenspace
-        c1 = (rep.a - other, rep.c)
-        c2 = (rep.b, rep.d - other)
+        c1 = (m.a - other, m.c)
+        c2 = (m.b, m.d - other)
         col = c1 if max(abs(c1[0]), abs(c1[1])) >= max(abs(c2[0]), abs(c2[1])) else c2
         cols.append(col)
     (ux, uy), (wx, wy) = cols
@@ -277,49 +261,47 @@ def standardize(cocycle):
     holonomies at each circle, rescale the arcs to the symmetric
     diagonal value, then rescale each circle by the fourth root of
     a*b/(c*d) of its seam so the seams become normalized."""
-    ident = ProjMat2.identity()
+    ident = Mat2.identity()
 
     # step 1: make both arcs at each boundary diagonal
     g1 = {}
     for k in range(3):
-        m0 = cocycle.values[f"b{k}0"].rep
-        m1 = cocycle.values[f"b{k}1"].rep
-        g1[f"v{k}0"] = ProjMat2(_eigen_conjugator(m0 @ m1))
-        g1[f"v{k}1"] = ProjMat2(_eigen_conjugator(m1 @ m0))
+        m0 = cocycle.values[f"b{k}0"]
+        m1 = cocycle.values[f"b{k}1"]
+        g1[f"v{k}0"] = _eigen_conjugator(m0 @ m1)
+        g1[f"v{k}1"] = _eigen_conjugator(m1 @ m0)
     step1 = gauge_transform(cocycle, g1)
 
     # step 2: move each arc value to diag(lambda_k^(1/2), ...)
     g2 = {}
     lengths = []
     for k in range(3):
-        arc0 = step1.values[f"b{k}0"].rep
-        nu = abs(arc0.a)
-        lam = nu * abs(step1.values[f"b{k}1"].rep.a)
+        nu = abs(step1.values[f"b{k}0"].a)
+        lam = nu * abs(step1.values[f"b{k}1"].a)
         if lam <= 1.0:
             raise NotFuchsianError(f"boundary {k} eigenvalue {lam!r} is not above 1")
         lengths.append(2.0 * math.log(lam))
         g2[f"v{k}0"] = ident
-        g2[f"v{k}1"] = ProjMat2.diagonal(math.sqrt(lam) / nu)
+        g2[f"v{k}1"] = Mat2.diagonal(math.sqrt(lam) / nu)
     step2 = gauge_transform(step1, g2)
 
     # step 3: normalize the seams with one diagonal scale per boundary
     g3 = {}
     for k in range(3):
-        m = step2.values[f"seam{k}"].rep
+        m = step2.values[f"seam{k}"]
         if abs(m.c * m.d) <= 1e-14 * m.norm() ** 2:
             raise NotFuchsianError("seam value has c*d = 0")
         ratio = (m.a * m.b) / (m.c * m.d)
         if ratio <= 0.0:
             raise NotFuchsianError("seam value has a*b/(c*d) <= 0")
         t = ratio**0.25
-        g3[f"v{k}0"] = ProjMat2.diagonal(t)
-        g3[f"v{k}1"] = ProjMat2.diagonal(t)
+        g3[f"v{k}0"] = Mat2.diagonal(t)
+        g3[f"v{k}1"] = Mat2.diagonal(t)
     result = gauge_transform(step2, g3)
 
     gauge = {}
     for v in PANTS_VERTICES:
-        m = g1[v].rep @ g2[v].rep @ g3[v].rep
-        gauge[v] = ProjMat2(m.renormalized())
+        gauge[v] = (g1[v] @ g2[v] @ g3[v]).renormalized()
     result.lengths = PantsLengths(*lengths)
     result.standard = is_standard(result)
     return result, gauge

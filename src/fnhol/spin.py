@@ -23,9 +23,9 @@ of the gluing graph be fixed to +1; the remaining g signs enumerate the
 import itertools
 import math
 
-from .mat2 import Mat2, ProjMat2, NonHyperbolicError
+from .mat2 import Mat2, NonHyperbolicError, walk
 from . import pants as pants_mod
-from .surface import CellComplex, SurfaceCocycle, build_complex, pants_boundary_lengths
+from .surface import CellComplex, build_complex, check_word, pants_boundary_lengths
 
 __all__ = [
     "SpinSignError",
@@ -68,14 +68,6 @@ class BoundarySigns:
         return f"BoundarySigns{self.eps!r}"
 
 
-def _face_value(values, word):
-    m = Mat2.identity()
-    for edge, sign in word:
-        rep = values[edge]
-        m = m @ (rep if sign > 0 else rep.inv())
-    return m
-
-
 def _is_plus_identity(m, tol=_FACE_TOL):
     return m.dist(Mat2.identity()) <= tol * max(1.0, m.norm())
 
@@ -93,7 +85,7 @@ def sl2_pants_cocycle(lengths, signs):
     positive, as happens for very short boundaries."""
     if not isinstance(signs, BoundarySigns):
         signs = BoundarySigns(*signs)
-    seams = [pants_mod.seam_matrix_sl2(lengths, k) for k in range(3)]
+    seams = [pants_mod.seam_matrix(lengths, k) for k in range(3)]
     arcs = [Mat2.diagonal(math.exp(0.25 * lengths[k])) for k in range(3)]
 
     values = {}
@@ -103,8 +95,8 @@ def sl2_pants_cocycle(lengths, signs):
         values[f"b{k}1"] = arcs[k] if signs[k] > 0 else -arcs[k]
     if not (
         all(seam.a > 0.0 for seam in seams)
-        and _is_plus_identity(_face_value(values, pants_mod.PANTS_FACES["hex+"]))
-        and _is_plus_identity(_face_value(values, pants_mod.PANTS_FACES["hex-"]))
+        and _is_plus_identity(walk(values, pants_mod.PANTS_FACES["hex+"]))
+        and _is_plus_identity(walk(values, pants_mod.PANTS_FACES["hex-"]))
     ):
         raise AssertionError("expected a unique sign assignment, found 0")
     return values
@@ -148,17 +140,11 @@ class SpinSurfaceCocycle:
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
-        m = _face_value(self.values, self.complex.faces[fid].cycle)
+        m = walk(self.values, self.complex.faces[fid].cycle)
         return m.dist(Mat2.identity())
 
     def max_face_residual(self):
         return max(self.face_residual(f) for f in self.complex.faces)
-
-    def reduction(self):
-        """Forget the signs: the underlying projective cocycle."""
-        return SurfaceCocycle(
-            self.complex, {e: ProjMat2(m) for e, m in self.values.items()}
-        )
 
 
 def _pants_sign_constraint(pants_sides, eps):
@@ -304,19 +290,9 @@ def apply_pants_gauge(spec, pid, crossing_signs):
 
 def sl2_holonomy(spin_cocycle, word):
     """Product of the determinant-one edge values along a composable
-    word of (edge id, +-1)."""
-    complex_ = spin_cocycle.complex
-    m = Mat2.identity()
-    at = None
-    for eid, sign in word:
-        edge = complex_.edges[eid]
-        start, end = (edge.start, edge.end) if sign > 0 else (edge.end, edge.start)
-        if at is not None and at != start:
-            raise ValueError(f"word is not composable at {eid}")
-        at = end
-        rep = spin_cocycle.values[eid]
-        m = m @ (rep if sign > 0 else rep.inv())
-    return m.renormalized()
+    word of (edge id, +-1), renormalized."""
+    check_word(spin_cocycle.complex, word)
+    return walk(spin_cocycle.values, word).renormalized()
 
 
 def rot2(spin_cocycle, loop):

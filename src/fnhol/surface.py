@@ -9,7 +9,9 @@ ids are ``p{pants}.seam{k}`` / ``p{pants}.b{k}{eps}`` / ``c{curve}.x{eps}``
 for edges, the same with ``v`` for vertices, and ``p{pants}.hex+|-`` /
 ``c{curve}.sq0|1`` for faces.
 
-Holonomy values live in ``ProjMat2``.  In the assembled cocycle the
+Holonomy values are sign-free ``Mat2`` representatives of their
+projective classes; only :func:`holonomy` wraps its result in a
+``ProjMat2`` for reports.  In the assembled cocycle the
 boundary arcs on both sides of curve i carry diag(lambda_i^(1/2), ...)
 and the crossing edges carry (0, -1/T_i; T_i, 0) with
 T_i = exp(-twist_i / 2), so twists are recovered globally (not modulo
@@ -19,7 +21,7 @@ the curve length) as -2 log T_i.
 import math
 from dataclasses import dataclass, field
 
-from .mat2 import Mat2, ProjMat2, translation_length
+from .mat2 import Mat2, ProjMat2, translation_length, walk
 from . import pants as pants_mod
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "holonomy",
     "extract_fn",
     "parse_word",
+    "check_word",
     "format_word",
     "curve_loop_word",
     "NonStandardCocycleError",
@@ -219,7 +222,8 @@ class CellComplex:
 
     def _check_faces(self):
         # every face word must close up, and every edge must be used
-        # once with each sign across all faces
+        # once with each sign across all faces; walks along face cycles
+        # rely on this and check nothing per step
         use = {e: [0, 0] for e in self.edges}
         for fid, face in self.faces.items():
             at = None
@@ -285,7 +289,8 @@ class FNPoint:
 
 
 class SurfaceCocycle:
-    """A holonomy cocycle on the cell complex (edge id -> ProjMat2)."""
+    """A holonomy cocycle on the cell complex (edge id -> Mat2, each a
+    sign-free representative of its projective class)."""
 
     __slots__ = ("complex", "values")
 
@@ -294,8 +299,9 @@ class SurfaceCocycle:
         self.values = dict(values)
 
     def face_residual(self, fid):
-        hol = holonomy(self, self.complex.faces[fid].cycle)
-        return hol.dist(ProjMat2.identity())
+        """Distance of the face word from +-I."""
+        hol = walk(self.values, self.complex.faces[fid].cycle).renormalized()
+        return hol.proj_dist(Mat2.identity())
 
     def max_face_residual(self):
         return max(self.face_residual(f) for f in self.complex.faces)
@@ -320,31 +326,38 @@ def assemble_cocycle(spec, fn):
             values[f"p{pid}.{e}"] = v
     for c in complex_.spec.curves:
         t = math.exp(-0.5 * fn.twists[c.id])
-        crossing = ProjMat2(Mat2(0.0, -1.0 / t, t, 0.0, check=False))
+        # either sign represents the class; this one, (-0.0, 1/T; -T, -0.0),
+        # is the canonical sign of a report, chosen because the sign of a
+        # zero entry can show in a written holonomy matrix
+        crossing = -Mat2(0.0, -1.0 / t, t, 0.0, check=False)
         values[f"c{c.id}.x0"] = crossing
         values[f"c{c.id}.x1"] = crossing
     return SurfaceCocycle(complex_, values)
 
 
 def holonomy(cocycle, word):
-    """Product of the edge values along a composable edge word.
+    """The projective class of the product of the edge values along a
+    composable edge word, renormalized, for reports.
 
     ``word`` is a sequence of (edge id, +1/-1); reversed edges
     contribute inverses.  The empty word gives the identity."""
-    complex_ = cocycle.complex
-    m = Mat2.identity()
+    check_word(cocycle.complex, word)
+    return ProjMat2(walk(cocycle.values, word).renormalized())
+
+
+def check_word(complex_, word):
+    """Raise ValueError unless every edge of ``word`` is in the complex
+    and each step starts where the one before it ended."""
+    edges = complex_.edges
     at = None
     for eid, sign in word:
-        edge = complex_.edges.get(eid)
+        edge = edges.get(eid)
         if edge is None:
             raise ValueError(f"unknown edge {eid!r}")
         start, end = (edge.start, edge.end) if sign > 0 else (edge.end, edge.start)
         if at is not None and at != start:
             raise ValueError(f"word is not composable at {eid}: {at} != {start}")
         at = end
-        rep = cocycle.values[eid].rep
-        m = m @ (rep if sign > 0 else rep.inv())
-    return ProjMat2(m.renormalized())
 
 
 def curve_loop_word(spec, cid):
@@ -366,8 +379,8 @@ def extract_fn(cocycle):
     twists = {}
     for c in complex_.spec.curves:
         loop = curve_loop_word(complex_.spec, c.id)
-        lengths[c.id] = translation_length(holonomy(cocycle, loop))
-        m = cocycle.values[f"c{c.id}.x0"].rep
+        lengths[c.id] = translation_length(walk(cocycle.values, loop).renormalized())
+        m = cocycle.values[f"c{c.id}.x0"]
         scale = m.norm()
         if abs(m.a) > 1e-8 * scale or abs(m.d) > 1e-8 * scale:
             raise NonStandardCocycleError(

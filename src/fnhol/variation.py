@@ -21,9 +21,15 @@ provided as an independent check.
 
 import math
 
-from .mat2 import Mat2, TracelessMat2, ad_action
+from .mat2 import Mat2, TracelessMat2, ad_action, walk
 from .pants import bc_magnitude, bc_magnitude_minus_one
-from .surface import assemble_cocycle, build_complex, CellComplex, pants_boundary_lengths
+from .surface import (
+    CellComplex,
+    SurfaceCocycle,
+    assemble_cocycle,
+    build_complex,
+    pants_boundary_lengths,
+)
 
 __all__ = [
     "TangentVector",
@@ -80,8 +86,7 @@ class VariationCocycle:
         z = self.values[eid]
         if sign > 0:
             return z
-        rho = self.base.values[eid].rep
-        return -ad_action(rho.inv(), z)
+        return -ad_action(self.base.values[eid].inv(), z)
 
     def combined(self, other, s, t):
         values = {
@@ -109,15 +114,18 @@ def seam_variation_coefficient(lengths, k):
 
 
 def variation_cocycle(spec, fn, tangent):
-    """Closed-form variation cocycle of the tangent direction at fn."""
-    complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
-    base = assemble_cocycle(complex_, fn)
-    return VariationCocycle(base, _variation_values(complex_, fn, tangent))
+    """Closed-form variation cocycle of the tangent direction at fn.
+
+    ``spec`` is a decomposition, its cell complex, or the cocycle
+    assembled at fn; a cocycle is reused as the base, so variations
+    that share it assemble it once."""
+    base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
+    return VariationCocycle(base, _variation_values(base.complex, fn, tangent))
 
 
 def _variation_values(complex_, fn, tangent):
     """The closed-form values (edge id -> TracelessMat2) of the tangent
-    direction at fn, for callers that share one base cocycle."""
+    direction at fn."""
     values = {}
     for pid in complex_.spec.pants:
         curves = complex_.pants_lengths_order[pid]
@@ -139,11 +147,10 @@ def _variation_values(complex_, fn, tangent):
 
 
 def _aligned_rep(target, base_rep):
-    """The representative of ``target`` nearest to ``base_rep``."""
-    rep = target.rep
-    d_plus = rep.dist(base_rep)
-    d_minus = (-rep).dist(base_rep)
-    best = rep if d_plus <= d_minus else -rep
+    """The sign of ``target`` nearest to ``base_rep``."""
+    d_plus = target.dist(base_rep)
+    d_minus = (-target).dist(base_rep)
+    best = target if d_plus <= d_minus else -target
     if min(d_plus, d_minus) > 0.25 * max(1.0, base_rep.norm()):
         raise SignLiftError("projective representatives are too far apart to align")
     return best
@@ -160,7 +167,7 @@ def fd_variation(spec, fn, tangent, h=1e-5):
     minus = assemble_cocycle(complex_, fn.shifted(tangent, -h))
     values = {}
     for eid in complex_.edges:
-        rep = base.values[eid].rep
+        rep = base.values[eid]
         p = _aligned_rep(plus.values[eid], rep)
         m = _aligned_rep(minus.values[eid], rep)
         diff = Mat2(
@@ -184,20 +191,19 @@ def coboundary(cocycle, vertex_cochain):
     for eid, edge in cocycle.complex.edges.items():
         w0 = vertex_cochain.get(edge.start, zero)
         w1 = vertex_cochain.get(edge.end, zero)
-        values[eid] = ad_action(cocycle.values[eid].rep, w1) - w0
+        values[eid] = ad_action(cocycle.values[eid], w1) - w0
     return VariationCocycle(cocycle, values)
 
 
 def check_cocycle_condition(cocycle, variation):
     """Largest face residual of the twisted cocycle condition."""
     worst = 0.0
+    values = cocycle.values
     for face in cocycle.complex.faces.values():
         total = TracelessMat2.zero()
         prefix = Mat2.identity()
-        for eid, sign in face.cycle:
-            z = variation.value(eid, sign)
-            total = total + ad_action(prefix, z)
-            rep = cocycle.values[eid].rep
-            prefix = prefix @ (rep if sign > 0 else rep.inv())
+        for step in face.cycle:
+            total = total + ad_action(prefix, variation.value(*step))
+            prefix = walk(values, (step,), prefix)
         worst = max(worst, total.norm())
     return worst

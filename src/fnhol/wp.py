@@ -44,8 +44,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .mat2 import ad_action
-from .surface import CellComplex, assemble_cocycle, build_complex, holonomy
+from .mat2 import ad_action, walk
+from .surface import SurfaceCocycle, assemble_cocycle
+from .variation import TangentVector, variation_cocycle
 
 __all__ = [
     "killing_form",
@@ -184,7 +185,7 @@ def _transported(cocycle, variation, oriented_edge, path):
     eid, orient = oriented_edge
     z = variation.value(eid, orient)
     if path:
-        z = ad_action(holonomy(cocycle, path).rep, z)
+        z = ad_action(walk(cocycle.values, path).renormalized(), z)
     return z
 
 
@@ -215,11 +216,10 @@ class PairingKernel:
     A slot is one position of a face cycle: the oriented edge the chain
     carries there, and the matrix that moves its value to the face
     basepoint.  Per face (sorted order) the kernel walks the boundary
-    once and keeps the raw prefix products P_k = r_1 ... r_k of the edge
-    values, inverted where the cycle runs an edge backwards.  The move of
-    a position is its prefix P_upto, renormalized: the holonomy of the
-    path from the basepoint to the start of the edge, up to a sign that
-    ``ad_action`` ignores.  The chain terms are the face's
+    once, stopping at every prefix length a position needs: the move of
+    a position is its raw prefix product P_upto of the edge values,
+    renormalized, the holonomy of the path from the basepoint to the
+    start of the edge.  The chain terms are the face's
     :func:`_chain_shape`."""
 
     def __init__(self, cocycle):
@@ -229,22 +229,18 @@ class PairingKernel:
         self._face_terms = []  # face -> (slot of position 0, chain terms)
         n_slots = 0
         for face, fid in enumerate(sorted(complex_.faces)):
+            cycle = complex_.faces[fid].cycle
             gens = _oriented_cycle(complex_, fid, 0)
-            prefixes = [None]  # P_0: the empty path needs no move
-            for (eid, orient), exponent in gens:
-                rep = values[eid].rep
-                # exponent == orient exactly when the cycle runs the
-                # edge forwards
-                r = rep if exponent == orient else rep.inv()
-                prefixes.append(r if prefixes[-1] is None else prefixes[-1] @ r)
             terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
-            moves = {0: None}
+            moves = {0: None}  # the empty path needs no move
+            prefix, walked = None, 0
+            for upto in sorted(set(uptos) - {0}):
+                prefix = walk(values, cycle[walked:upto], prefix)
+                walked = upto
+                moves[upto] = prefix.renormalized()
             for pos, (oriented_edge, _) in enumerate(gens):
-                upto = uptos[pos]
-                if upto not in moves:
-                    moves[upto] = prefixes[upto].renormalized()
                 self._edge_slots.setdefault(oriented_edge, []).append(
-                    (n_slots + pos, face, moves[upto])
+                    (n_slots + pos, face, moves[uptos[pos]])
                 )
             self._face_terms.append((n_slots, terms))
             n_slots += len(gens)
@@ -313,23 +309,19 @@ def wp_matrix(spec, fn):
     """The pairing matrix over the coordinate directions, ordered as all
     length directions then all twist directions (curves sorted by id).
 
+    ``spec`` is a decomposition, its cell complex, or the cocycle
+    assembled at fn, which is then the base of every direction.
     Returns (labels, matrix) with matrix[i][j] the pairing of direction
     i against direction j; the exact value is the block form with
     matrix[dl_i][dtau_i] = -1 and matrix[dtau_i][dl_i] = +1."""
-    from .variation import TangentVector, VariationCocycle, _variation_values
-
-    complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
-    curves = sorted((c.id for c in complex_.spec.curves), key=str)
+    base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
+    curves = sorted((c.id for c in base.complex.spec.curves), key=str)
     labels = [f"dl[{c}]" for c in curves] + [f"dtau[{c}]" for c in curves]
     basis = [TangentVector({c: 1.0}, {}) for c in curves] + [
         TangentVector({}, {c: 1.0}) for c in curves
     ]
-    base = assemble_cocycle(complex_, fn)
     kernel = PairingKernel(base)
-    transported = [
-        kernel.transport(VariationCocycle(base, _variation_values(complex_, fn, v)))
-        for v in basis
-    ]
+    transported = [kernel.transport(variation_cocycle(base, fn, v)) for v in basis]
     matrix = [[kernel.pair(ti, tj) for tj in transported] for ti in transported]
     return labels, matrix
 

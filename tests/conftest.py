@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from fnhol.mat2 import Mat2, ProjMat2
+from fnhol.mat2 import Mat2
 from fnhol.surface import Curve, FNPoint, SurfaceSpec, build_complex
 from fnhol.variation import TangentVector
 
@@ -107,14 +107,14 @@ def random_tangent(rng, spec):
     )
 
 
-def random_projmat(rng, spread=2.0):
-    """A random projective class with moderate entries."""
+def random_mat2(rng, spread=2.0):
+    """A random unimodular matrix with moderate entries."""
     while True:
         a, b, c, d = (rng.uniform(-spread, spread) for _ in range(4))
         det = a * d - b * c
         if det > 0.25:
             s = 1.0 / math.sqrt(det)
-            return ProjMat2(Mat2(a * s, b * s, c * s, d * s, check=False))
+            return Mat2(a * s, b * s, c * s, d * s, check=False)
 
 
 def rng_for(name):

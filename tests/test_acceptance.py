@@ -5,7 +5,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines."""
 import itertools
 import math
 
-from fnhol.mat2 import Mat2, ProjMat2, TracelessMat2, nearest_point_on_imaginary_axis, translation_length
+from fnhol.mat2 import Mat2, TracelessMat2, nearest_point_on_imaginary_axis, translation_length
 from fnhol.pants import (
     PANTS_EDGES,
     PANTS_VERTICES,
@@ -35,7 +35,7 @@ from conftest import (
     genus2_spec,
     genus3_spec,
     random_fn,
-    random_projmat,
+    random_mat2,
     random_tangent,
     rng_for,
 )
@@ -55,7 +55,7 @@ def test_acceptance_1_pants_construction():
         for k in range(3):
             # (b) seams square to the identity class
             a = c.values[f"seam{k}"]
-            assert (a @ a).dist(ProjMat2.identity()) <= 1e-10
+            assert (a @ a).proj_dist(Mat2.identity()) <= 1e-10
             # (c) boundary words translate by the prescribed lengths
             length = translation_length(c.holonomy(((f"b{k}0", 1), (f"b{k}1", 1))))
             assert abs(length - l[k]) <= 1e-10
@@ -63,9 +63,7 @@ def test_acceptance_1_pants_construction():
             assert abs(nearest_point_on_imaginary_axis(a) - 1.0) <= 1e-10
         # (e) the middle boundary's axis is nearest the imaginary axis
         # at height lambda_0
-        conj = ProjMat2(
-            Mat2.diagonal(math.sqrt(l.lam(0))) @ c.values["seam1"].rep.inv()
-        )
+        conj = Mat2.diagonal(math.sqrt(l.lam(0))) @ c.values["seam1"].inv()
         assert abs(nearest_point_on_imaginary_axis(conj) - l.lam(0)) <= 1e-8
     _report(1, "pants construction, 1000 random length triples")
 
@@ -75,10 +73,10 @@ def test_acceptance_2_standardization_roundtrip():
     for _ in range(200):
         l = PantsLengths(*(rng.uniform(0.1, 10.0) for _ in range(3)))
         c = pants_cocycle(l)
-        gauge = {v: random_projmat(rng) for v in PANTS_VERTICES}
+        gauge = {v: random_mat2(rng) for v in PANTS_VERTICES}
         recovered, _ = standardize(gauge_transform(c, gauge))
         assert all(
-            recovered.values[e].dist(c.values[e]) <= 1e-8 for e in PANTS_EDGES
+            recovered.values[e].proj_dist(c.values[e]) <= 1e-8 for e in PANTS_EDGES
         )
     _report(2, "gauge + standardize recovers the cocycle, 200 trials")
 

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -258,7 +261,7 @@ def test_accepted_twists_give_finite_crossing_entries():
         return parse_document(json.dumps(raw))
 
     for twist in (1400.0, 1419.5, -1419.5):
-        m = with_twist(twist).cocycle.values["c0.x0"].rep
+        m = with_twist(twist).cocycle.values["c0.x0"]
         assert all(math.isfinite(x) for x in m.entries()) and m.b != 0.0 != m.c
     for twist in (1400.0, -1419.5):
         assert run_command(with_twist(twist), "verify")[1] == 0
@@ -311,3 +314,11 @@ def test_spin_command_without_block(tmp_path, capsys):
     assert main(["spin", "--input", str(doc)]) == 2
     assert main(["spin", "--input", str(doc), "--list"]) == 0
     capsys.readouterr()
+
+
+def test_import_leaves_argparse_out():
+    # only main needs argparse; importing the module must not load it
+    src = os.path.dirname(os.path.dirname(fnhol.cli.__file__))
+    code = "import sys, fnhol.cli; sys.exit('argparse' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

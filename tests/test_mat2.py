@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from fnhol.mat2 import (
     ad_action,
     nearest_point_on_imaginary_axis,
     translation_length,
+    walk,
 )
-from conftest import random_projmat, rng_for
+from conftest import random_mat2, rng_for
 
 
 def test_det_check():
@@ -24,7 +27,9 @@ def test_det_check():
 
 def test_proj_sign_insensitive():
     m = Mat2(0.0, -2.0, 0.5, 3.0)
-    assert ProjMat2(m) == ProjMat2(-m)
+    assert ProjMat2(m).rep.entries() == ProjMat2(-m).rep.entries()
+    assert ProjMat2(m).dist(ProjMat2(-m)) == 0.0
+    assert m.proj_dist(-m) == 0.0 and m.dist(-m) == 6.0
     # canonical representative has its first significant entry positive
     assert ProjMat2(m).rep.b > 0
 
@@ -45,11 +50,10 @@ def test_nearest_point_oracle():
     rng = rng_for("nearest")
     checked = 0
     while checked < 20:
-        conj = random_projmat(rng)
-        m = conj.rep
+        m = random_mat2(rng)
         if abs(m.c) < 0.1 or abs(m.d) < 0.1 or (m.a * m.b) / (m.c * m.d) <= 0.01:
             continue
-        r = nearest_point_on_imaginary_axis(conj)
+        r = nearest_point_on_imaginary_axis(m)
         p, q = m.a / m.c, m.b / m.d  # axis feet
 
         best = minimize_scalar(
@@ -63,23 +67,24 @@ def test_nearest_point_oracle():
 
 
 def test_nearest_point_cases():
-    assert abs(nearest_point_on_imaginary_axis(ProjMat2.of(2, 1, 1, 1)) - math.sqrt(2)) < 1e-15
+    assert abs(nearest_point_on_imaginary_axis(Mat2(2, 1, 1, 1)) - math.sqrt(2)) < 1e-15
     with pytest.raises(AxisLocationError):
-        nearest_point_on_imaginary_axis(ProjMat2.of(2, -0.5, 1, 0.25))
+        nearest_point_on_imaginary_axis(Mat2(2, -0.5, 1, 0.25))
 
 
 def test_translation_length():
-    assert abs(translation_length(ProjMat2.diagonal(math.e)) - 2.0) < 1e-14
+    assert abs(translation_length(Mat2.diagonal(math.e)) - 2.0) < 1e-14
+    assert abs(translation_length(ProjMat2(-Mat2.diagonal(math.e))) - 2.0) < 1e-14
     rng = rng_for("tlength")
     for _ in range(50):
-        p = random_projmat(rng)
+        p = random_mat2(rng)
         lam = rng.uniform(1.1, 10.0)
-        conj = ProjMat2(p.rep @ Mat2.diagonal(lam) @ p.rep.inv())
+        conj = p @ Mat2.diagonal(lam) @ p.inv()
         assert abs(translation_length(conj) - 2 * math.log(lam)) < 1e-10
     with pytest.raises(NonHyperbolicError):
-        translation_length(ProjMat2.rotation_j())
+        translation_length(Mat2(0.0, -1.0, 1.0, 0.0))
     with pytest.raises(NonHyperbolicError):
-        translation_length(ProjMat2.identity())
+        translation_length(Mat2.identity())
 
 
 def _random_unimodular(rng):
@@ -117,7 +122,7 @@ def test_det_preserved_over_products():
 def test_ad_action_is_conjugation():
     rng = rng_for("ad")
     for _ in range(30):
-        m = random_projmat(rng).rep
+        m = random_mat2(rng)
         t = TracelessMat2(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
         out = ad_action(m, t)
         a = np.array(m.entries()).reshape(2, 2)
@@ -130,3 +135,45 @@ def test_ad_action_is_conjugation():
 def test_traceless_projection():
     t = TracelessMat2.from_entries(3.0, 1.0, -2.0, 1.0)
     assert t.x == 1.0 and t.y == 1.0 and t.z == -2.0
+
+
+def test_walk_is_the_left_to_right_product():
+    # bit for bit, signed zeros included, the product I @ r_1 @ ... @ r_n
+    # with reversed edges read as inverses; ``start`` continues a walk
+    rng = rng_for("walk")
+    values = {i: random_mat2(rng) for i in range(4)}
+    values[4] = Mat2.diagonal(1.7)
+    values[5] = -Mat2(0.0, -0.5, 2.0, 0.0)
+    for _ in range(200):
+        word = [(rng.randrange(6), rng.choice((1, -1))) for _ in range(rng.randrange(1, 9))]
+        want = Mat2.identity()
+        for eid, sign in word:
+            want = want @ (values[eid] if sign > 0 else values[eid].inv())
+        assert repr(walk(values, word)) == repr(want)
+        cut = rng.randrange(len(word) + 1)
+        resumed = walk(values, word[cut:], walk(values, word[:cut]))
+        assert repr(resumed) == repr(want)
+    assert walk(values, ()).entries() == (1, 0, 0, 1)
+
+
+def test_scalar_generic_on_fractions():
+    F = Fraction
+    m = Mat2(F(2), F(3), F(1), F(2))
+    n = Mat2(F(1, 3), F(0), F(5), F(3))
+    with pytest.raises(ValueError):
+        Mat2(F(2), F(0), F(0), F(3, 5))
+    diag = Mat2.diagonal(F(3))
+    assert diag.entries() == (3, 0, 0, F(1, 3)) and all(type(x) is F for x in diag.entries())
+    values = {"m": m, "n": n}
+    p = walk(values, (("m", 1), ("n", -1), ("m", 1)))
+    assert p.entries() == (m @ n.inv() @ m).entries()
+    assert all(type(x) is F for x in p.entries() + m.inv().entries())
+    assert p.det() == 1 and (m @ m.inv()).entries() == (1, 0, 0, 1)
+    t = TracelessMat2(F(1, 2), F(-3), F(7, 4))
+    moved = ad_action(p, t)
+    full = p @ Mat2(t.x, t.y, t.z, -t.x, check=False) @ p.inv()
+    assert moved.entries() == full.entries()
+    assert all(type(x) is F for x in moved.entries())
+    # scalars that do not mix with floats keep their type too
+    d = walk({"m": Mat2(Decimal(2), Decimal(3), Decimal(1), Decimal(2))}, (("m", -1),))
+    assert d.entries() == (2, -3, -1, 2) and type(d.a) is Decimal

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fnhol.mat2 import Mat2, ProjMat2, nearest_point_on_imaginary_axis, translation_length
+from fnhol.mat2 import Mat2, nearest_point_on_imaginary_axis, translation_length
 from fnhol.pants import (
     GAMMA_WORDS,
     NotFuchsianError,
@@ -15,10 +15,9 @@ from fnhol.pants import (
     gauge_transform,
     pants_cocycle,
     seam_matrix,
-    seam_matrix_sl2,
     standardize,
 )
-from conftest import random_projmat, rng_for
+from conftest import random_mat2, rng_for
 
 
 def random_lengths(rng, lo=0.1, hi=10.0):
@@ -60,7 +59,7 @@ def test_bc_magnitude_minus_one_identity():
 
 
 def test_seam_matrix_reference_entries():
-    m = seam_matrix(PantsLengths(2, 2, 2), 0).rep
+    m = seam_matrix(PantsLengths(2, 2, 2), 0)
     assert abs(m.a - 0.9595) < 1e-4
     assert abs(m.b + 1.3859) < 1e-4
     assert abs(m.c - 1.3859) < 1e-4
@@ -73,8 +72,8 @@ def test_seam_matrix_involution_and_normalization():
         l = random_lengths(rng)
         for k in range(3):
             a = seam_matrix(l, k)
-            assert (a @ a).dist(ProjMat2.identity()) <= 1e-10
-            m = a.rep
+            assert (a @ a).proj_dist(Mat2.identity()) <= 1e-10
+            m = a
             assert abs(m.a * m.b - m.c * m.d) < 1e-12 * m.norm() ** 2
             assert abs(nearest_point_on_imaginary_axis(a) - 1.0) <= 1e-10
             # entry signs: off-diagonal product negative, diagonal
@@ -99,10 +98,10 @@ def test_gamma_relation_and_trace():
     l = PantsLengths(2, 2, 2)
     c = pants_cocycle(l)
     g = {k: c.holonomy(GAMMA_WORDS[k]) for k in range(3)}
-    prod = ProjMat2(g[2].rep @ g[1].rep @ g[0].rep)
-    assert prod.dist(ProjMat2.identity()) <= 1e-12
+    prod = g[2] @ g[1] @ g[0]
+    assert prod.proj_dist(Mat2.identity()) <= 1e-12
     # the middle boundary word has trace -(lambda_1 + 1/lambda_1)
-    assert abs(g[1].trace_abs() - (math.e + 1 / math.e)) < 1e-12
+    assert abs(abs(g[1].trace()) - (math.e + 1 / math.e)) < 1e-12
     assert abs(translation_length(g[1]) - 2.0) < 1e-10
 
 
@@ -112,7 +111,7 @@ def test_boundary_trace_sign_is_negative():
     rng = rng_for("keen")
     for _ in range(200):
         l = random_lengths(rng)
-        a = seam_matrix_sl2(l, 0)
+        a = seam_matrix(l, 0)
         m = Mat2.diagonal(l.lam(0)) @ a @ Mat2.diagonal(l.lam(2)) @ a.inv()
         assert m.trace() < -2.0
         assert abs(m.trace() + l.lam(1) + 1.0 / l.lam(1)) < 1e-9 * l.lam(1)
@@ -125,7 +124,7 @@ def test_seam_foot_of_middle_boundary():
     for _ in range(100):
         l = random_lengths(rng, 0.2, 6.0)
         c = pants_cocycle(l)
-        conj = ProjMat2(Mat2.diagonal(math.sqrt(l.lam(0))) @ c.values["seam1"].rep.inv())
+        conj = Mat2.diagonal(math.sqrt(l.lam(0))) @ c.values["seam1"].inv()
         assert abs(nearest_point_on_imaginary_axis(conj) - l.lam(0)) <= 1e-8 * l.lam(0)
 
 
@@ -135,10 +134,10 @@ def test_gamma1_two_expressions_agree():
         l = random_lengths(rng, 0.3, 6.0)
         c = pants_cocycle(l)
         word_val = c.holonomy(GAMMA_WORDS[1])
-        a1 = c.values["seam1"].rep
+        a1 = c.values["seam1"]
         d0 = Mat2.diagonal(math.sqrt(l.lam(0)))
-        alt = ProjMat2(d0 @ a1.inv() @ Mat2.diagonal(l.lam(1)) @ a1 @ d0.inv())
-        assert word_val.dist(alt) <= 1e-10 * max(1.0, alt.rep.norm())
+        alt = d0 @ a1.inv() @ Mat2.diagonal(l.lam(1)) @ a1 @ d0.inv()
+        assert word_val.proj_dist(alt) <= 1e-10 * max(1.0, alt.norm())
 
 
 def test_cyclic_symmetry():
@@ -154,11 +153,11 @@ def test_gauge_identity_and_constant():
     rng = rng_for("gauge")
     l = PantsLengths(1.3, 2.1, 0.8)
     c = pants_cocycle(l)
-    same = gauge_transform(c, {v: ProjMat2.identity() for v in PANTS_VERTICES})
+    same = gauge_transform(c, {v: Mat2.identity() for v in PANTS_VERTICES})
     assert all(same.values[e].close_to(c.values[e], 1e-14) for e in PANTS_EDGES)
     assert same.standard
 
-    p = random_projmat(rng)
+    p = random_mat2(rng)
     conj = gauge_transform(c, {v: p for v in PANTS_VERTICES})
     assert conj.max_face_residual() <= 1e-9
 
@@ -169,12 +168,12 @@ def test_gauge_diagonal_preserves_arcs():
     c = pants_cocycle(l)
     gauge = {}
     for k in range(3):
-        t = ProjMat2.diagonal(rng.uniform(0.3, 3.0))
+        t = Mat2.diagonal(rng.uniform(0.3, 3.0))
         gauge[f"v{k}0"] = t
         gauge[f"v{k}1"] = t
     moved = gauge_transform(c, gauge)
     for k in range(3):
-        arc = ProjMat2.diagonal(math.exp(0.25 * l[k]))
+        arc = Mat2.diagonal(math.exp(0.25 * l[k]))
         assert moved.values[f"b{k}0"].close_to(arc, 1e-12)
         assert moved.values[f"b{k}1"].close_to(arc, 1e-12)
 
@@ -182,8 +181,8 @@ def test_gauge_diagonal_preserves_arcs():
 def test_standardize_idempotent():
     c = pants_cocycle(PantsLengths(1.2, 2.3, 0.7))
     out, gauge = standardize(c)
-    assert all(out.values[e].dist(c.values[e]) <= 1e-12 for e in PANTS_EDGES)
-    assert all(gauge[v].dist(ProjMat2.identity()) <= 1e-12 for v in PANTS_VERTICES)
+    assert all(out.values[e].proj_dist(c.values[e]) <= 1e-12 for e in PANTS_EDGES)
+    assert all(gauge[v].proj_dist(Mat2.identity()) <= 1e-12 for v in PANTS_VERTICES)
     assert out.standard
 
 
@@ -192,17 +191,17 @@ def test_standardize_roundtrip():
     for _ in range(50):
         l = random_lengths(rng, 0.3, 6.0)
         c = pants_cocycle(l)
-        gauge = {v: random_projmat(rng) for v in PANTS_VERTICES}
+        gauge = {v: random_mat2(rng) for v in PANTS_VERTICES}
         moved = gauge_transform(c, gauge)
         assert not moved.standard
         recovered, found = standardize(moved)
         assert all(
-            recovered.values[e].dist(c.values[e]) <= 1e-8 for e in PANTS_EDGES
+            recovered.values[e].proj_dist(c.values[e]) <= 1e-8 for e in PANTS_EDGES
         )
         # the returned gauge actually produces the standard cocycle
         check = gauge_transform(moved, found)
         assert all(
-            check.values[e].dist(recovered.values[e]) <= 1e-9 for e in PANTS_EDGES
+            check.values[e].proj_dist(recovered.values[e]) <= 1e-9 for e in PANTS_EDGES
         )
         for k in range(3):
             assert abs(recovered.lengths[k] - l[k]) <= 1e-10 * max(1.0, l[k])
@@ -211,8 +210,8 @@ def test_standardize_roundtrip():
 def test_standardize_rejects_non_hyperbolic_boundary():
     c = pants_cocycle(PantsLengths(1.0, 1.0, 1.0))
     broken = dict(c.values)
-    broken["b00"] = ProjMat2.rotation_j()
-    broken["b01"] = ProjMat2.rotation_j()
+    broken["b00"] = Mat2(0.0, -1.0, 1.0, 0.0)
+    broken["b01"] = broken["b00"]
     with pytest.raises(NotFuchsianError):
         standardize(type(c)(c.lengths, broken))
 

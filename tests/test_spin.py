@@ -4,7 +4,7 @@ import math
 import pytest
 
 from fnhol.mat2 import Mat2, NonHyperbolicError
-from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix_sl2
+from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix
 from fnhol.surface import FNPoint, assemble_cocycle, build_complex, curve_loop_word
 from fnhol.spin import (
     BoundarySigns,
@@ -53,7 +53,7 @@ def _pants_lift_oracle(l, eps, is_plus_identity):
     """Every one of the 64 seam and b{k}0 sign choices whose hexagon
     words pass ``is_plus_identity`` and whose seams and b{k}0 arcs have
     positive (1,1) entry."""
-    seams = [seam_matrix_sl2(l, k) for k in range(3)]
+    seams = [seam_matrix(l, k) for k in range(3)]
     arcs = [Mat2.diagonal(math.exp(0.25 * l[k])) for k in range(3)]
     hits = []
     for signs in itertools.product((1, -1), repeat=6):
@@ -194,9 +194,9 @@ def test_assemble_spin_faces_and_reduction():
         for signs in classes:
             lifted = assemble_spin(cx, fn, eps, signs)
             assert lifted.max_face_residual() <= 1e-8
-            red = lifted.reduction()
+            # forgetting the signs gives the projective cocycle
             assert all(
-                red.values[e].dist(base.values[e]) <= 1e-12 for e in red.values
+                m.proj_dist(base.values[e]) <= 1e-12 for e, m in lifted.values.items()
             )
             key = tuple(
                 1 if lifted.values[e].a + lifted.values[e].b + lifted.values[e].c >= 0 else -1
@@ -285,8 +285,7 @@ def test_crossing_sign_flip_changes_lift_not_reduction():
     a = assemble_spin(cx, fn, eps, {0: 1, 1: 1, 2: 1})
     b = assemble_spin(cx, fn, eps, {0: 1, 1: -1, 2: 1})
     assert a.values["c1.x0"].dist(b.values["c1.x0"]) > 0.1
-    ra, rb = a.reduction(), b.reduction()
-    assert all(ra.values[e].dist(rb.values[e]) <= 1e-14 for e in ra.values)
+    assert all(m.proj_dist(b.values[e]) <= 1e-14 for e, m in a.values.items())
     # and the flipped lift changes the rotation number of a loop that
     # crosses curve 1 exactly once (returning through curve 2)
     word = (

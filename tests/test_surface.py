@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from fnhol.mat2 import ProjMat2, translation_length
+from fnhol.mat2 import Mat2, NonHyperbolicError, ProjMat2, translation_length
 from fnhol.surface import (
     Curve,
     FNPoint,
     NonStandardCocycleError,
+    SurfaceCocycle,
     SurfaceSpec,
     assemble_cocycle,
     build_complex,
@@ -17,7 +18,8 @@ from fnhol.surface import (
     parse_word,
     validate_surface,
 )
-from conftest import genus2_spec, genus3_spec, handle_spec, random_fn, rng_for
+from fnhol.wp import wp_matrix
+from conftest import caterpillar, genus2_spec, genus3_spec, handle_spec, random_fn, rng_for
 
 
 def test_validate_good_specs():
@@ -110,8 +112,9 @@ def test_zero_twist_gives_quarter_turn():
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.0 for i in range(3)})
     c = assemble_cocycle(spec, fn)
     for i in range(3):
-        assert c.values[f"c{i}.x0"].close_to(ProjMat2.rotation_j(), 1e-15)
-        assert c.values[f"c{i}.x1"].close_to(ProjMat2.rotation_j(), 1e-15)
+        quarter_turn = Mat2(0.0, -1.0, 1.0, 0.0)
+        assert c.values[f"c{i}.x0"].proj_dist(quarter_turn) <= 1e-15
+        assert c.values[f"c{i}.x1"].proj_dist(quarter_turn) <= 1e-15
 
 
 def test_face_relations_random():
@@ -130,7 +133,7 @@ def test_both_sides_carry_equal_arc_values():
     c = assemble_cocycle(spec, fn)
     for curve in spec.curves:
         (jl, kl), (jr, kr) = curve.left, curve.right
-        expected = ProjMat2.diagonal(math.exp(0.25 * fn.lengths[curve.id]))
+        expected = Mat2.diagonal(math.exp(0.25 * fn.lengths[curve.id]))
         for eps in (0, 1):
             assert c.values[f"p{jl}.b{kl}{eps}"].close_to(
                 c.values[f"p{jr}.b{kr}{eps}"], 1e-14
@@ -143,10 +146,10 @@ def test_holonomy_words():
     cx = build_complex(spec)
     rng = rng_for("holwords")
     c = assemble_cocycle(cx, random_fn(rng, spec))
-    assert holonomy(c, ()).close_to(ProjMat2.identity(), 1e-15)
+    assert holonomy(c, ()).dist(ProjMat2(Mat2.identity())) <= 1e-15
     word = parse_word(cx, "p0.seam0 p0.b21 p0.b20 p0.seam0~")
     there_and_back = word + tuple((e, -s) for e, s in reversed(word))
-    assert holonomy(c, there_and_back).dist(ProjMat2.identity()) <= 1e-10
+    assert holonomy(c, there_and_back).dist(ProjMat2(Mat2.identity())) <= 1e-10
     with pytest.raises(ValueError):
         holonomy(c, (("p0.b00", 1), ("p0.b10", 1)))  # not composable
     with pytest.raises(ValueError):
@@ -191,7 +194,7 @@ def test_extract_fn_rejects_non_standard():
     spec = genus2_spec()
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.0 for i in range(3)})
     c = assemble_cocycle(spec, fn)
-    c.values["c0.x0"] = ProjMat2.diagonal(2.0)
+    c.values["c0.x0"] = Mat2.diagonal(2.0)
     with pytest.raises(NonStandardCocycleError):
         extract_fn(c)
 
@@ -209,8 +212,8 @@ def test_dehn_twist_shift():
     c1 = assemble_cocycle(spec, fn)
     c2 = assemble_cocycle(spec, shifted)
     lam = math.exp(0.5 * fn.lengths[0])
-    t1 = abs(c1.values["c0.x0"].rep.c)
-    t2 = abs(c2.values["c0.x0"].rep.c)
+    t1 = abs(c1.values["c0.x0"].c)
+    t2 = abs(c2.values["c0.x0"].c)
     assert abs(t2 - t1 / lam) <= 1e-12 * max(1.0, t1)
     loop = curve_loop_word(spec, 0)
     tr1 = holonomy(c1, loop).trace_abs()
@@ -233,3 +236,34 @@ def test_assemble_requires_full_coordinates():
     fn = FNPoint({0: 2.0, 1: 2.0}, {0: 0.0, 1: 0.0})
     with pytest.raises(ValueError):
         assemble_cocycle(spec, fn)
+
+
+@pytest.mark.parametrize("spec_fn", [genus2_spec, genus3_spec, lambda: caterpillar(5)])
+def test_stored_signs_change_no_result(spec_fn):
+    # projective is only a comparison: negating every stored edge value
+    # leaves every residual, report, read-back and pairing equal
+    spec = spec_fn()
+    cx = build_complex(spec)
+    fn = random_fn(rng_for(f"signs-{spec.genus}"), spec)
+    c = assemble_cocycle(cx, fn)
+    neg = SurfaceCocycle(cx, {e: -m for e, m in c.values.items()})
+    assert all(neg.values[e].a == -m.a for e, m in c.values.items())
+    assert {f: c.face_residual(f) for f in cx.faces} == {
+        f: neg.face_residual(f) for f in cx.faces
+    }
+    words = [curve_loop_word(spec, cid) for cid in spec.curve_ids()]
+    words += [face.cycle for face in cx.faces.values()]
+    for word in words:
+        h, hn = holonomy(c, word), holonomy(neg, word)
+        assert h.rep.entries() == hn.rep.entries()
+        assert h.trace_abs() == hn.trace_abs()
+        try:
+            length = translation_length(h)
+        except NonHyperbolicError:
+            with pytest.raises(NonHyperbolicError):
+                translation_length(hn)
+        else:
+            assert translation_length(hn) == length
+    back, back_neg = extract_fn(c), extract_fn(neg)
+    assert (back.lengths, back.twists) == (back_neg.lengths, back_neg.twists)
+    assert wp_matrix(c, fn) == wp_matrix(neg, fn)

@@ -2,6 +2,9 @@ import math
 
 import pytest
 
+import fnhol.surface
+import fnhol.variation
+import fnhol.wp
 from fnhol.mat2 import TracelessMat2, ad_action
 from fnhol.pants import PantsLengths, bc_magnitude
 from fnhol.surface import FNPoint, assemble_cocycle, build_complex
@@ -14,8 +17,8 @@ from fnhol.variation import (
     grad_log_bc,
     variation_cocycle,
 )
-from fnhol.wp import killing_form
-from conftest import genus2_spec, random_fn, random_tangent, rng_for
+from fnhol.wp import killing_form, wp_matrix, wp_pairing
+from conftest import caterpillar, genus2_spec, random_fn, random_tangent, rng_for
 
 H = TracelessMat2.diag(1.0)
 
@@ -157,7 +160,7 @@ def test_seam_values_orthogonal_to_diag():
         for k in range(3):
             eid = f"p{pid}.seam{k}"
             val = z.values[eid]
-            moved = ad_action(z.base.values[eid].rep, val)
+            moved = ad_action(z.base.values[eid], val)
             assert killing_form(val, H) == 0.0
             assert abs(killing_form(moved, H)) <= 1e-12 * max(1.0, moved.norm())
             # conjugating a seam value by its own edge negates it
@@ -176,7 +179,7 @@ def test_arc_values_fixed_by_their_edge():
             for eps in (0, 1):
                 eid = f"p{pid}.b{k}{eps}"
                 val = z.values[eid]
-                moved = ad_action(z.base.values[eid].rep, val)
+                moved = ad_action(z.base.values[eid], val)
                 assert moved.dist(val) <= 1e-12
 
 
@@ -206,7 +209,7 @@ def test_reversal_rule():
     v = random_tangent(rng, spec)
     z = variation_cocycle(cx, fn, v)
     for eid in ("p0.seam0", "p0.b00", "c0.x0"):
-        rho = z.base.values[eid].rep
+        rho = z.base.values[eid]
         expect = -ad_action(rho.inv(), z.values[eid])
         assert z.value(eid, -1).dist(expect) == 0.0
 
@@ -216,3 +219,36 @@ def test_sign_lift_error_for_coarse_steps():
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.0 for i in range(3)})
     with pytest.raises(SignLiftError):
         fd_variation(spec, fn, TangentVector({}, {0: 8.0}), h=0.5)
+
+
+def test_variations_share_one_base(monkeypatch):
+    # a cocycle passed in is the base: two variations on it assemble it
+    # once, and pair exactly as two variations on fresh bases do
+    spec = caterpillar(4)
+    cx = build_complex(spec)
+    rng = rng_for("shared-base")
+    fn = random_fn(rng, spec)
+    u, v = random_tangent(rng, spec), random_tangent(rng, spec)
+    z1, z2 = variation_cocycle(cx, fn, u), variation_cocycle(cx, fn, v)
+    old = wp_pairing(z1.base, z1, z2)
+
+    calls = []
+    assemble = fnhol.surface.assemble_cocycle
+
+    def counted(*args):
+        calls.append(1)
+        return assemble(*args)
+
+    for module in (fnhol.surface, fnhol.variation, fnhol.wp):
+        monkeypatch.setattr(module, "assemble_cocycle", counted)
+    base = fnhol.surface.assemble_cocycle(cx, fn)
+    y1, y2 = variation_cocycle(base, fn, u), variation_cocycle(base, fn, v)
+    assert y1.base is base and y2.base is base
+    assert len(calls) == 1
+    assert wp_pairing(base, y1, y2) == old
+    assert all(y1.values[e].entries() == z1.values[e].entries() for e in z1.values)
+    # the pairing matrix assembles its base once, or not at all when given it
+    calls.clear()
+    labels, matrix = wp_matrix(cx, fn)
+    assert len(calls) == 1
+    assert wp_matrix(base, fn) == (labels, matrix) and len(calls) == 1

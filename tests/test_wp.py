@@ -337,29 +337,32 @@ def test_kernel_equals_face_by_face_sum_exactly(spec_fn, monkeypatch):
 
 
 def test_kernel_build_walks_each_face_once(monkeypatch):
-    """Building the kernel takes one product per step of every face
-    cycle after the first, and evaluates no holonomy word and no
-    diagonal chain."""
+    """Building the kernel walks each face cycle once, continuing one walk
+    up to the longest prefix a position of the face needs; it takes no
+    Mat2 product and builds no diagonal chain."""
     spec = genus3_spec()
     cx = build_complex(spec)
     rng = rng_for("kernel-build")
     fn = random_fn(rng, spec)
     zu = variation_cocycle(cx, fn, random_tangent(rng, spec))
     zv = variation_cocycle(cx, fn, random_tangent(rng, spec))
-    calls = dict.fromkeys(("holonomy", "diagonal_chain", "products"), 0)
+    calls = dict.fromkeys(("diagonal_chain", "products", "steps", "faces"), 0)
     building = []
 
-    def counted(name):
-        original = getattr(fnhol.wp, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
+    diagonal = fnhol.wp.diagonal_chain
+    walk = fnhol.wp.walk
     matmul = Mat2.__matmul__
     init = PairingKernel.__init__
+
+    def counted_diagonal(*args, **kwargs):
+        calls["diagonal_chain"] += 1
+        return diagonal(*args, **kwargs)
+
+    def counted_walk(values, word, start=None):
+        if building:
+            calls["steps"] += len(word)
+            calls["faces"] += start is None  # a walk that starts afresh
+        return walk(values, word, start)
 
     def counted_matmul(self, other):
         calls["products"] += bool(building)
@@ -372,15 +375,23 @@ def test_kernel_build_walks_each_face_once(monkeypatch):
         finally:
             building.pop()
 
-    for name in ("holonomy", "diagonal_chain"):
-        monkeypatch.setattr(fnhol.wp, name, counted(name))
+    monkeypatch.setattr(fnhol.wp, "diagonal_chain", counted_diagonal)
+    monkeypatch.setattr(fnhol.wp, "walk", counted_walk)
     monkeypatch.setattr(Mat2, "__matmul__", counted_matmul)
     monkeypatch.setattr(PairingKernel, "__init__", counted_init)
+    longest = []
+    for fid in cx.faces:
+        gens = fnhol.wp._oriented_cycle(cx, fid, 0)
+        _, uptos = fnhol.wp._chain_shape(tuple(e for _, e in gens))
+        assert max(uptos) <= len(gens)
+        longest.append(max(uptos))
     expected = {
-        "holonomy": 0,
         "diagonal_chain": 0,
-        "products": sum(len(face.cycle) - 1 for face in cx.faces.values()),
+        "products": 0,
+        "steps": sum(longest),
+        "faces": len(cx.faces),
     }
+    assert not hasattr(fnhol.wp, "holonomy")
     wp_matrix(cx, fn)
     assert calls == expected
     calls.update(dict.fromkeys(calls, 0))

@@ -128,8 +128,8 @@ def _curve_key(raw_id, curves_by_str, path):
 
 def _crossing_finite(twist):
     """Whether the crossing entries T = exp(-twist/2) and 1/T that
-    ``assemble_cocycle`` and ``assemble_spin`` build are both finite and
-    nonzero."""
+    ``assemble_cocycle`` builds, and the spin lifts negate, are both
+    finite and nonzero."""
     try:
         t = math.exp(-0.5 * twist)
     except OverflowError:
@@ -391,7 +391,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         if doc.spin is None:
             raise DocumentError("document has no spin block (or use --list)")
         lifted = spin_mod.assemble_spin(
-            doc.complex, doc.fn, doc.spin["eps"], doc.spin["crossing_signs"]
+            doc.cocycle, doc.fn, doc.spin["eps"], doc.spin["crossing_signs"]
         )
         worst = lifted.max_residual
         lines = [f"max face residual against +I {_num(worst)}"]
@@ -463,6 +463,13 @@ def main(argv=None):
     except (DocumentError, ValueError) as exc:
         print(f"fnhol: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        # the spin lift's per-pants check misses on rounding for short
+        # curves: a verdict on the document, not bad input or a crash
+        if args.command != "spin":
+            raise
+        print(f"fnhol: spin: {exc} (ill-conditioned for this document)", file=sys.stderr)
+        return 1
     _emit(report, args.format, sys.stdout)
     return code
 

@@ -100,6 +100,11 @@ class Mat2:
         s = 1.0 / math.sqrt(det)
         return Mat2(self.a * s, self.b * s, self.c * s, self.d * s, check=False)
 
+    def is_finite(self):
+        """Whether no entry overflowed or became nan."""
+        return (math.isfinite(self.a) and math.isfinite(self.b)
+                and math.isfinite(self.c) and math.isfinite(self.d))
+
     def dist(self, other):
         return max(
             abs(self.a - other.a),

@@ -3,13 +3,21 @@ structures they classify.
 
 A lift assigns a genuine SL2 matrix to every edge so that each face
 word multiplies to +I (never -I); trace signs of lifted holonomies are
-then mod-2 rotation numbers of the corresponding loops.  On one pair of
-pants the boundary trace signs eps_k always satisfy
+then mod-2 rotation numbers of the corresponding loops.  A lift has the
+matrices of the assembled normalized cocycle up to one sign per edge,
+so it is built as sign flips on that cocycle's values.  Negation is
+exact, so each lifted face product is the cocycle's own face product,
+walked once and shared by the cocycle and all its lifts, times -1 per
+flipped edge on the face.
+
+On one pair of pants the boundary trace signs eps_k always satisfy
 eps_0 eps_1 eps_2 = -1, and under that constraint there is at most one
 lift whose seam and b{k}0 arc values have positive (1,1) entry: the
-positivity rules fix every seam and b{k}0 sign to +1, b{k}1 is eps_k
-times b{k}0, and the one candidate is checked against both hexagon
-words.
+positivity rules fix every seam and b{k}0 sign to +1, the signs the
+assembled cocycle stores, b{k}1 is eps_k times b{k}0, and the one
+candidate is checked against both hexagon words.
+:func:`sl2_pants_cocycle` builds that candidate for one pants on its
+own, as a reference.
 
 Globally, the boundary signs form an affine system over GF(2), one
 equation per pants, of rank 2g-3; Gaussian elimination gives its 2^g
@@ -25,7 +33,7 @@ import math
 
 from .mat2 import Mat2, NonHyperbolicError, walk
 from . import pants as pants_mod
-from .surface import CellComplex, build_complex, check_word, pants_boundary_lengths
+from .surface import CellComplex, SurfaceCocycle, assemble_cocycle, check_word
 
 __all__ = [
     "SpinSignError",
@@ -79,7 +87,7 @@ def sl2_pants_cocycle(lengths, signs):
     Returns edge id -> Mat2.  Both hexagon words evaluate to +I; the
     seams and the b{k}0 arcs have positive (1,1) entry, and each
     boundary holonomy b{k}0 b{k}1 has trace of sign eps_k.  Positivity
-    leaves one candidate: seam_matrix_sl2 and diag(exp(l_k/4)) unsigned,
+    leaves one candidate: seam_matrix and diag(exp(l_k/4)) unsigned,
     with b{k}1 = eps_k b{k}0.  AssertionError ("found 0") when that
     candidate fails a hexagon word or has a seam with (1,1) entry not
     positive, as happens for very short boundaries."""
@@ -124,24 +132,38 @@ def spanning_tree_curves(spec):
 
 class SpinSurfaceCocycle:
     """A determinant-one cocycle (edge id -> Mat2) lifting the
-    normalized cocycle, with its classifying sign data.
+    normalized cocycle ``base``, with its classifying sign data.
 
-    ``max_residual`` is :meth:`max_face_residual`, evaluated once when
-    the cocycle is made."""
+    ``values`` are the base values, negated on the edges in ``flipped``.
+    Negation is exact, so the product along a face word is the base's
+    face product times -1 per flipped edge on the face, up to the signs
+    of zero entries; ``face_products`` (face id -> Mat2) holds these,
+    read off the base without walking a word.  ``max_residual`` is
+    :meth:`max_face_residual`, evaluated once when the cocycle is made."""
 
-    __slots__ = ("complex", "values", "eps", "crossing_signs", "max_residual")
+    __slots__ = ("complex", "values", "flipped", "eps", "crossing_signs",
+                 "face_products", "max_residual")
 
-    def __init__(self, complex_, values, eps, crossing_signs):
-        self.complex = complex_
-        self.values = dict(values)
+    def __init__(self, base, flipped, eps, crossing_signs):
+        self.complex = base.complex
+        self.flipped = flipped = frozenset(flipped)
+        self.values = dict(base.values)
+        for eid in flipped:
+            self.values[eid] = -self.values[eid]
         self.eps = dict(eps)
         self.crossing_signs = dict(crossing_signs)
+        faces = self.complex.faces
+        self.face_products = {}
+        for fid, m in base.face_products().items():
+            odd = False
+            for eid, _ in faces[fid].cycle:
+                odd ^= eid in flipped
+            self.face_products[fid] = -m if odd else m
         self.max_residual = self.max_face_residual()
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
-        m = walk(self.values, self.complex.faces[fid].cycle)
-        return m.dist(Mat2.identity())
+        return self.face_products[fid].dist(Mat2.identity())
 
     def max_face_residual(self):
         return max(self.face_residual(f) for f in self.complex.faces)
@@ -161,10 +183,16 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     (curve id -> +-1) and crossing-edge signs (curve id -> +-1,
     defaulting to +1, required to be +1 on the spanning tree).
 
-    Crossing edges carry s_i (0, -1/T_i; T_i, 0) with T_i =
-    exp(-twist_i/2) on side 0 and eps_i times that on side 1; all face
-    words then evaluate to +I."""
-    complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
+    ``spec`` is a decomposition, its cell complex, or the cocycle that
+    ``assemble_cocycle`` returns at fn, which is then the base and is not
+    assembled again.  The lift negates the base values on b{k}1 where
+    eps_k = -1, on x0 where s_i = +1 and on x1 where s_i eps_i = +1: the
+    base crossing value is -(0, -1/T_i; T_i, 0), and the lift's are
+    s_i (0, -1/T_i; T_i, 0) on side 0 and eps_i times that on side 1.
+    AssertionError ("found 0"), as from :func:`sl2_pants_cocycle`, when
+    a pants has no lift, as happens for very short boundaries."""
+    base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
+    complex_ = base.complex
     spec = complex_.spec
     eps = {c.id: int(eps[c.id]) for c in spec.curves}
     if any(e not in (-1, 1) for e in eps.values()):
@@ -183,20 +211,25 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
         if crossing_signs[cid] != 1:
             raise SpinSignError(f"crossing sign on tree curve {cid} must be +1")
 
-    values = {}
-    for pid, sides in complex_.pants_lengths_order.items():
-        lengths = pants_boundary_lengths(complex_, fn, pid)
-        triple = BoundarySigns(*(eps[c] for c in sides))
-        for e, m in sl2_pants_cocycle(lengths, triple).items():
-            values[f"p{pid}.{e}"] = m
+    flipped = [
+        f"p{pid}.b{k}1"
+        for pid, sides in complex_.pants_lengths_order.items()
+        for k in range(3)
+        if eps[sides[k]] < 0
+    ]
     for c in spec.curves:
-        t = math.exp(-0.5 * fn.twists[c.id])
-        m = Mat2(0.0, -1.0 / t, t, 0.0, check=False)
-        if crossing_signs[c.id] < 0:
-            m = -m
-        values[f"c{c.id}.x0"] = m
-        values[f"c{c.id}.x1"] = m if eps[c.id] > 0 else -m
-    out = SpinSurfaceCocycle(complex_, values, eps, crossing_signs)
+        if crossing_signs[c.id] > 0:
+            flipped.append(f"c{c.id}.x0")
+        if crossing_signs[c.id] * eps[c.id] > 0:
+            flipped.append(f"c{c.id}.x1")
+    out = SpinSurfaceCocycle(base, flipped, eps, crossing_signs)
+    for pid in spec.pants:
+        if not (
+            all(base.values[f"p{pid}.seam{k}"].a > 0.0 for k in range(3))
+            and all(_is_plus_identity(out.face_products[f])
+                    for f in complex_.hexagons_of_pants(pid))
+        ):
+            raise AssertionError("expected a unique sign assignment, found 0")
     if out.max_residual > _FACE_TOL:
         raise SpinSignError(
             f"face word failed to lift to +I (residual {out.max_residual:g})"

@@ -290,17 +290,46 @@ class FNPoint:
 
 class SurfaceCocycle:
     """A holonomy cocycle on the cell complex (edge id -> Mat2, each a
-    sign-free representative of its projective class)."""
+    sign-free representative of its projective class).
 
-    __slots__ = ("complex", "values")
+    The values are fixed once the cocycle is constructed: the face
+    products are walked once, on first use, and kept with it, and lifts
+    of the cocycle (:mod:`fnhol.spin`) read them too."""
+
+    __slots__ = ("complex", "values", "_face_products")
 
     def __init__(self, complex_, values):
         self.complex = complex_
         self.values = dict(values)
+        self._face_products = None
+
+    def face_products(self):
+        """Face id -> the product along its face word, not renormalized.
+
+        A face word is a cycle, so walked from another of its edges it
+        gives a conjugate of the product, which is +-I exactly when the
+        product is.  When the walk from the first edge overflows, the
+        next start that stays finite is used: for a twist near the
+        accepted bound, a square word walked from its crossing edge
+        multiplies 1/T by an arc entry before T brings it back, and
+        walked from an arc it does not."""
+        if self._face_products is None:
+            values = self.values
+            products = {}
+            for fid, face in self.complex.faces.items():
+                cycle = face.cycle
+                m = walk(values, cycle)
+                for i in range(1, len(cycle)):
+                    if m.is_finite():
+                        break
+                    m = walk(values, cycle[i:] + cycle[:i])
+                products[fid] = m
+            self._face_products = products
+        return self._face_products
 
     def face_residual(self, fid):
         """Distance of the face word from +-I."""
-        hol = walk(self.values, self.complex.faces[fid].cycle).renormalized()
+        hol = self.face_products()[fid].renormalized()
         return hol.proj_dist(Mat2.identity())
 
     def max_face_residual(self):

@@ -8,6 +8,9 @@ import sys
 import pytest
 
 import fnhol.cli
+import fnhol.pants
+import fnhol.spin
+import fnhol.surface
 from fnhol.cli import (
     DocumentError,
     main,
@@ -137,18 +140,74 @@ def test_spin_list_builds_no_complex(monkeypatch):
 
 
 def test_spin_walks_face_words_once(monkeypatch):
+    # after verify, the lift reads the face products verify walked on
+    # the document's cocycle and the pants values it already holds
     doc = parse_document(json.dumps(genus2_doc()))
+    assert run_command(doc, "verify")[1] == 0
+    cycles = {face.cycle for face in doc.complex.faces.values()}
+    calls = {"walk": 0, "seam_matrix": 0, "pants_cocycle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name != "walk" or tuple(args[1]) in cycles:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (fnhol.surface, fnhol.spin, fnhol.pants):
+        monkeypatch.setattr(module, "walk", counted("walk", module.walk))
+    for name in ("seam_matrix", "pants_cocycle"):
+        monkeypatch.setattr(fnhol.pants, name, counted(name, getattr(fnhol.pants, name)))
     walks = []
     max_face_residual = SpinSurfaceCocycle.max_face_residual
 
-    def counted(self):
+    def residual(self):
         walks.append(max_face_residual(self))
         return walks[-1]
 
-    monkeypatch.setattr(SpinSurfaceCocycle, "max_face_residual", counted)
+    monkeypatch.setattr(SpinSurfaceCocycle, "max_face_residual", residual)
     report, code = run_command(doc, "spin")
     assert code == 0
+    assert calls == {"walk": 0, "seam_matrix": 0, "pants_cocycle": 0}
     assert len(walks) == 1 and report["max_residual"] == walks[0]
+
+
+def _handle_doc(short_length):
+    """The genus-2 handle (two self-glued pants) with curve 0 of the
+    given length and a spin block."""
+    sides = [((0, 1), (0, 2)), ((0, 0), (1, 0)), ((1, 1), (1, 2))]
+    return {
+        "genus": 2,
+        "pants": [0, 1],
+        "curves": [
+            {"id": i, "left": {"pants": l[0], "k": l[1]}, "right": {"pants": r[0], "k": r[1]}}
+            for i, (l, r) in enumerate(sides)
+        ],
+        "fn": [
+            {"curve": i, "length": short_length if i == 0 else 2.0, "twist": 0.3}
+            for i in range(3)
+        ],
+        "spin": {"eps": {"0": 1, "1": -1, "2": 1}},
+    }
+
+
+def test_spin_on_a_short_curve_is_a_one_line_verdict(tmp_path, capsys):
+    text = json.dumps(_handle_doc(1e-4))
+    with pytest.raises(AssertionError) as info:
+        run_command(parse_document(text), "spin")
+    assert str(info.value) == "expected a unique sign assignment, found 0"
+    path = tmp_path / "short.json"
+    path.write_text(text)
+    assert main(["spin", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "fnhol: spin: expected a unique sign assignment, found 0"
+        " (ill-conditioned for this document)\n"
+    )
+    path.write_text(json.dumps(_handle_doc(2.0)))
+    assert main(["spin", "--input", str(path)]) == 0
 
 
 def test_each_document_is_built_once(monkeypatch):
@@ -265,6 +324,32 @@ def test_accepted_twists_give_finite_crossing_entries():
         assert all(math.isfinite(x) for x in m.entries()) and m.b != 0.0 != m.c
     for twist in (1400.0, -1419.5):
         assert run_command(with_twist(twist), "verify")[1] == 0
+
+
+@pytest.mark.parametrize(
+    "length, twist",
+    [
+        # the first twists at which the square words, walked from their
+        # crossing edges, overflowed: 1/T times the arc entry exp(L/4)
+        (2.0, 1418.5654257867682),
+        (50.0, 1394.5654257867682),
+        # the largest accepted twists, and the negative side
+        (2.0, 1419.565425786768),
+        (50.0, 1419.565425786768),
+        (2.0, -1419.565425786768),
+        (50.0, -1419.565425786768),
+    ],
+)
+def test_twists_near_the_bound_pass(length, twist):
+    raw = genus2_doc()
+    for item in raw["fn"]:
+        item["length"] = length
+    raw["fn"][0]["twist"] = twist
+    doc = parse_document(json.dumps(raw))
+    report, code = run_command(doc, "verify")
+    assert code == 0 and report["max_residual"] <= 1e-8
+    report, code = run_command(doc, "spin")
+    assert code == 0 and report["max_residual"] <= 1e-8
 
 
 def test_holonomy_requires_word():

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from fnhol.mat2 import Mat2, NonHyperbolicError
+from fnhol.mat2 import Mat2, NonHyperbolicError, walk
 from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix
 from fnhol.surface import FNPoint, assemble_cocycle, build_complex, curve_loop_word
 from fnhol.spin import (
@@ -204,6 +204,76 @@ def test_assemble_spin_faces_and_reduction():
             )
             seen.add(key)
     assert len(seen) == len(eps_list) * len(classes)  # all lifts distinct
+
+
+def _closed_form_lift(cx, fn, eps, signs):
+    """The lift built pants by pants: :func:`sl2_pants_cocycle` on every
+    pants, s (0, -1/T; T, 0) on x0 and eps s times that on x1."""
+    values = {}
+    for pid, sides in cx.pants_lengths_order.items():
+        lengths = PantsLengths(*(fn.lengths[c] for c in sides))
+        for e, m in sl2_pants_cocycle(lengths, [eps[c] for c in sides]).items():
+            values[f"p{pid}.{e}"] = m
+    for c in cx.spec.curves:
+        t = math.exp(-0.5 * fn.twists[c.id])
+        m = Mat2(0.0, -1.0 / t, t, 0.0, check=False)
+        m = m if signs[c.id] > 0 else -m
+        values[f"c{c.id}.x0"] = m
+        values[f"c{c.id}.x1"] = m if eps[c.id] > 0 else -m
+    return values
+
+
+def _same_entries(m, want):
+    """Equal entry by entry, the signs of zeros included."""
+    return all(
+        x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+        for x, y in zip(m.entries(), want.entries())
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, genus",
+    [(caterpillar, g) for g in range(2, 6)] + [(comb, g) for g in range(2, 5)],
+)
+def test_lift_is_the_closed_form_as_sign_flips(shape, genus):
+    # built from the assembled cocycle or from the complex, the lift is
+    # the per-pants closed form bit for bit, and its face residuals,
+    # read off the base's face products, are those of its own words
+    spec = shape(genus)
+    cx = build_complex(spec)
+    fn = random_fn(rng_for(f"spin-flips-{shape.__name__}-{genus}"), spec)
+    base = assemble_cocycle(cx, fn)
+    eps_list, classes = enumerate_spin(spec)
+    for eps in eps_list:
+        for signs in classes[:: len(classes) // 4]:
+            want = _closed_form_lift(cx, fn, eps, signs)
+            for lifted in (
+                assemble_spin(base, fn, eps, signs),
+                assemble_spin(cx, fn, eps, signs),
+            ):
+                assert lifted.values.keys() == want.keys()
+                for e, m in want.items():
+                    assert _same_entries(lifted.values[e], m), e
+                for fid, face in cx.faces.items():
+                    own = walk(lifted.values, face.cycle).dist(Mat2.identity())
+                    assert lifted.face_residual(fid) == own, fid
+                assert lifted.max_residual <= 1e-8
+
+
+def test_lift_on_a_short_curve_fails_as_the_closed_form():
+    # the handle with a short self-glued curve: the lift from the
+    # cocycle, from the complex and pants by pants fail alike
+    spec = handle_spec()
+    cx = build_complex(spec)
+    fn = FNPoint({0: 1e-4, 1: 2.0, 2: 2.0}, {i: 0.3 for i in range(3)})
+    eps = {0: 1, 1: -1, 2: 1}
+    for source in (assemble_cocycle(cx, fn), cx, spec):
+        with pytest.raises(AssertionError) as info:
+            assemble_spin(source, fn, eps)
+        assert str(info.value) == "expected a unique sign assignment, found 0"
+    with pytest.raises(AssertionError) as info:
+        _closed_form_lift(cx, fn, eps, {c: 1 for c in range(3)})
+    assert str(info.value) == "expected a unique sign assignment, found 0"
 
 
 def test_assemble_spin_rejects_bad_data():

@@ -194,7 +194,7 @@ def test_extract_fn_rejects_non_standard():
     spec = genus2_spec()
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.0 for i in range(3)})
     c = assemble_cocycle(spec, fn)
-    c.values["c0.x0"] = Mat2.diagonal(2.0)
+    c = SurfaceCocycle(c.complex, {**c.values, "c0.x0": Mat2.diagonal(2.0)})
     with pytest.raises(NonStandardCocycleError):
         extract_fn(c)
 

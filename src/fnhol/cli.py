@@ -48,6 +48,7 @@ from .surface import (
     Curve,
     FNPoint,
     SurfaceSpec,
+    _max_or_nan,
     assemble_cocycle,
     build_complex,
     extract_fn,
@@ -295,7 +296,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
     if command == "verify":
         cocycle = doc.cocycle
         residuals = {fid: cocycle.face_residual(fid) for fid in sorted(doc.complex.faces)}
-        worst = max(residuals.values())
+        worst = _max_or_nan(residuals.values())
         fnback = doc.fn_back
         rt = max(
             max(abs(fnback.lengths[c] - doc.fn.lengths[c]) for c in fnback.lengths),

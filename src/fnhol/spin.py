@@ -33,7 +33,13 @@ import math
 
 from .mat2 import Mat2, NonHyperbolicError, walk
 from . import pants as pants_mod
-from .surface import CellComplex, SurfaceCocycle, assemble_cocycle, check_word
+from .surface import (
+    CellComplex,
+    SurfaceCocycle,
+    _max_or_nan,
+    assemble_cocycle,
+    check_word,
+)
 
 __all__ = [
     "SpinSignError",
@@ -166,7 +172,7 @@ class SpinSurfaceCocycle:
         return self.face_products[fid].dist(Mat2.identity())
 
     def max_face_residual(self):
-        return max(self.face_residual(f) for f in self.complex.faces)
+        return _max_or_nan(self.face_residual(f) for f in self.complex.faces)
 
 
 def _pants_sign_constraint(pants_sides, eps):

@@ -294,14 +294,16 @@ class SurfaceCocycle:
 
     The values are fixed once the cocycle is constructed: the face
     products are walked once, on first use, and kept with it, and lifts
-    of the cocycle (:mod:`fnhol.spin`) read them too."""
+    of the cocycle (:mod:`fnhol.spin`) read them too.  So are the seam
+    data that variations over it (:mod:`fnhol.variation`) read."""
 
-    __slots__ = ("complex", "values", "_face_products")
+    __slots__ = ("complex", "values", "_face_products", "_seam_data")
 
     def __init__(self, complex_, values):
         self.complex = complex_
         self.values = dict(values)
         self._face_products = None
+        self._seam_data = None
 
     def face_products(self):
         """Face id -> the product along its face word, not renormalized.
@@ -333,7 +335,17 @@ class SurfaceCocycle:
         return hol.proj_dist(Mat2.identity())
 
     def max_face_residual(self):
-        return max(self.face_residual(f) for f in self.complex.faces)
+        return _max_or_nan(self.face_residual(f) for f in self.complex.faces)
+
+
+def _max_or_nan(values):
+    """The largest of the values, or nan if any of them is nan (Python's
+    ``max`` keeps a nan only when it comes first)."""
+    worst = 0.0
+    for x in values:
+        if x > worst or math.isnan(x):
+            worst = x
+    return worst
 
 
 def pants_boundary_lengths(complex_, fn, pid):

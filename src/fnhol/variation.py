@@ -72,7 +72,9 @@ class TangentVector:
 
 
 class VariationCocycle:
-    """Traceless values (edge id -> TracelessMat2) over a base cocycle."""
+    """Traceless values (edge id -> TracelessMat2) over a base cocycle.
+
+    An edge missing from ``values`` carries zero."""
 
     __slots__ = ("base", "values")
 
@@ -83,14 +85,18 @@ class VariationCocycle:
     def value(self, eid, sign=1):
         """z on the edge, or on its reversal via
         z(e^-1) = -Ad(rho(e))^-1 z(e)."""
-        z = self.values[eid]
+        z = self.values.get(eid)
+        if z is None:
+            return TracelessMat2.zero()
         if sign > 0:
             return z
         return -ad_action(self.base.values[eid].inv(), z)
 
     def combined(self, other, s, t):
+        zero = TracelessMat2.zero()
         values = {
-            e: self.values[e].scale(s) + other.values[e].scale(t) for e in self.values
+            e: self.values.get(e, zero).scale(s) + other.values.get(e, zero).scale(t)
+            for e in {**self.values, **other.values}
         }
         return VariationCocycle(self.base, values)
 
@@ -118,31 +124,57 @@ def variation_cocycle(spec, fn, tangent):
 
     ``spec`` is a decomposition, its cell complex, or the cocycle
     assembled at fn; a cocycle is reused as the base, so variations
-    that share it assemble it once."""
+    that share it assemble it, and evaluate its seam data, once.  The
+    values sit on the edges where the direction acts: the arcs and seams
+    of each pants with a curve in ``tangent.dl``, and the crossings of
+    each curve in ``tangent.dtau``."""
     base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
-    return VariationCocycle(base, _variation_values(base.complex, fn, tangent))
+    return VariationCocycle(base, _variation_values(base, fn, tangent))
 
 
-def _variation_values(complex_, fn, tangent):
+def _seam_data(base, fn):
+    """Per pants: its curves at boundaries 0, 1, 2 and, for each k, the
+    edge ids of boundary arc k and seam k with grad log |b_k c_k| and the
+    seam coefficient at fn, the point the base was assembled at.
+    Evaluated once per base cocycle, when the first variation over it is
+    taken."""
+    if base._seam_data is None:
+        complex_ = base.complex
+        data = []
+        for pid in complex_.spec.pants:
+            lengths = pants_boundary_lengths(complex_, fn, pid)
+            data.append((
+                complex_.pants_lengths_order[pid],
+                tuple(
+                    (f"p{pid}.b{k}0", f"p{pid}.b{k}1", f"p{pid}.seam{k}",
+                     grad_log_bc(lengths, k), seam_variation_coefficient(lengths, k))
+                    for k in range(3)
+                ),
+            ))
+        base._seam_data = data
+    return base._seam_data
+
+
+def _variation_values(base, fn, tangent):
     """The closed-form values (edge id -> TracelessMat2) of the tangent
-    direction at fn."""
+    direction at fn, on the edges where it acts."""
     values = {}
-    for pid in complex_.spec.pants:
-        curves = complex_.pants_lengths_order[pid]
-        lengths = pants_boundary_lengths(complex_, fn, pid)
-        dl = tuple(tangent.dl.get(c, 0.0) for c in curves)
-        for k in range(3):
+    dl_of = tangent.dl
+    for curves, seams in _seam_data(base, fn):
+        if dl_of.keys().isdisjoint(curves):
+            continue
+        dl = tuple(dl_of.get(c, 0.0) for c in curves)
+        for k, (arc0, arc1, seam, grad, coef) in enumerate(seams):
             arc = TracelessMat2.diag(0.25 * dl[k])
-            values[f"p{pid}.b{k}0"] = arc
-            values[f"p{pid}.b{k}1"] = arc
-            grad = grad_log_bc(lengths, k)
+            values[arc0] = arc
+            values[arc1] = arc
             dlogf = grad[0] * dl[0] + grad[1] * dl[1] + grad[2] * dl[2]
-            coef = seam_variation_coefficient(lengths, k)
-            values[f"p{pid}.seam{k}"] = TracelessMat2.offdiag(coef * dlogf)
-    for c in complex_.spec.curves:
-        cross = TracelessMat2.diag(0.5 * tangent.dtau.get(c.id, 0.0))
-        values[f"c{c.id}.x0"] = cross
-        values[f"c{c.id}.x1"] = cross
+            values[seam] = TracelessMat2.offdiag(coef * dlogf)
+    for c in base.complex.spec.curves:
+        if c.id in tangent.dtau:
+            cross = TracelessMat2.diag(0.5 * tangent.dtau[c.id])
+            values[f"c{c.id}.x0"] = cross
+            values[f"c{c.id}.x1"] = cross
     return values
 
 

@@ -32,12 +32,18 @@ surface has only a few (its hexagons and squares).
 The pairing is a bilinear form on H^1, so :class:`PairingKernel` builds
 it once per base cocycle: per face, one walk along the boundary whose
 prefix products are the transport matrices of every position.  A
-variation cocycle is transported once, and the pairing of two
-transported cocycles is a contraction over the faces they share.  Slots
-whose value is exactly zero are left out; every sum is a ``math.fsum``,
-which is correctly rounded, and :func:`pair_on_face` transports along
-the same left-to-right products, so the result is the same to the bit
-as the face-by-face sum.
+variation cocycle is transported once, visiting only the edges it
+carries, and the pairing of two transported cocycles is a contraction
+over the faces they share, one face at a time.  Slots whose value is
+exactly zero are left out; every sum is a ``math.fsum``, which is
+correctly rounded, and :func:`pair_on_face` transports along the same
+left-to-right products, so the result is the same to the bit as the
+face-by-face sum.
+
+:func:`wp_matrix` is assembled face by face, the way finite elements
+are: a coordinate direction carries values on a few faces only, so per
+face it contracts every pair of directions present there and scatters
+the parts into the matrix.  Its cost grows linearly in the genus.
 """
 
 import math
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .mat2 import ad_action, walk
-from .surface import SurfaceCocycle, assemble_cocycle
+from .surface import SurfaceCocycle, _max_or_nan, assemble_cocycle
 from .variation import TangentVector, variation_cocycle
 
 __all__ = [
@@ -210,6 +216,21 @@ def pair_on_face(cocycle, z1, z2, fid, start=0):
     return pair_chain(cocycle, z1, z2, diagonal_chain(cocycle.complex, fid, start))
 
 
+def _face_part(first, terms, values1, values2):
+    """One face's part of the pairing of two transported variations
+    (slot -> value): the fsum of the chain terms, whose positions count
+    from slot ``first``.  With finite values, a term with an exactly zero
+    slot contributes an exact zero, which no fsum can see."""
+    total = []
+    for sign, j, i in terms:
+        x = values1.get(first + j)
+        if x is not None:
+            y = values2.get(first + i)
+            if y is not None:
+                total.append(sign * killing_form(x, y))
+    return PAIRING_NORMALIZATION * math.fsum(total)
+
+
 class PairingKernel:
     """The pairing against one base cocycle, assembled once.
 
@@ -220,42 +241,59 @@ class PairingKernel:
     a position is its raw prefix product P_upto of the edge values,
     renormalized, the holonomy of the path from the basepoint to the
     start of the edge.  The chain terms are the face's
-    :func:`_chain_shape`."""
+    :func:`_chain_shape`.
+
+    The walk begins at the first rotation of the cycle whose longest
+    prefix product is finite, as :meth:`SurfaceCocycle.face_products`
+    does: for a twist near the accepted bound, a square walked from its
+    crossing edge overflows.  A product that overflowed stays
+    non-finite, so the longest prefix is the only one to check."""
 
     def __init__(self, cocycle):
         complex_ = cocycle.complex
         values = cocycle.values
-        self._edge_slots = {}  # oriented edge -> [(slot, face, matrix or None)]
-        self._face_terms = []  # face -> (slot of position 0, chain terms)
+        self._edge_slots = {}  # edge id -> (orientation, [(slot, face, move or None)])
+        self._face_terms = []  # face -> (slot of its first position, chain terms)
         n_slots = 0
         for face, fid in enumerate(sorted(complex_.faces)):
             cycle = complex_.faces[fid].cycle
-            gens = _oriented_cycle(complex_, fid, 0)
-            terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
-            moves = {0: None}  # the empty path needs no move
-            prefix, walked = None, 0
-            for upto in sorted(set(uptos) - {0}):
-                prefix = walk(values, cycle[walked:upto], prefix)
-                walked = upto
+            n = len(cycle)
+            for start in range(n):
+                rotated = cycle[start:] + cycle[:start]
+                gens = _oriented_cycle(complex_, fid, start)
+                terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
+                moves = {}
+                prefix, walked = None, 0
+                for upto in sorted(set(uptos) - {0}):
+                    prefix = walk(values, rotated[walked:upto], prefix)
+                    walked = upto
+                    moves[upto] = prefix
+                if prefix.is_finite():
+                    break
+            for upto, prefix in moves.items():
                 moves[upto] = prefix.renormalized()
-            for pos, (oriented_edge, _) in enumerate(gens):
-                self._edge_slots.setdefault(oriented_edge, []).append(
+            moves[0] = None  # the empty path needs no move
+            for pos, ((eid, orient), _) in enumerate(gens):
+                self._edge_slots.setdefault(eid, (orient, []))[1].append(
                     (n_slots + pos, face, moves[uptos[pos]])
                 )
             self._face_terms.append((n_slots, terms))
-            n_slots += len(gens)
+            n_slots += n
 
     def transport(self, variation):
-        """The variation's value on every slot, moved to its face
-        basepoint.  Returns (values, faces): values maps each slot whose
-        value is not exactly zero to that value, and faces holds the
-        faces of those slots."""
+        """The variation's value on every slot of the edges it carries,
+        moved to its face basepoint.  Returns (values, faces): values
+        maps each slot whose value is not exactly zero to that value,
+        and faces holds the faces of those slots."""
         values = {}
         faces = set()
-        for (eid, orient), slots in self._edge_slots.items():
-            z = variation.value(eid, orient)
+        edge_slots = self._edge_slots
+        for eid, z in variation.values.items():
             if not (z.x or z.y or z.z):
                 continue  # every transport of an exact zero is one
+            orient, slots = edge_slots[eid]
+            if orient < 0:
+                z = variation.value(eid, orient)
             for s, face, move in slots:
                 v = z if move is None else ad_action(move, z)
                 if v.x or v.y or v.z:
@@ -264,24 +302,15 @@ class PairingKernel:
         return values, faces
 
     def pair(self, t1, t2):
-        """The pairing of two transported variation cocycles: per shared
-        face a fsum of the chain terms, in sorted face order.  With
-        finite values, a term with an exactly zero slot contributes an
-        exact zero, which no fsum can see."""
+        """The pairing of two transported variation cocycles: the fsum of
+        their parts on the faces they share (:func:`_face_part`)."""
         values1, faces1 = t1
         values2, faces2 = t2
-        parts = []
-        for face in sorted(faces1 & faces2):
-            base, terms = self._face_terms[face]
-            total = []
-            for sign, j, i in terms:
-                x = values1.get(base + j)
-                if x is not None:
-                    y = values2.get(base + i)
-                    if y is not None:
-                        total.append(sign * killing_form(x, y))
-            parts.append(PAIRING_NORMALIZATION * math.fsum(total))
-        return math.fsum(parts)
+        face_terms = self._face_terms
+        return math.fsum(
+            _face_part(*face_terms[face], values1, values2)
+            for face in sorted(faces1 & faces2)
+        )
 
 
 def wp_pairing(cocycle, z1, z2):
@@ -313,7 +342,12 @@ def wp_matrix(spec, fn):
     assembled at fn, which is then the base of every direction.
     Returns (labels, matrix) with matrix[i][j] the pairing of direction
     i against direction j; the exact value is the block form with
-    matrix[dl_i][dtau_i] = -1 and matrix[dtau_i][dl_i] = +1."""
+    matrix[dl_i][dtau_i] = -1 and matrix[dtau_i][dl_i] = +1.
+
+    Each direction acts on a few faces only, so the matrix is assembled
+    per face from the directions present there, and each entry is the
+    fsum of its face parts: the same to the bit as
+    :meth:`PairingKernel.pair`."""
     base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
     curves = sorted((c.id for c in base.complex.spec.curves), key=str)
     labels = [f"dl[{c}]" for c in curves] + [f"dtau[{c}]" for c in curves]
@@ -322,7 +356,22 @@ def wp_matrix(spec, fn):
     ]
     kernel = PairingKernel(base)
     transported = [kernel.transport(variation_cocycle(base, fn, v)) for v in basis]
-    matrix = [[kernel.pair(ti, tj) for tj in transported] for ti in transported]
+    present = {}  # face -> the directions with a nonzero slot on it
+    for d, (_, faces) in enumerate(transported):
+        for face in faces:
+            present.setdefault(face, []).append(d)
+    parts = {}  # (i, j) -> the parts of matrix[i][j], in face order
+    for face in sorted(present):
+        first, terms = kernel._face_terms[face]
+        directions = present[face]
+        for i in directions:
+            values_i = transported[i][0]
+            for j in directions:
+                part = _face_part(first, terms, values_i, transported[j][0])
+                parts.setdefault((i, j), []).append(part)
+    matrix = [[0.0] * len(basis) for _ in basis]
+    for (i, j), entry_parts in parts.items():
+        matrix[i][j] = math.fsum(entry_parts)
     return labels, matrix
 
 
@@ -332,7 +381,7 @@ def block_form_deviation(matrix):
     form (-1 at [dl_i][dtau_i], +1 at [dtau_i][dl_i], 0 elsewhere).  A
     NaN entry makes the result NaN, so no bound can pass it."""
     n = len(matrix) // 2
-    worst = 0.0
+    deviations = []
     for i, row in enumerate(matrix):
         for j, value in enumerate(row):
             expected = 0.0
@@ -340,7 +389,5 @@ def block_form_deviation(matrix):
                 expected = -1.0
             elif i >= n and j == i - n:
                 expected = 1.0
-            d = abs(value - expected)
-            if d > worst or math.isnan(d):
-                worst = d
-    return worst
+            deviations.append(abs(value - expected))
+    return _max_or_nan(deviations)

@@ -18,6 +18,7 @@ from fnhol.cli import (
     run_command,
     serialize_document,
 )
+from fnhol.mat2 import Mat2
 from fnhol.spin import SpinSurfaceCocycle
 
 
@@ -350,6 +351,21 @@ def test_twists_near_the_bound_pass(length, twist):
     assert code == 0 and report["max_residual"] <= 1e-8
     report, code = run_command(doc, "spin")
     assert code == 0 and report["max_residual"] <= 1e-8
+    report, code = run_command(doc, "wp")
+    assert code == 0 and report["max_deviation"] <= 1e-8
+
+
+def test_a_nan_face_product_fails_verify_and_spin():
+    # c2.sq1 is neither the first face in sorted order (verify) nor in
+    # the complex's order (the lift), where Python's max keeps a nan
+    doc = parse_document(json.dumps(genus2_doc()))
+    nan = math.nan
+    doc.cocycle.face_products()["c2.sq1"] = Mat2(nan, nan, nan, nan, check=False)
+    assert math.isnan(doc.cocycle.max_face_residual())
+    for command in ("verify", "spin"):
+        report, code = run_command(doc, command)
+        assert math.isnan(report["max_residual"]), command
+        assert code == 1 and report["lines"][-1] == "FAIL"
 
 
 def test_holonomy_requires_word():

@@ -18,7 +18,15 @@ from fnhol.variation import (
     variation_cocycle,
 )
 from fnhol.wp import killing_form, wp_matrix, wp_pairing
-from conftest import caterpillar, genus2_spec, random_fn, random_tangent, rng_for
+from conftest import (
+    caterpillar,
+    comb,
+    genus2_spec,
+    genus3_spec,
+    random_fn,
+    random_tangent,
+    rng_for,
+)
 
 H = TracelessMat2.diag(1.0)
 
@@ -252,3 +260,52 @@ def test_variations_share_one_base(monkeypatch):
     labels, matrix = wp_matrix(cx, fn)
     assert len(calls) == 1
     assert wp_matrix(base, fn) == (labels, matrix) and len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "spec", [genus3_spec(), comb(4), caterpillar(5)], ids=["genus3", "comb4", "caterpillar5"]
+)
+def test_coordinate_directions_carry_values_where_they_act(spec):
+    # dl[c] on the arcs and seams of the pants at c, dtau[c] on the two
+    # crossings of c; every other edge is left out and reads as zero
+    cx = build_complex(spec)
+    fn = random_fn(rng_for("where-they-act"), spec)
+    base = assemble_cocycle(cx, fn)
+    for c in spec.curves:
+        z = variation_cocycle(base, fn, TangentVector({c.id: 1.0}, {}))
+        assert set(z.values) == {
+            f"p{pid}.{e}{k}{eps}"
+            for pid in (c.left[0], c.right[0])
+            for k in range(3)
+            for e, eps in (("b", 0), ("b", 1), ("seam", ""))
+        }
+        assert z.value(f"c{c.id}.x0", -1).norm() == 0.0
+        assert check_cocycle_condition(base, z) <= 1e-8
+        z = variation_cocycle(base, fn, TangentVector({}, {c.id: 1.0}))
+        assert set(z.values) == {f"c{c.id}.x0", f"c{c.id}.x1"}
+        assert check_cocycle_condition(base, z) <= 1e-8
+
+
+def test_seam_data_is_evaluated_once_per_base(monkeypatch):
+    # three gradients and three seam coefficients per pants for the whole
+    # pairing matrix, none while the cocycle is assembled
+    spec = caterpillar(5)
+    cx = build_complex(spec)
+    fn = random_fn(rng_for("seam-data"), spec)
+    calls = {"grad_log_bc": 0, "seam_variation_coefficient": 0}
+    for name in calls:
+        original = getattr(fnhol.variation, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(fnhol.variation, name, counted)
+    base = assemble_cocycle(cx, fn)
+    assert calls == {"grad_log_bc": 0, "seam_variation_coefficient": 0}
+    wp_matrix(base, fn)
+    once = 3 * len(spec.pants)
+    assert calls == {"grad_log_bc": once, "seam_variation_coefficient": once}
+    variation_cocycle(base, fn, random_tangent(rng_for("seam-data-2"), spec))
+    wp_matrix(base, fn)
+    assert calls == {"grad_log_bc": once, "seam_variation_coefficient": once}

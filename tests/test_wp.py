@@ -3,11 +3,13 @@ from collections import defaultdict
 
 import pytest
 
+import fnhol.variation
 import fnhol.wp
-from fnhol.mat2 import Mat2, TracelessMat2
-from fnhol.surface import FNPoint, build_complex, validate_surface
+from fnhol.mat2 import Mat2, TracelessMat2, walk
+from fnhol.surface import FNPoint, assemble_cocycle, build_complex, validate_surface
 from fnhol.variation import (
     TangentVector,
+    VariationCocycle,
     coboundary,
     fd_variation,
     variation_cocycle,
@@ -334,6 +336,84 @@ def test_kernel_equals_face_by_face_sum_exactly(spec_fn, monkeypatch):
     for i, zi in enumerate(cocycles):
         for j, zj in enumerate(cocycles):
             assert matrix[i][j] == _face_by_face(zi.base, zi, zj)
+
+
+@pytest.mark.parametrize("spec", [comb(6), caterpillar(8)], ids=["comb6", "caterpillar8"])
+def test_face_local_matrix_equals_pairwise_kernel_exactly(spec):
+    # the pairwise kernel over dense transports (every edge carries a
+    # value, most of them exact zeros) is tested equal to the face-by-face
+    # sum above; at these sizes it is the reference for the matrix
+    cx = build_complex(spec)
+    fn = random_fn(rng_for(f"face-local-{spec.genus}"), spec)
+    base = assemble_cocycle(cx, fn)
+    labels, matrix = wp_matrix(base, fn)
+    curves = sorted((c.id for c in spec.curves), key=str)
+    basis = [TangentVector({c: 1.0}, {}) for c in curves] + [
+        TangentVector({}, {c: 1.0}) for c in curves
+    ]
+    kernel = PairingKernel(base)
+    transported = []
+    for v in basis:
+        z = variation_cocycle(base, fn, v)
+        dense = VariationCocycle(base, {e: z.value(e) for e in cx.edges})
+        transported.append(kernel.transport(dense))
+    for i, ti in enumerate(transported):
+        for j, tj in enumerate(transported):
+            assert repr(matrix[i][j]) == repr(kernel.pair(ti, tj)), (labels[i], labels[j])
+
+
+def test_wp_matrix_work_grows_linearly_in_genus(monkeypatch):
+    # each added genus adds the same number of adjoint actions and trace
+    # forms; pairing every direction with every other grew quadratically
+    calls = [0]
+    for module, name in ((fnhol.wp, "ad_action"), (fnhol.variation, "ad_action"),
+                         (fnhol.wp, "killing_form")):
+        original = getattr(module, name)
+
+        def counted(*args, original=original):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    counts = []
+    for g in (6, 12, 18):
+        spec = caterpillar(g)
+        calls[0] = 0
+        wp_matrix(build_complex(spec), random_fn(rng_for(f"linear-{g}"), spec))
+        counts.append(calls[0])
+    assert counts[2] - counts[1] == counts[1] - counts[0] > 0
+
+
+def test_kernel_walks_an_overflowing_face_from_a_later_rotation():
+    # near the twist bound the squares of curve 0 overflow when walked
+    # from their crossing edges; the kernel starts each face at the first
+    # rotation whose longest prefix stays finite, and there its part of
+    # the pairing is pair_on_face at that rotation, to the bit
+    spec = genus2_spec()
+    cx = build_complex(spec)
+    rng = rng_for("near-bound")
+    for length in (2.0, 50.0):
+        fn = FNPoint({i: length for i in range(3)}, {0: 1419.5, 1: 0.3, 2: 0.3})
+        base = assemble_cocycle(cx, fn)
+        u, v = random_tangent(rng, spec), random_tangent(rng, spec)
+        zu, zv = variation_cocycle(base, fn, u), variation_cocycle(base, fn, v)
+        kernel = PairingKernel(base)
+        (values_u, _), (values_v, _) = kernel.transport(zu), kernel.transport(zv)
+        starts = {}
+        for face, fid in enumerate(sorted(cx.faces)):
+            cycle = cx.faces[fid].cycle
+            for start in range(len(cycle)):
+                gens = fnhol.wp._oriented_cycle(cx, fid, start)
+                _, uptos = fnhol.wp._chain_shape(tuple(e for _, e in gens))
+                rotated = cycle[start:] + cycle[:start]
+                if walk(base.values, rotated[: max(uptos)]).is_finite():
+                    break
+            starts[fid] = start
+            part = kernel.pair((values_u, {face}), (values_v, {face}))
+            assert part == pair_on_face(base, zu, zv, fid, start)
+        assert {f for f, start in starts.items() if start} == {"c0.sq0", "c0.sq1"}
+        assert math.isnan(pair_on_face(base, zu, zv, "c0.sq0"))
+        assert abs(wp_pairing(base, zu, zv) - wolpert_reference(u, v)) <= 1e-8
 
 
 def test_kernel_build_walks_each_face_once(monkeypatch):

@@ -40,7 +40,7 @@ command run on it.
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .mat2 import NonHyperbolicError, translation_length
@@ -68,14 +68,17 @@ class DocumentError(ValueError):
     offending field path."""
 
 
-@dataclass(frozen=True)
-class SurfaceDocument:
-    """A parsed, validated document.  What the document determines is
-    computed once, on first use, and lives as long as the document."""
+class SurfaceDocument(namedtuple("SurfaceDocument", "spec fn spin")):
+    """A parsed, validated document; ``spin`` is None or
+    {"eps": {...}, "crossing_signs": {...}} with curve-id keys.  What the
+    document determines is computed once, on first use, and lives as long
+    as the document.  Nothing on it can be assigned or deleted
+    (``cached_property`` writes to the instance ``__dict__`` directly)."""
 
-    spec: SurfaceSpec
-    fn: FNPoint
-    spin: dict | None  # {"eps": {...}, "crossing_signs": {...}} with curve-id keys
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r} of a SurfaceDocument")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def complex(self):
@@ -287,6 +290,17 @@ def _spin_list(spec):
     }
 
 
+def _roundtrip(doc):
+    """The coordinate round trip: the largest |read back - given| over
+    every curve's length and twist, nan if any of them is nan."""
+    back, fn = doc.fn_back, doc.fn
+    return _max_or_nan(
+        abs(read[c] - given[c])
+        for read, given in ((back.lengths, fn.lengths), (back.twists, fn.twists))
+        for c in given
+    )
+
+
 def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
     """Execute a command against a parsed document.
 
@@ -297,11 +311,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         cocycle = doc.cocycle
         residuals = {fid: cocycle.face_residual(fid) for fid in sorted(doc.complex.faces)}
         worst = _max_or_nan(residuals.values())
-        fnback = doc.fn_back
-        rt = max(
-            max(abs(fnback.lengths[c] - doc.fn.lengths[c]) for c in fnback.lengths),
-            max(abs(fnback.twists[c] - doc.fn.twists[c]) for c in fnback.twists),
-        )
+        rt = _roundtrip(doc)
         ok = worst <= tolerance and rt <= tolerance
         lines = [
             f"faces {len(residuals)}  max residual {_num(worst)}",
@@ -346,16 +356,12 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
 
     if command == "fn":
         back = doc.fn_back
-        lines = []
-        worst = 0.0
-        for c in doc.spec.curves:
-            dl = abs(back.lengths[c.id] - doc.fn.lengths[c.id])
-            dt = abs(back.twists[c.id] - doc.fn.twists[c.id])
-            worst = max(worst, dl, dt)
-            lines.append(
-                f"curve {c.id}  length {_num(back.lengths[c.id])}"
-                f"  twist {_num(back.twists[c.id])}"
-            )
+        lines = [
+            f"curve {c.id}  length {_num(back.lengths[c.id])}"
+            f"  twist {_num(back.twists[c.id])}"
+            for c in doc.spec.curves
+        ]
+        worst = _roundtrip(doc)
         ok = worst <= tolerance
         lines.append(f"round trip {_num(worst)}")
         lines.append("PASS" if ok else "FAIL")

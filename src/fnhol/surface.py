@@ -19,7 +19,7 @@ the curve length) as -2 log T_i.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .mat2 import Mat2, ProjMat2, translation_length, walk
 from . import pants as pants_mod
@@ -49,25 +49,20 @@ class NonStandardCocycleError(ValueError):
     reads its data from."""
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(namedtuple("Curve", "id left right")):
     """A decomposition curve with its two pants sides.
 
     ``left`` and ``right`` are (pants id, boundary index) pairs; the
     ordering fixes the orientation of the curve."""
 
-    id: object
-    left: tuple
-    right: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """A labelled pants decomposition of a closed genus-g surface."""
+class SurfaceSpec(namedtuple("SurfaceSpec", "genus pants curves")):
+    """A labelled pants decomposition of a closed genus-g surface:
+    the genus, a tuple of pants ids and a tuple of :class:`Curve`."""
 
-    genus: int
-    pants: tuple
-    curves: tuple
+    __slots__ = ()
 
     def curve_ids(self):
         return tuple(c.id for c in self.curves)
@@ -82,11 +77,13 @@ class SurfaceSpec:
         return {pid: tuple(s) for pid, s in sides.items()}
 
 
-@dataclass
 class Diagnostics:
     """Validation report; ``ok`` is True iff ``problems`` is empty."""
 
-    problems: list = field(default_factory=list)
+    __slots__ = ("problems",)
+
+    def __init__(self):
+        self.problems = []
 
     @property
     def ok(self):
@@ -164,17 +161,11 @@ def validate_surface(spec):
     return diag
 
 
-@dataclass(frozen=True)
-class Edge:
-    start: str
-    end: str
-    kind: str  # "seam" | "arc0" | "arc1" | "crossing"
-
-
-@dataclass(frozen=True)
-class Face:
-    kind: str  # "hexagon" | "square"
-    cycle: tuple  # ((edge id, +1/-1), ...) counterclockwise
+# kind is "seam" | "arc0" | "arc1" | "crossing"
+Edge = namedtuple("Edge", "start end kind")
+# kind is "hexagon" | "square"; cycle is ((edge id, +1/-1), ...)
+# counterclockwise
+Face = namedtuple("Face", "kind cycle")
 
 
 class CellComplex:
@@ -245,11 +236,6 @@ class CellComplex:
 
     def counts(self):
         return (len(self.vertices), len(self.edges), len(self.faces))
-
-    def face_start(self, fid):
-        eid, sign = self.faces[fid].cycle[0]
-        edge = self.edges[eid]
-        return edge.start if sign > 0 else edge.end
 
     def squares_of_curve(self, cid):
         return (f"c{cid}.sq0", f"c{cid}.sq1")

@@ -135,9 +135,10 @@ def variation_cocycle(spec, fn, tangent):
 def _seam_data(base, fn):
     """Per pants: its curves at boundaries 0, 1, 2 and, for each k, the
     edge ids of boundary arc k and seam k with grad log |b_k c_k| and the
-    seam coefficient at fn, the point the base was assembled at.
-    Evaluated once per base cocycle, when the first variation over it is
-    taken."""
+    seam coefficient at fn, the point the base was assembled at.  With
+    it, per curve: the positions of its pants in that list (one for a
+    self-glued curve) and the ids of its two crossings.  Evaluated once
+    per base cocycle, when the first variation over it is taken."""
     if base._seam_data is None:
         complex_ = base.complex
         data = []
@@ -151,18 +152,23 @@ def _seam_data(base, fn):
                     for k in range(3)
                 ),
             ))
-        base._seam_data = data
+        at = {pid: i for i, pid in enumerate(complex_.spec.pants)}
+        curves = complex_.spec.curves
+        pants_of = {c.id: {at[c.left[0]], at[c.right[0]]} for c in curves}
+        crossings_of = {c.id: (f"c{c.id}.x0", f"c{c.id}.x1") for c in curves}
+        base._seam_data = (data, pants_of, crossings_of)
     return base._seam_data
 
 
 def _variation_values(base, fn, tangent):
     """The closed-form values (edge id -> TracelessMat2) of the tangent
-    direction at fn, on the edges where it acts."""
+    direction at fn, on the edges where it acts.  Only the curves of the
+    tangent are visited; those not in the complex are ignored."""
+    data, pants_of, crossings_of = _seam_data(base, fn)
     values = {}
     dl_of = tangent.dl
-    for curves, seams in _seam_data(base, fn):
-        if dl_of.keys().isdisjoint(curves):
-            continue
+    for i in {i for c in dl_of for i in pants_of.get(c, ())}:
+        curves, seams = data[i]
         dl = tuple(dl_of.get(c, 0.0) for c in curves)
         for k, (arc0, arc1, seam, grad, coef) in enumerate(seams):
             arc = TracelessMat2.diag(0.25 * dl[k])
@@ -170,11 +176,12 @@ def _variation_values(base, fn, tangent):
             values[arc1] = arc
             dlogf = grad[0] * dl[0] + grad[1] * dl[1] + grad[2] * dl[2]
             values[seam] = TracelessMat2.offdiag(coef * dlogf)
-    for c in base.complex.spec.curves:
-        if c.id in tangent.dtau:
-            cross = TracelessMat2.diag(0.5 * tangent.dtau[c.id])
-            values[f"c{c.id}.x0"] = cross
-            values[f"c{c.id}.x1"] = cross
+    for c, dtau in tangent.dtau.items():
+        crossings = crossings_of.get(c)
+        if crossings is not None:
+            cross = TracelessMat2.diag(0.5 * dtau)
+            values[crossings[0]] = cross
+            values[crossings[1]] = cross
     return values
 
 

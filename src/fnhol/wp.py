@@ -47,7 +47,7 @@ the parts into the matrix.  Its cost grows linearly in the genus.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .mat2 import ad_action, walk
@@ -79,8 +79,9 @@ def killing_form(x, y):
     return 2.0 * x.x * y.x + x.y * y.z + x.z * y.y
 
 
-@dataclass(frozen=True)
-class DiagonalTerm:
+class DiagonalTerm(
+    namedtuple("DiagonalTerm", "sign first second path_first path_second")
+):
     """One product cell e' x e'' of a diagonal chain.
 
     ``first``/``second`` are (edge id, +1/-1) giving the edge with the
@@ -88,20 +89,13 @@ class DiagonalTerm:
     run from the face basepoint to the start vertex of that oriented
     edge along the face boundary."""
 
-    sign: int
-    first: tuple
-    second: tuple
-    path_first: tuple
-    path_second: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FaceChain:
+class FaceChain(namedtuple("FaceChain", "face_id basepoint terms")):
     """Degree-(1,1) part of a diagonal chain on one face."""
 
-    face_id: str
-    basepoint: str
-    terms: tuple
+    __slots__ = ()
 
 
 def _oriented_cycle(complex_, fid, start):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -237,8 +236,13 @@ def test_each_document_is_built_once(monkeypatch):
     report, code = run_command(doc, "verify", tolerance=1e-30)
     assert code == 1 and report["lines"][-1] == "FAIL"
     assert run_command(doc, "verify") == fresh[0]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         doc.fn = None
+    with pytest.raises(AttributeError):
+        doc.cocycle = None
+    with pytest.raises(AttributeError):
+        del doc.complex
+    assert doc.complex is doc.cocycle.complex
 
 
 def _exit_code(tmp_path, capsys, raw):
@@ -418,8 +422,15 @@ def test_spin_command_without_block(tmp_path, capsys):
 
 
 def test_import_leaves_argparse_out():
-    # only main needs argparse; importing the module must not load it
+    # only main needs argparse, and the records are plain tuples, so
+    # importing the module loads neither argparse nor dataclasses and
+    # the inspect module that dataclasses pulls in
     src = os.path.dirname(os.path.dirname(fnhol.cli.__file__))
-    code = "import sys, fnhol.cli; sys.exit('argparse' in sys.modules)"
+    code = (
+        "import sys, fnhol.cli; "
+        "print(' '.join(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules))))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

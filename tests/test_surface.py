@@ -5,6 +5,8 @@ import pytest
 from fnhol.mat2 import Mat2, NonHyperbolicError, ProjMat2, translation_length
 from fnhol.surface import (
     Curve,
+    Edge,
+    Face,
     FNPoint,
     NonStandardCocycleError,
     SurfaceCocycle,
@@ -18,7 +20,7 @@ from fnhol.surface import (
     parse_word,
     validate_surface,
 )
-from fnhol.wp import wp_matrix
+from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix
 from conftest import caterpillar, genus2_spec, genus3_spec, handle_spec, random_fn, rng_for
 
 
@@ -267,3 +269,36 @@ def test_stored_signs_change_no_result(spec_fn):
     back, back_neg = extract_fn(c), extract_fn(neg)
     assert (back.lengths, back.twists) == (back_neg.lengths, back_neg.twists)
     assert wp_matrix(c, fn) == wp_matrix(neg, fn)
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (Curve, {"id": 3, "left": (0, 1), "right": ("a", 2)}),
+        (SurfaceSpec, {"genus": 2, "pants": (0, 1), "curves": (Curve(0, (0, 0), (1, 0)),)}),
+        (Edge, {"start": "p0.v00", "end": "p0.v01", "kind": "arc0"}),
+        (Face, {"kind": "square", "cycle": (("c0.x0", 1), ("p1.b01", -1))}),
+        (
+            DiagonalTerm,
+            {"sign": -1, "first": ("e", 1), "second": ("f", -1),
+             "path_first": (), "path_second": (("e", 1),)},
+        ),
+        (FaceChain, {"face_id": "p0.hex+", "basepoint": "p0.v00", "terms": ()}),
+    ],
+)
+def test_records_are_immutable_values(record, fields):
+    # equal fields give equal records with equal hashes, built by
+    # position or by name; the repr names every field; no field can
+    # be replaced and no attribute added
+    by_position = record(*fields.values())
+    by_name = record(**fields)
+    assert by_position == by_name and by_position is not by_name
+    assert hash(by_position) == hash(by_name)
+    shown = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+    assert repr(by_position) == f"{record.__name__}({shown})"
+    for name, value in fields.items():
+        assert getattr(by_position, name) == value
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, value)
+    with pytest.raises(AttributeError):
+        by_position.extra = None

@@ -309,3 +309,17 @@ def test_seam_data_is_evaluated_once_per_base(monkeypatch):
     variation_cocycle(base, fn, random_tangent(rng_for("seam-data-2"), spec))
     wp_matrix(base, fn)
     assert calls == {"grad_log_bc": once, "seam_variation_coefficient": once}
+
+
+def test_curves_outside_the_complex_are_ignored():
+    # a tangent naming curves the complex does not have gives the values
+    # of the same tangent without them, to the bit
+    spec = comb(4)
+    fn = random_fn(rng_for("stray-curves"), spec)
+    base = assemble_cocycle(build_complex(spec), fn)
+    tangent = random_tangent(rng_for("stray-curves-2"), spec)
+    stray = TangentVector({**tangent.dl, "stray": 1.0, 99: -2.0}, {**tangent.dtau, "stray": 3.0})
+    z = variation_cocycle(base, fn, tangent)
+    y = variation_cocycle(base, fn, stray)
+    assert set(y.values) == set(z.values) == set(base.values)
+    assert all(y.values[e].entries() == z.values[e].entries() for e in z.values)

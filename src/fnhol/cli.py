@@ -43,12 +43,11 @@ import sys
 from collections import namedtuple
 from functools import cached_property
 
-from .mat2 import NonHyperbolicError, translation_length
+from .mat2 import NonHyperbolicError, _max_or_nan, translation_length
 from .surface import (
     Curve,
     FNPoint,
     SurfaceSpec,
-    _max_or_nan,
     assemble_cocycle,
     build_complex,
     extract_fn,
@@ -219,36 +218,6 @@ def parse_document(text):
                 signs[cid] = val
         spin = {"eps": eps, "crossing_signs": signs}
     return SurfaceDocument(spec, fn, spin)
-
-
-def serialize_document(doc):
-    """Canonical JSON text of a document; stable under a parse/serialize
-    round trip."""
-    spec, fn = doc.spec, doc.fn
-    out = {
-        "genus": spec.genus,
-        "pants": list(spec.pants),
-        "curves": [
-            {
-                "id": c.id,
-                "left": {"pants": c.left[0], "k": c.left[1]},
-                "right": {"pants": c.right[0], "k": c.right[1]},
-            }
-            for c in spec.curves
-        ],
-        "fn": [
-            {"curve": c.id, "length": fn.lengths[c.id], "twist": fn.twists[c.id]}
-            for c in spec.curves
-        ],
-    }
-    if doc.spin is not None:
-        out["spin"] = {
-            "eps": {str(c): doc.spin["eps"][c] for c in spec.curve_ids()},
-            "crossing_signs": {
-                str(c): doc.spin["crossing_signs"][c] for c in spec.curve_ids()
-            },
-        }
-    return json.dumps(out, indent=2, sort_keys=False) + "\n"
 
 
 def _num(x):

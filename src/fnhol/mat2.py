@@ -137,20 +137,19 @@ class Mat2:
         return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
-def walk(values, word, start=None):
+def walk(values, word, prefixes=None):
     """The product of the values along an edge word.
 
     ``values`` maps edge ids to Mat2; ``word`` is a sequence of
     (edge id, +1/-1), where -1 reads the edge backwards, as its inverse
-    (d, -b, -c, a).  The product runs left to right from ``start``, or
-    from the identity, and is not renormalized.  The running product is
-    kept in four locals and one Mat2 is made per call.  The word is not
+    (d, -b, -c, a).  The product runs left to right from the identity
+    and is not renormalized.  The running product is kept in four
+    locals; when ``prefixes`` is a list, the running product after each
+    step is appended to it as an entry tuple (a, b, c, d), so its k-th
+    item holds the product of the first k+1 values.  The word is not
     checked for composability: face cycles were checked when the complex
     was built, and user words are checked where they come in."""
-    if start is None:
-        a, b, c, d = 1, 0, 0, 1
-    else:
-        a, b, c, d = start.a, start.b, start.c, start.d
+    a, b, c, d = 1, 0, 0, 1
     for eid, sign in word:
         m = values[eid]
         if sign > 0:
@@ -158,7 +157,20 @@ def walk(values, word, start=None):
         else:
             p, q, r, s = m.d, -m.b, -m.c, m.a
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        if prefixes is not None:
+            prefixes.append((a, b, c, d))
     return Mat2(a, b, c, d, check=False)
+
+
+def _max_or_nan(values):
+    """The largest of the values, or nan if any of them is nan (Python's
+    ``max`` keeps a nan only when it comes first).  An empty input gives
+    0.0."""
+    worst = 0.0
+    for x in values:
+        if x > worst or math.isnan(x):
+            worst = x
+    return worst
 
 
 class ProjMat2:
@@ -184,10 +196,6 @@ class ProjMat2:
 
     def trace_abs(self):
         return abs(self.rep.trace())
-
-    def dist(self, other):
-        """Max-entry distance between the classes (minimum over signs)."""
-        return self.rep.proj_dist(other.rep)
 
     def __repr__(self):
         return f"ProjMat2({self.rep!r})"

@@ -21,7 +21,7 @@ Labels (k runs over Z/3):
 
 import math
 
-from .mat2 import Mat2, NonHyperbolicError, translation_length, walk
+from .mat2 import Mat2, _max_or_nan, walk
 
 __all__ = [
     "PantsLengths",
@@ -62,10 +62,6 @@ class PantsLengths:
     def lam(self, k):
         """Boundary eigenvalue exp(l_k / 2) > 1."""
         return math.exp(0.5 * self[k])
-
-    def cycled(self, shift):
-        """Lengths after cyclically relabelling the boundary circles."""
-        return PantsLengths(self[shift], self[shift + 1], self[shift + 2])
 
     def __iter__(self):
         return iter(self.l)
@@ -174,11 +170,7 @@ class PantsCocycle:
         return self.holonomy(PANTS_FACES[face]).proj_dist(Mat2.identity())
 
     def max_face_residual(self):
-        return max(self.face_residual(f) for f in PANTS_FACES)
-
-    def boundary_holonomy(self, k):
-        """Holonomy around boundary k, based at v{k}0."""
-        return self.values[f"b{k}0"] @ self.values[f"b{k}1"]
+        return _max_or_nan(self.face_residual(f) for f in PANTS_FACES)
 
 
 def pants_cocycle(lengths):
@@ -305,11 +297,3 @@ def standardize(cocycle):
     result.lengths = PantsLengths(*lengths)
     result.standard = is_standard(result)
     return result, gauge
-
-
-def boundary_length(cocycle, k):
-    """Geodesic length of boundary k read off the cocycle."""
-    try:
-        return translation_length(cocycle.boundary_holonomy(k))
-    except NonHyperbolicError as exc:
-        raise NotFuchsianError(str(exc)) from exc

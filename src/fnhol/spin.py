@@ -31,12 +31,11 @@ of the gluing graph be fixed to +1; the remaining g signs enumerate the
 import itertools
 import math
 
-from .mat2 import Mat2, NonHyperbolicError, walk
+from .mat2 import Mat2, NonHyperbolicError, _max_or_nan, walk
 from . import pants as pants_mod
 from .surface import (
     CellComplex,
     SurfaceCocycle,
-    _max_or_nan,
     assemble_cocycle,
     check_word,
 )

@@ -21,7 +21,7 @@ the curve length) as -2 log T_i.
 import math
 from collections import namedtuple
 
-from .mat2 import Mat2, ProjMat2, translation_length, walk
+from .mat2 import Mat2, ProjMat2, _max_or_nan, translation_length, walk
 from . import pants as pants_mod
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "extract_fn",
     "parse_word",
     "check_word",
-    "format_word",
     "curve_loop_word",
     "NonStandardCocycleError",
 ]
@@ -234,9 +233,6 @@ class CellComplex:
             if plus != 1 or minus != 1:
                 raise AssertionError(f"edge {eid} used {plus}+/{minus}- times")
 
-    def counts(self):
-        return (len(self.vertices), len(self.edges), len(self.faces))
-
     def squares_of_curve(self, cid):
         return (f"c{cid}.sq0", f"c{cid}.sq1")
 
@@ -278,10 +274,11 @@ class SurfaceCocycle:
     """A holonomy cocycle on the cell complex (edge id -> Mat2, each a
     sign-free representative of its projective class).
 
-    The values are fixed once the cocycle is constructed: the face
-    products are walked once, on first use, and kept with it, and lifts
-    of the cocycle (:mod:`fnhol.spin`) read them too.  So are the seam
-    data that variations over it (:mod:`fnhol.variation`) read."""
+    The values are fixed once the cocycle is constructed.  Every product
+    along a face word is taken by :meth:`face_walk`; the face products
+    are walked once, on first use, and kept with it, and lifts of the
+    cocycle (:mod:`fnhol.spin`) read them too.  So are the seam data
+    that variations over it (:mod:`fnhol.variation`) read."""
 
     __slots__ = ("complex", "values", "_face_products", "_seam_data")
 
@@ -291,28 +288,35 @@ class SurfaceCocycle:
         self._face_products = None
         self._seam_data = None
 
-    def face_products(self):
-        """Face id -> the product along its face word, not renormalized.
+    def face_walk(self, fid, prefixes=None):
+        """(start, product): the product along the face word, not
+        renormalized, walked from rotation ``start`` of its cycle.
 
         A face word is a cycle, so walked from another of its edges it
         gives a conjugate of the product, which is +-I exactly when the
-        product is.  When the walk from the first edge overflows, the
-        next start that stays finite is used: for a twist near the
-        accepted bound, a square word walked from its crossing edge
-        multiplies 1/T by an arc entry before T brings it back, and
-        walked from an arc it does not."""
+        product is.  The walk begins at the first rotation whose product
+        is finite: for a twist near the accepted bound, a square word
+        walked from its crossing edge multiplies 1/T by an arc entry
+        before T brings it back, and walked from an arc it does not.
+        When ``prefixes`` is a list, it receives the running products of
+        that walk as entry tuples (:func:`fnhol.mat2.walk`); the pairing
+        kernel and the cocycle-condition check read their transports
+        from them."""
+        cycle = self.complex.faces[fid].cycle
+        for start in range(len(cycle)):
+            if prefixes is not None:
+                prefixes.clear()
+            product = walk(self.values, cycle[start:] + cycle[:start], prefixes)
+            if product.is_finite():
+                break
+        return start, product
+
+    def face_products(self):
+        """Face id -> the product of :meth:`face_walk`."""
         if self._face_products is None:
-            values = self.values
-            products = {}
-            for fid, face in self.complex.faces.items():
-                cycle = face.cycle
-                m = walk(values, cycle)
-                for i in range(1, len(cycle)):
-                    if m.is_finite():
-                        break
-                    m = walk(values, cycle[i:] + cycle[:i])
-                products[fid] = m
-            self._face_products = products
+            self._face_products = {
+                fid: self.face_walk(fid)[1] for fid in self.complex.faces
+            }
         return self._face_products
 
     def face_residual(self, fid):
@@ -322,16 +326,6 @@ class SurfaceCocycle:
 
     def max_face_residual(self):
         return _max_or_nan(self.face_residual(f) for f in self.complex.faces)
-
-
-def _max_or_nan(values):
-    """The largest of the values, or nan if any of them is nan (Python's
-    ``max`` keeps a nan only when it comes first)."""
-    worst = 0.0
-    for x in values:
-        if x > worst or math.isnan(x):
-            worst = x
-    return worst
 
 
 def pants_boundary_lengths(complex_, fn, pid):
@@ -433,7 +427,3 @@ def parse_word(complex_, text):
             raise ValueError(f"unknown edge {token!r}")
         word.append((token, sign))
     return tuple(word)
-
-
-def format_word(word):
-    return " ".join(eid + ("~" if sign < 0 else "") for eid, sign in word)

@@ -21,7 +21,7 @@ provided as an independent check.
 
 import math
 
-from .mat2 import Mat2, TracelessMat2, ad_action, walk
+from .mat2 import Mat2, TracelessMat2, _max_or_nan, ad_action
 from .pants import bc_magnitude, bc_magnitude_minus_one
 from .surface import (
     CellComplex,
@@ -235,14 +235,21 @@ def coboundary(cocycle, vertex_cochain):
 
 
 def check_cocycle_condition(cocycle, variation):
-    """Largest face residual of the twisted cocycle condition."""
-    worst = 0.0
-    values = cocycle.values
-    for face in cocycle.complex.faces.values():
-        total = TracelessMat2.zero()
-        prefix = Mat2.identity()
-        for step in face.cycle:
-            total = total + ad_action(prefix, variation.value(*step))
-            prefix = walk(values, (step,), prefix)
-        worst = max(worst, total.norm())
-    return worst
+    """Largest face residual of the twisted cocycle condition, nan if
+    any entry of a face sum is nan.
+
+    Each face is summed along the rotation of its cycle that the
+    cocycle's face walk chose, with that walk's prefix products as the
+    transports.  Where the face word closes up, the sum from another
+    rotation is this one moved by Ad of a prefix product, so the two
+    vanish together."""
+    entries = []
+    for fid, face in cocycle.complex.faces.items():
+        prefixes = []
+        start, _ = cocycle.face_walk(fid, prefixes)
+        rotated = face.cycle[start:] + face.cycle[:start]
+        total = variation.value(*rotated[0])
+        for step, prefix in zip(rotated[1:], prefixes):
+            total = total + ad_action(Mat2(*prefix, check=False), variation.value(*step))
+        entries += (abs(total.x), abs(total.y), abs(total.z))
+    return _max_or_nan(entries)

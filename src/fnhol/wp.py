@@ -30,15 +30,15 @@ generators; :func:`_chain_shape` computes them once per pattern, and a
 surface has only a few (its hexagons and squares).
 
 The pairing is a bilinear form on H^1, so :class:`PairingKernel` builds
-it once per base cocycle: per face, one walk along the boundary whose
-prefix products are the transport matrices of every position.  A
-variation cocycle is transported once, visiting only the edges it
-carries, and the pairing of two transported cocycles is a contraction
-over the faces they share, one face at a time.  Slots whose value is
-exactly zero are left out; every sum is a ``math.fsum``, which is
-correctly rounded, and :func:`pair_on_face` transports along the same
-left-to-right products, so the result is the same to the bit as the
-face-by-face sum.
+it once per base cocycle: per face, the prefix products of the
+cocycle's one face walk (:meth:`SurfaceCocycle.face_walk`) are the
+transport matrices of every position.  A variation cocycle is
+transported once, visiting only the edges it carries, and the pairing
+of two transported cocycles is a contraction over the faces they share,
+one face at a time.  Slots whose value is exactly zero are left out;
+every sum is a ``math.fsum``, which is correctly rounded, and
+:func:`pair_on_face` transports along the same left-to-right products,
+so the result is the same to the bit as the face-by-face sum.
 
 :func:`wp_matrix` is assembled face by face, the way finite elements
 are: a coordinate direction carries values on a few faces only, so per
@@ -50,8 +50,8 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .mat2 import ad_action, walk
-from .surface import SurfaceCocycle, _max_or_nan, assemble_cocycle
+from .mat2 import Mat2, _max_or_nan, ad_action, walk
+from .surface import SurfaceCocycle, assemble_cocycle
 from .variation import TangentVector, variation_cocycle
 
 __all__ = [
@@ -230,49 +230,34 @@ class PairingKernel:
 
     A slot is one position of a face cycle: the oriented edge the chain
     carries there, and the matrix that moves its value to the face
-    basepoint.  Per face (sorted order) the kernel walks the boundary
-    once, stopping at every prefix length a position needs: the move of
-    a position is its raw prefix product P_upto of the edge values,
-    renormalized, the holonomy of the path from the basepoint to the
-    start of the edge.  The chain terms are the face's
-    :func:`_chain_shape`.
-
-    The walk begins at the first rotation of the cycle whose longest
-    prefix product is finite, as :meth:`SurfaceCocycle.face_products`
-    does: for a twist near the accepted bound, a square walked from its
-    crossing edge overflows.  A product that overflowed stays
-    non-finite, so the longest prefix is the only one to check."""
+    basepoint.  Per face (sorted order) the kernel takes the running
+    products of the cocycle's face walk, begun at the rotation the walk
+    chose: the move of a position is its prefix product P_upto of the
+    edge values, renormalized, the holonomy of the path from the
+    basepoint to the start of the edge.  The chain terms are the face's
+    :func:`_chain_shape` at that rotation."""
 
     def __init__(self, cocycle):
         complex_ = cocycle.complex
-        values = cocycle.values
         self._edge_slots = {}  # edge id -> (orientation, [(slot, face, move or None)])
         self._face_terms = []  # face -> (slot of its first position, chain terms)
         n_slots = 0
         for face, fid in enumerate(sorted(complex_.faces)):
-            cycle = complex_.faces[fid].cycle
-            n = len(cycle)
-            for start in range(n):
-                rotated = cycle[start:] + cycle[:start]
-                gens = _oriented_cycle(complex_, fid, start)
-                terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
-                moves = {}
-                prefix, walked = None, 0
-                for upto in sorted(set(uptos) - {0}):
-                    prefix = walk(values, rotated[walked:upto], prefix)
-                    walked = upto
-                    moves[upto] = prefix
-                if prefix.is_finite():
-                    break
-            for upto, prefix in moves.items():
-                moves[upto] = prefix.renormalized()
+            prefixes = []
+            start, _ = cocycle.face_walk(fid, prefixes)
+            gens = _oriented_cycle(complex_, fid, start)
+            terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
+            moves = {
+                upto: Mat2(*prefixes[upto - 1], check=False).renormalized()
+                for upto in set(uptos) - {0}
+            }
             moves[0] = None  # the empty path needs no move
             for pos, ((eid, orient), _) in enumerate(gens):
                 self._edge_slots.setdefault(eid, (orient, []))[1].append(
                     (n_slots + pos, face, moves[uptos[pos]])
                 )
             self._face_terms.append((n_slots, terms))
-            n_slots += n
+            n_slots += len(gens)
 
     def transport(self, variation):
         """The variation's value on every slot of the edges it carries,

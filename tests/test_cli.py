@@ -15,7 +15,6 @@ from fnhol.cli import (
     main,
     parse_document,
     run_command,
-    serialize_document,
 )
 from fnhol.mat2 import Mat2
 from fnhol.spin import SpinSurfaceCocycle
@@ -79,12 +78,6 @@ def test_parse_rejects_bad_json_with_position():
     with pytest.raises(DocumentError) as err:
         parse_document("{\n  \"genus\": 2,\n}")
     assert "line" in str(err.value)
-
-
-def test_serialize_roundtrip_is_byte_identical():
-    text = serialize_document(parse_document(json.dumps(genus2_doc())))
-    again = serialize_document(parse_document(text))
-    assert text == again
 
 
 def test_run_commands_deterministic():
@@ -434,3 +427,30 @@ def test_import_leaves_argparse_out():
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == []
+
+
+def test_every_module_imports_only_the_standard_library():
+    # the core stays standard-library only: a fresh interpreter that
+    # imports every fnhol module loads nothing outside the standard
+    # library (modules loaded at start-up, e.g. by .pth files, are left
+    # out of the comparison)
+    package = os.path.dirname(fnhol.cli.__file__)
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import importlib, pkgutil, fnhol\n"
+        "names = [m.name for m in pkgutil.iter_modules(fnhol.__path__, 'fnhol.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "tops = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(' '.join(names))\n"
+        "print(' '.join(sorted(tops - set(sys.stdlib_module_names) - {'fnhol'})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    names, outside = run.stdout.split("\n")[:2]
+    modules = {f"fnhol.{f[:-3]}" for f in os.listdir(package)
+               if f.endswith(".py") and f != "__init__.py"}
+    assert set(names.split()) == modules
+    assert outside.split() == []

@@ -28,7 +28,7 @@ def test_det_check():
 def test_proj_sign_insensitive():
     m = Mat2(0.0, -2.0, 0.5, 3.0)
     assert ProjMat2(m).rep.entries() == ProjMat2(-m).rep.entries()
-    assert ProjMat2(m).dist(ProjMat2(-m)) == 0.0
+    assert ProjMat2(m).rep.proj_dist(ProjMat2(-m).rep) == 0.0
     assert m.proj_dist(-m) == 0.0 and m.dist(-m) == 6.0
     # canonical representative has its first significant entry positive
     assert ProjMat2(m).rep.b > 0
@@ -139,7 +139,8 @@ def test_traceless_projection():
 
 def test_walk_is_the_left_to_right_product():
     # bit for bit, signed zeros included, the product I @ r_1 @ ... @ r_n
-    # with reversed edges read as inverses; ``start`` continues a walk
+    # with reversed edges read as inverses; ``prefixes`` receives the
+    # running product after every step
     rng = rng_for("walk")
     values = {i: random_mat2(rng) for i in range(4)}
     values[4] = Mat2.diagonal(1.7)
@@ -150,10 +151,14 @@ def test_walk_is_the_left_to_right_product():
         for eid, sign in word:
             want = want @ (values[eid] if sign > 0 else values[eid].inv())
         assert repr(walk(values, word)) == repr(want)
-        cut = rng.randrange(len(word) + 1)
-        resumed = walk(values, word[cut:], walk(values, word[:cut]))
-        assert repr(resumed) == repr(want)
-    assert walk(values, ()).entries() == (1, 0, 0, 1)
+        prefixes = []
+        assert repr(walk(values, word, prefixes)) == repr(want)
+        assert len(prefixes) == len(word)
+        for k, prefix in enumerate(prefixes):
+            assert repr(prefix) == repr(walk(values, word[: k + 1]).entries())
+    prefixes = []
+    assert walk(values, (), prefixes).entries() == (1, 0, 0, 1)
+    assert prefixes == []
 
 
 def test_scalar_generic_on_fractions():

@@ -11,7 +11,6 @@ from fnhol.pants import (
     PantsLengths,
     bc_magnitude,
     bc_magnitude_minus_one,
-    boundary_length,
     gauge_transform,
     pants_cocycle,
     seam_matrix,
@@ -91,7 +90,17 @@ def test_pants_cocycle_faces_and_lengths():
         assert c.standard
         assert c.max_face_residual() <= 1e-9
         for k in range(3):
-            assert abs(boundary_length(c, k) - l[k]) <= 1e-10
+            loop = ((f"b{k}0", 1), (f"b{k}1", 1))
+            assert abs(translation_length(c.holonomy(loop)) - l[k]) <= 1e-10
+
+
+def test_max_face_residual_keeps_a_nan():
+    # hex+ comes first and is finite; a nan on b01 shows only in hex-
+    c = pants_cocycle(PantsLengths(2, 2, 2))
+    c.values["b01"] = Mat2(math.nan, 0.0, 0.0, math.nan, check=False)
+    assert c.face_residual("hex+") <= 1e-9
+    assert math.isnan(c.face_residual("hex-"))
+    assert math.isnan(c.max_face_residual())
 
 
 def test_gamma_relation_and_trace():
@@ -142,7 +151,7 @@ def test_gamma1_two_expressions_agree():
 
 def test_cyclic_symmetry():
     l = PantsLengths(1.0, 2.0, 3.0)
-    shifted = l.cycled(1)  # boundary k of shifted = boundary k+1 of l
+    shifted = PantsLengths(2.0, 3.0, 1.0)  # boundary k of shifted = boundary k+1 of l
     for k in range(3):
         assert seam_matrix(shifted, k).close_to(seam_matrix(l, k + 1), 1e-12)
     sym = PantsLengths(2, 2, 2)

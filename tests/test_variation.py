@@ -191,6 +191,32 @@ def test_arc_values_fixed_by_their_edge():
                 assert moved.dist(val) <= 1e-12
 
 
+def test_cocycle_condition_keeps_a_nan():
+    # a nan entry anywhere in a face sum makes the check nan, wherever
+    # it falls in the per-face norm and in the order of the faces
+    spec = caterpillar(2)
+    fn = random_fn(rng_for("nan-check"), spec)
+    z = variation_cocycle(spec, fn, random_tangent(rng_for("nan-check-2"), spec))
+    z.values["c0.x0"] = TracelessMat2(0.0, math.nan, 0.0)
+    assert math.isnan(check_cocycle_condition(z.base, z))
+
+
+def test_cocycle_condition_near_the_twist_bound():
+    # the squares of curve 0 overflow when walked from their crossing
+    # edges; the check sums them along the rotation the face walk chose,
+    # so no face is nan (a nan face would make the result nan)
+    spec = genus2_spec()
+    fn = FNPoint({i: 2.0 for i in range(3)}, {0: 1419.5, 1: 0.3, 2: 0.3})
+    base = assemble_cocycle(spec, fn)
+    assert {f for f in base.complex.faces if base.face_walk(f)[0]} == {"c0.sq0", "c0.sq1"}
+    rng = rng_for("near-bound-check")
+    tangents = [TangentVector({0: 1.0}, {}), TangentVector({}, {0: 1.0})]
+    tangents += [random_tangent(rng, spec) for _ in range(5)]
+    for tangent in tangents:
+        z = variation_cocycle(base, fn, tangent)
+        assert check_cocycle_condition(base, z) <= 1e-8
+
+
 def test_coboundary_is_closed():
     spec = genus2_spec()
     cx = build_complex(spec)

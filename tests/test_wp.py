@@ -3,10 +3,17 @@ from collections import defaultdict
 
 import pytest
 
+import fnhol.surface
 import fnhol.variation
 import fnhol.wp
-from fnhol.mat2 import Mat2, TracelessMat2, walk
-from fnhol.surface import FNPoint, assemble_cocycle, build_complex, validate_surface
+from fnhol.mat2 import Mat2, TracelessMat2
+from fnhol.surface import (
+    FNPoint,
+    SurfaceCocycle,
+    assemble_cocycle,
+    build_complex,
+    validate_surface,
+)
 from fnhol.variation import (
     TangentVector,
     VariationCocycle,
@@ -384,11 +391,29 @@ def test_wp_matrix_work_grows_linearly_in_genus(monkeypatch):
     assert counts[2] - counts[1] == counts[1] - counts[0] > 0
 
 
+def _kernel_starts(kernel, cx):
+    """Face id -> the rotation of its cycle the kernel's slots begin at:
+    the position in the cycle of the edge that holds the face's first
+    slot (no face runs an edge twice)."""
+    first_edge = {}
+    firsts = {first: face for face, (first, _) in enumerate(kernel._face_terms)}
+    for eid, (_, slots) in kernel._edge_slots.items():
+        for slot, face, _ in slots:
+            if firsts.get(slot) == face:
+                first_edge[face] = eid
+    starts = {}
+    for face, fid in enumerate(sorted(cx.faces)):
+        eids = [eid for eid, _ in cx.faces[fid].cycle]
+        assert len(set(eids)) == len(eids)
+        starts[fid] = eids.index(first_edge[face])
+    return starts
+
+
 def test_kernel_walks_an_overflowing_face_from_a_later_rotation():
     # near the twist bound the squares of curve 0 overflow when walked
-    # from their crossing edges; the kernel starts each face at the first
-    # rotation whose longest prefix stays finite, and there its part of
-    # the pairing is pair_on_face at that rotation, to the bit
+    # from their crossing edges; the kernel begins each face at the
+    # rotation the cocycle's face walk chose, and there its part of the
+    # pairing is pair_on_face at that rotation, to the bit
     spec = genus2_spec()
     cx = build_complex(spec)
     rng = rng_for("near-bound")
@@ -399,38 +424,33 @@ def test_kernel_walks_an_overflowing_face_from_a_later_rotation():
         zu, zv = variation_cocycle(base, fn, u), variation_cocycle(base, fn, v)
         kernel = PairingKernel(base)
         (values_u, _), (values_v, _) = kernel.transport(zu), kernel.transport(zv)
-        starts = {}
+        starts = {fid: base.face_walk(fid)[0] for fid in cx.faces}
+        assert _kernel_starts(kernel, cx) == starts
         for face, fid in enumerate(sorted(cx.faces)):
-            cycle = cx.faces[fid].cycle
-            for start in range(len(cycle)):
-                gens = fnhol.wp._oriented_cycle(cx, fid, start)
-                _, uptos = fnhol.wp._chain_shape(tuple(e for _, e in gens))
-                rotated = cycle[start:] + cycle[:start]
-                if walk(base.values, rotated[: max(uptos)]).is_finite():
-                    break
-            starts[fid] = start
             part = kernel.pair((values_u, {face}), (values_v, {face}))
-            assert part == pair_on_face(base, zu, zv, fid, start)
+            assert part == pair_on_face(base, zu, zv, fid, starts[fid])
         assert {f for f, start in starts.items() if start} == {"c0.sq0", "c0.sq1"}
         assert math.isnan(pair_on_face(base, zu, zv, "c0.sq0"))
         assert abs(wp_pairing(base, zu, zv) - wolpert_reference(u, v)) <= 1e-8
 
 
 def test_kernel_build_walks_each_face_once(monkeypatch):
-    """Building the kernel walks each face cycle once, continuing one walk
-    up to the longest prefix a position of the face needs; it takes no
-    Mat2 product and builds no diagonal chain."""
+    """Building the kernel walks each face cycle once, through the
+    cocycle's face walk, whose running products are the moves; it takes
+    no Mat2 product and builds no diagonal chain."""
     spec = genus3_spec()
     cx = build_complex(spec)
     rng = rng_for("kernel-build")
     fn = random_fn(rng, spec)
     zu = variation_cocycle(cx, fn, random_tangent(rng, spec))
     zv = variation_cocycle(cx, fn, random_tangent(rng, spec))
-    calls = dict.fromkeys(("diagonal_chain", "products", "steps", "faces"), 0)
+    calls = dict.fromkeys(("diagonal_chain", "products", "steps", "walks"), 0)
+    face_walks = []
     building = []
 
     diagonal = fnhol.wp.diagonal_chain
-    walk = fnhol.wp.walk
+    walk = fnhol.surface.walk
+    face_walk = SurfaceCocycle.face_walk
     matmul = Mat2.__matmul__
     init = PairingKernel.__init__
 
@@ -438,11 +458,16 @@ def test_kernel_build_walks_each_face_once(monkeypatch):
         calls["diagonal_chain"] += 1
         return diagonal(*args, **kwargs)
 
-    def counted_walk(values, word, start=None):
+    def counted_walk(values, word, prefixes=None):
         if building:
             calls["steps"] += len(word)
-            calls["faces"] += start is None  # a walk that starts afresh
-        return walk(values, word, start)
+            calls["walks"] += 1
+        return walk(values, word, prefixes)
+
+    def counted_face_walk(self, fid, prefixes=None):
+        if building:
+            face_walks.append((fid, prefixes is not None))
+        return face_walk(self, fid, prefixes)
 
     def counted_matmul(self, other):
         calls["products"] += bool(building)
@@ -456,27 +481,22 @@ def test_kernel_build_walks_each_face_once(monkeypatch):
             building.pop()
 
     monkeypatch.setattr(fnhol.wp, "diagonal_chain", counted_diagonal)
-    monkeypatch.setattr(fnhol.wp, "walk", counted_walk)
+    monkeypatch.setattr(fnhol.surface, "walk", counted_walk)
+    monkeypatch.setattr(SurfaceCocycle, "face_walk", counted_face_walk)
     monkeypatch.setattr(Mat2, "__matmul__", counted_matmul)
     monkeypatch.setattr(PairingKernel, "__init__", counted_init)
-    longest = []
-    for fid in cx.faces:
-        gens = fnhol.wp._oriented_cycle(cx, fid, 0)
-        _, uptos = fnhol.wp._chain_shape(tuple(e for _, e in gens))
-        assert max(uptos) <= len(gens)
-        longest.append(max(uptos))
     expected = {
         "diagonal_chain": 0,
         "products": 0,
-        "steps": sum(longest),
-        "faces": len(cx.faces),
+        "steps": sum(len(face.cycle) for face in cx.faces.values()),
+        "walks": len(cx.faces),
     }
-    assert not hasattr(fnhol.wp, "holonomy")
-    wp_matrix(cx, fn)
-    assert calls == expected
-    calls.update(dict.fromkeys(calls, 0))
-    wp_pairing(zu.base, zu, zv)
-    assert calls == expected
+    for build in (lambda: wp_matrix(cx, fn), lambda: wp_pairing(zu.base, zu, zv)):
+        build()
+        assert calls == expected
+        assert sorted(face_walks) == [(fid, True) for fid in sorted(cx.faces)]
+        calls.update(dict.fromkeys(calls, 0))
+        face_walks.clear()
 
 
 def _walk(cx, vertex, word):

@@ -33,7 +33,6 @@ from .surface import (
     SurfaceSpec,
     assemble_cocycle,
     build_complex,
-    curve_loop_word,
     extract_fn,
     holonomy,
     validate_surface,

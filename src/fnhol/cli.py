@@ -52,7 +52,6 @@ from .surface import (
     build_complex,
     extract_fn,
     holonomy,
-    curve_loop_word,
     parse_word,
     validate_surface,
 )
@@ -372,17 +371,15 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         worst = lifted.max_residual
         lines = [f"max face residual against +I {_num(worst)}"]
         rots = {}
-        for c in doc.spec.curves:
-            loop = curve_loop_word(doc.spec, c.id)
-            r = spin_mod.rot2(lifted, loop)
-            rots[str(c.id)] = r
-            lines.append(f"curve {c.id}  rot {r}")
+        for cid, cells in doc.complex.curves.items():
+            r = spin_mod.rot2(lifted, cells.loop)
+            rots[str(cid)] = r
+            lines.append(f"curve {cid}  rot {r}")
         pants_sums = {}
-        for pid in doc.spec.pants:
+        for pid, cells in doc.complex.pants.items():
             s = 0
-            for k in range(3):
-                loop = ((f"p{pid}.b{k}0", 1), (f"p{pid}.b{k}1", 1))
-                s += spin_mod.rot2(lifted, loop)
+            for arc0, arc1, _ in cells.edges:
+                s += spin_mod.rot2(lifted, ((arc0, 1), (arc1, 1)))
             pants_sums[str(pid)] = s % 2
             lines.append(f"pants {pid}  rot sum mod 2 = {s % 2}")
         ok = worst <= tolerance and all(v == 1 for v in pants_sums.values())

@@ -70,8 +70,8 @@ class Mat2:
         return self.a + self.d
 
     def norm(self):
-        """Max-entry norm."""
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        """Max-entry norm, nan if an entry is nan."""
+        return _max_or_nan((abs(self.a), abs(self.b), abs(self.c), abs(self.d)))
 
     def __matmul__(self, other):
         return Mat2(
@@ -106,25 +106,27 @@ class Mat2:
                 and math.isfinite(self.c) and math.isfinite(self.d))
 
     def dist(self, other):
-        return max(
+        """Max-entry distance, nan if a compared entry is nan."""
+        return _max_or_nan((
             abs(self.a - other.a),
             abs(self.b - other.b),
             abs(self.c - other.c),
             abs(self.d - other.d),
-        )
+        ))
 
     def proj_dist(self, other):
         """Max-entry distance between the classes {+self, -self} and
         {+other, -other}: the smaller of the distances to +other and to
-        -other.  With ``other`` the identity this is a face residual."""
+        -other.  With ``other`` the identity this is a face residual.  A
+        nan entry makes both distances nan, and so their ``min``."""
         return min(
             self.dist(other),
-            max(
+            _max_or_nan((
                 abs(self.a + other.a),
                 abs(self.b + other.b),
                 abs(self.c + other.c),
                 abs(self.d + other.d),
-            ),
+            )),
         )
 
     def close_to(self, other, tol=CMP_TOL):
@@ -168,7 +170,7 @@ def _max_or_nan(values):
     0.0."""
     worst = 0.0
     for x in values:
-        if x > worst or math.isnan(x):
+        if x > worst or x != x:
             worst = x
     return worst
 
@@ -244,7 +246,7 @@ class TracelessMat2:
         return TracelessMat2(t * self.x, t * self.y, t * self.z)
 
     def norm(self):
-        return max(abs(self.x), abs(self.y), abs(self.z))
+        return _max_or_nan((abs(self.x), abs(self.y), abs(self.z)))
 
     def dist(self, other):
         return (self - other).norm()

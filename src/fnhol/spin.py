@@ -81,10 +81,6 @@ class BoundarySigns:
         return f"BoundarySigns{self.eps!r}"
 
 
-def _is_plus_identity(m, tol=_FACE_TOL):
-    return m.dist(Mat2.identity()) <= tol * max(1.0, m.norm())
-
-
 def sl2_pants_cocycle(lengths, signs):
     """The unique determinant-one lift of the normalized pants cocycle
     with the given boundary trace signs.
@@ -108,8 +104,8 @@ def sl2_pants_cocycle(lengths, signs):
         values[f"b{k}1"] = arcs[k] if signs[k] > 0 else -arcs[k]
     if not (
         all(seam.a > 0.0 for seam in seams)
-        and _is_plus_identity(walk(values, pants_mod.PANTS_FACES["hex+"]))
-        and _is_plus_identity(walk(values, pants_mod.PANTS_FACES["hex-"]))
+        and all(walk(values, word).close_to(Mat2.identity(), _FACE_TOL)
+                for word in pants_mod.PANTS_FACES.values())
     ):
         raise AssertionError("expected a unique sign assignment, found 0")
     return values
@@ -174,12 +170,12 @@ class SpinSurfaceCocycle:
         return _max_or_nan(self.face_residual(f) for f in self.complex.faces)
 
 
-def _pants_sign_constraint(pants_sides, eps):
+def _pants_sign_constraint(complex_, eps):
     """Check eps: curve id -> +-1 multiplies to -1 around every pants
-    (a curve glued to one pants twice contributes +1); ``pants_sides``
-    maps pants id -> the curves at its boundaries 0, 1, 2."""
+    (a curve glued to one pants twice contributes +1)."""
     return all(
-        eps[c0] * eps[c1] * eps[c2] == -1 for c0, c1, c2 in pants_sides.values()
+        eps[c0] * eps[c1] * eps[c2] == -1
+        for c0, c1, c2 in (cells.curves for cells in complex_.pants.values())
     )
 
 
@@ -198,41 +194,39 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     a pants has no lift, as happens for very short boundaries."""
     base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
     complex_ = base.complex
-    spec = complex_.spec
-    eps = {c.id: int(eps[c.id]) for c in spec.curves}
+    eps = {cid: int(eps[cid]) for cid in complex_.curves}
     if any(e not in (-1, 1) for e in eps.values()):
         raise SpinSignError("boundary signs must be +-1")
-    if not _pants_sign_constraint(complex_.pants_lengths_order, eps):
-        raise SpinSignError(
-            "boundary signs must multiply to -1 around every pants"
-        )
+    if not _pants_sign_constraint(complex_, eps):
+        raise SpinSignError("boundary signs must multiply to -1 around every pants")
     crossing_signs = {
-        c.id: int(crossing_signs.get(c.id, 1)) if crossing_signs else 1
-        for c in spec.curves
+        cid: int(crossing_signs.get(cid, 1)) if crossing_signs else 1
+        for cid in complex_.curves
     }
     if any(s not in (-1, 1) for s in crossing_signs.values()):
         raise SpinSignError("crossing signs must be +-1")
-    for cid in spanning_tree_curves(spec):
+    for cid in spanning_tree_curves(complex_.spec):
         if crossing_signs[cid] != 1:
             raise SpinSignError(f"crossing sign on tree curve {cid} must be +1")
 
     flipped = [
-        f"p{pid}.b{k}1"
-        for pid, sides in complex_.pants_lengths_order.items()
-        for k in range(3)
-        if eps[sides[k]] < 0
+        arc1
+        for cells in complex_.pants.values()
+        for c, (_, arc1, _) in zip(cells.curves, cells.edges)
+        if eps[c] < 0
     ]
-    for c in spec.curves:
-        if crossing_signs[c.id] > 0:
-            flipped.append(f"c{c.id}.x0")
-        if crossing_signs[c.id] * eps[c.id] > 0:
-            flipped.append(f"c{c.id}.x1")
+    for cid, cells in complex_.curves.items():
+        x0, x1 = cells.crossings
+        if crossing_signs[cid] > 0:
+            flipped.append(x0)
+        if crossing_signs[cid] * eps[cid] > 0:
+            flipped.append(x1)
     out = SpinSurfaceCocycle(base, flipped, eps, crossing_signs)
-    for pid in spec.pants:
+    for cells in complex_.pants.values():
         if not (
-            all(base.values[f"p{pid}.seam{k}"].a > 0.0 for k in range(3))
-            and all(_is_plus_identity(out.face_products[f])
-                    for f in complex_.hexagons_of_pants(pid))
+            all(base.values[seam].a > 0.0 for _, _, seam in cells.edges)
+            and all(out.face_products[f].close_to(Mat2.identity(), _FACE_TOL)
+                    for f in cells.hexagons)
         ):
             raise AssertionError("expected a unique sign assignment, found 0")
     if out.max_residual > _FACE_TOL:
@@ -242,10 +236,10 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     return out
 
 
-def _solve_pants_signs(curve_ids, pants_sides):
+def _solve_pants_signs(curve_ids, spec):
     """Every eps: curve id -> +-1 that multiplies to -1 around every
-    pants, in the order of itertools.product((1, -1), ...) over
-    ``curve_ids``.
+    pants of ``spec``, in the order of itertools.product((1, -1), ...)
+    over ``curve_ids``.
 
     Over GF(2), with bit i of a mask standing for curve_ids[i] and a set
     bit for -1, each pants gives the equation (row . x) = 1, where a
@@ -255,9 +249,13 @@ def _solve_pants_signs(curve_ids, pants_sides):
     differ at a free variable, and doubling the list over the free
     variables, lowest index first, keeps the product order."""
     bit = {cid: 1 << i for i, cid in enumerate(curve_ids)}
+    rows = dict.fromkeys(spec.pants, 0)
+    for c in spec.curves:
+        rows[c.left[0]] ^= bit[c.id]
+        rows[c.right[0]] ^= bit[c.id]
     pivots = {}  # pivot index -> [row mask, right-hand side]
-    for c0, c1, c2 in pants_sides.values():
-        row, rhs = bit[c0] ^ bit[c1] ^ bit[c2], 1
+    for row in rows.values():
+        rhs = 1
         for p, (prow, prhs) in pivots.items():
             if row >> p & 1:
                 row ^= prow
@@ -300,7 +298,7 @@ def enumerate_spin(spec):
     if isinstance(spec, CellComplex):
         spec = spec.spec
     curve_ids = sorted((c.id for c in spec.curves), key=str)
-    eps_assignments = _solve_pants_signs(curve_ids, spec.pants_sides())
+    eps_assignments = _solve_pants_signs(curve_ids, spec)
 
     tree = set(spanning_tree_curves(spec))
     free = [c for c in curve_ids if c not in tree]

@@ -7,7 +7,8 @@ each cutting curve acquires an annular neighborhood with two crossing
 edges and two square faces joining the arcs on its two sides.  Global
 ids are ``p{pants}.seam{k}`` / ``p{pants}.b{k}{eps}`` / ``c{curve}.x{eps}``
 for edges, the same with ``v`` for vertices, and ``p{pants}.hex+|-`` /
-``c{curve}.sq0|1`` for faces.
+``c{curve}.sq0|1`` for faces.  Only :class:`CellComplex` formats them;
+every other module reads them off its tables.
 
 Holonomy values are sign-free ``Mat2`` representatives of their
 projective classes; only :func:`holonomy` wraps its result in a
@@ -23,6 +24,7 @@ from collections import namedtuple
 
 from .mat2 import Mat2, ProjMat2, _max_or_nan, translation_length, walk
 from . import pants as pants_mod
+from .pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
 
 __all__ = [
     "SurfaceSpec",
@@ -38,7 +40,6 @@ __all__ = [
     "extract_fn",
     "parse_word",
     "check_word",
-    "curve_loop_word",
     "NonStandardCocycleError",
 ]
 
@@ -65,15 +66,6 @@ class SurfaceSpec(namedtuple("SurfaceSpec", "genus pants curves")):
 
     def curve_ids(self):
         return tuple(c.id for c in self.curves)
-
-    def pants_sides(self):
-        """Pants id -> the curves glued at its boundary indices 0, 1, 2,
-        from one pass over the curves."""
-        sides = {pid: [None, None, None] for pid in self.pants}
-        for c in self.curves:
-            for (p, k) in (c.left, c.right):
-                sides[p][k] = c.id
-        return {pid: tuple(s) for pid, s in sides.items()}
 
 
 class Diagnostics:
@@ -165,79 +157,85 @@ Edge = namedtuple("Edge", "start end kind")
 # kind is "hexagon" | "square"; cycle is ((edge id, +1/-1), ...)
 # counterclockwise
 Face = namedtuple("Face", "kind cycle")
+# per pants: the curves glued at its boundaries 0, 1, 2; per boundary k
+# the ids of arcs b{k}0, b{k}1 and seam k; its faces hex+ and hex-
+PantsCells = namedtuple("PantsCells", "curves edges hexagons")
+# per curve: the ids of its crossings x0, x1 and squares sq0, sq1, the
+# pants on its sides (one for a self-glued curve), and the loop word
+# around it along the arcs on its left side
+CurveCells = namedtuple("CurveCells", "crossings squares pants loop")
+
+_PANTS_CELLS = PANTS_VERTICES + tuple(PANTS_EDGES) + tuple(PANTS_FACES)
+_PANTS_EDGES_BY_K = tuple((f"b{k}0", f"b{k}1", f"seam{k}") for k in range(3))
+_CURVE_CELLS = ("x0", "x1", "sq0", "sq1")
+
+
+def _cell_names(kind, xid, local):
+    """Local cell name -> ``{kind}{xid}.{name}``, its id in the complex for
+    pants ("p") and curve ("c") cells; only the complex calls this."""
+    return {name: f"{kind}{xid}.{name}" for name in local}
 
 
 class CellComplex:
-    """The cell structure of the decomposed surface."""
+    """The cell structure of the decomposed surface and every cell name;
+    it depends on the decomposition alone, and a cocycle is the complex
+    plus values.  ``pants`` (pants id -> ``PantsCells``) and ``curves``
+    (curve id -> ``CurveCells``), in spec order, hold the ids cocycles
+    are written and read through; ``pairing_layout`` is the pairing
+    kernel's part (:mod:`fnhol.wp`), made there on first use."""
 
     def __init__(self, spec):
         self.spec = spec
         self.vertices = []
         self.edges = {}
         self.faces = {}
-        self.pants_lengths_order = spec.pants_sides()
+        self.pants = {}
+        self.curves = {}
+        self.pairing_layout = None
+        sides = {pid: [None, None, None] for pid in spec.pants}
+        for c in spec.curves:
+            for (p, k) in (c.left, c.right):
+                sides[p][k] = c.id
         for pid in spec.pants:
-            for v in pants_mod.PANTS_VERTICES:
-                self.vertices.append(f"p{pid}.{v}")
-            for e, (v0, v1, kind) in pants_mod.PANTS_EDGES.items():
-                self.edges[f"p{pid}.{e}"] = Edge(f"p{pid}.{v0}", f"p{pid}.{v1}", kind)
-            for f, cycle in pants_mod.PANTS_FACES.items():
-                word = tuple((f"p{pid}.{e}", s) for e, s in cycle)
-                self.faces[f"p{pid}.{f}"] = Face("hexagon", word)
+            name = _cell_names("p", pid, _PANTS_CELLS)
+            self.vertices += (name[v] for v in PANTS_VERTICES)
+            for e, (v0, v1, kind) in PANTS_EDGES.items():
+                self.edges[name[e]] = Edge(name[v0], name[v1], kind)
+            for f, cycle in PANTS_FACES.items():
+                word = tuple((name[e], s) for e, s in cycle)
+                self.faces[name[f]] = Face("hexagon", word)
+            self.pants[pid] = PantsCells(
+                tuple(sides[pid]),
+                tuple(tuple(name[e] for e in by_k) for by_k in _PANTS_EDGES_BY_K),
+                (name["hex+"], name["hex-"]),
+            )
         for c in spec.curves:
             (jl, kl), (jr, kr) = c.left, c.right
-            for eps in (0, 1):
-                self.edges[f"c{c.id}.x{eps}"] = Edge(
-                    f"p{jl}.v{kl}{eps}", f"p{jr}.v{kr}{eps}", "crossing"
-                )
-            self.faces[f"c{c.id}.sq0"] = Face(
-                "square",
-                (
-                    (f"c{c.id}.x0", 1),
-                    (f"p{jr}.b{kr}1", -1),
-                    (f"c{c.id}.x1", -1),
-                    (f"p{jl}.b{kl}0", -1),
-                ),
-            )
-            self.faces[f"c{c.id}.sq1"] = Face(
-                "square",
-                (
-                    (f"c{c.id}.x1", 1),
-                    (f"p{jr}.b{kr}0", -1),
-                    (f"c{c.id}.x0", -1),
-                    (f"p{jl}.b{kl}1", -1),
-                ),
+            (l0, l1, _), (r0, r1, _) = self.pants[jl].edges[kl], self.pants[jr].edges[kr]
+            x0, x1, sq0, sq1 = _cell_names("c", c.id, _CURVE_CELLS).values()
+            # crossing x{eps} joins the starts of arcs b{k}{eps} on the two sides
+            self.edges[x0] = Edge(self.edges[l0].start, self.edges[r0].start, "crossing")
+            self.edges[x1] = Edge(self.edges[l1].start, self.edges[r1].start, "crossing")
+            self.faces[sq0] = Face("square", ((x0, 1), (r1, -1), (x1, -1), (l0, -1)))
+            self.faces[sq1] = Face("square", ((x1, 1), (r0, -1), (x0, -1), (l1, -1)))
+            self.curves[c.id] = CurveCells(
+                (x0, x1), (sq0, sq1), (jl,) if jl == jr else (jl, jr), ((l0, 1), (l1, 1))
             )
         self._check_faces()
 
     def _check_faces(self):
-        # every face word must close up, and every edge must be used
-        # once with each sign across all faces; walks along face cycles
-        # rely on this and check nothing per step
+        # every face word must close up, checked as a word read on to its
+        # first edge again, and every edge must be used once with each
+        # sign across all faces; walks along face cycles rely on this and
+        # check nothing per step
         use = {e: [0, 0] for e in self.edges}
-        for fid, face in self.faces.items():
-            at = None
-            first = None
+        for face in self.faces.values():
+            check_word(self, face.cycle + face.cycle[:1])
             for eid, sign in face.cycle:
-                edge = self.edges[eid]
-                start, end = (edge.start, edge.end) if sign > 0 else (edge.end, edge.start)
-                if at is not None and at != start:
-                    raise AssertionError(f"face {fid} breaks at {eid}")
-                if first is None:
-                    first = start
-                at = end
-                use[eid][0 if sign > 0 else 1] += 1
-            if at != first:
-                raise AssertionError(f"face {fid} does not close up")
+                use[eid][sign < 0] += 1
         for eid, (plus, minus) in use.items():
             if plus != 1 or minus != 1:
                 raise AssertionError(f"edge {eid} used {plus}+/{minus}- times")
-
-    def squares_of_curve(self, cid):
-        return (f"c{cid}.sq0", f"c{cid}.sq1")
-
-    def hexagons_of_pants(self, pid):
-        return (f"p{pid}.hex+", f"p{pid}.hex-")
 
 
 def build_complex(spec):
@@ -329,7 +327,7 @@ class SurfaceCocycle:
 
 
 def pants_boundary_lengths(complex_, fn, pid):
-    c0, c1, c2 = complex_.pants_lengths_order[pid]
+    c0, c1, c2 = complex_.pants[pid].curves
     return pants_mod.PantsLengths(fn.lengths[c0], fn.lengths[c1], fn.lengths[c2])
 
 
@@ -337,22 +335,23 @@ def assemble_cocycle(spec, fn):
     """The normalized cocycle of the hyperbolic structure with the given
     Fenchel-Nielsen coordinates."""
     complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
-    missing = set(c.id for c in complex_.spec.curves) - set(fn.lengths)
-    if missing or set(c.id for c in complex_.spec.curves) - set(fn.twists):
+    missing = complex_.curves.keys() - fn.lengths.keys()
+    if missing or complex_.curves.keys() - fn.twists.keys():
         raise ValueError(f"coordinates missing for curves {sorted(map(str, missing))}")
     values = {}
-    for pid in complex_.spec.pants:
+    for pid, cells in complex_.pants.items():
         cocycle = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
-        for e, v in cocycle.values.items():
-            values[f"p{pid}.{e}"] = v
-    for c in complex_.spec.curves:
-        t = math.exp(-0.5 * fn.twists[c.id])
+        for local, ids in zip(_PANTS_EDGES_BY_K, cells.edges):
+            for e, eid in zip(local, ids):
+                values[eid] = cocycle.values[e]
+    for cid, cells in complex_.curves.items():
+        t = math.exp(-0.5 * fn.twists[cid])
         # either sign represents the class; this one, (-0.0, 1/T; -T, -0.0),
         # is the canonical sign of a report, chosen because the sign of a
         # zero entry can show in a written holonomy matrix
         crossing = -Mat2(0.0, -1.0 / t, t, 0.0, check=False)
-        values[f"c{c.id}.x0"] = crossing
-        values[f"c{c.id}.x1"] = crossing
+        for eid in cells.crossings:
+            values[eid] = crossing
     return SurfaceCocycle(complex_, values)
 
 
@@ -381,36 +380,24 @@ def check_word(complex_, word):
         at = end
 
 
-def curve_loop_word(spec, cid):
-    """The loop running around curve ``cid`` along the two boundary arcs
-    on its left side."""
-    for c in spec.curves:
-        if c.id == cid:
-            pid, k = c.left
-            return ((f"p{pid}.b{k}0", 1), (f"p{pid}.b{k}1", 1))
-    raise ValueError(f"unknown curve {cid!r}")
-
-
 def extract_fn(cocycle):
     """Read the Fenchel-Nielsen coordinates back off a normalized
     cocycle: lengths from the boundary loops, twists as -2 log T from
     the crossing edges (a real number, not reduced modulo the length)."""
-    complex_ = cocycle.complex
     lengths = {}
     twists = {}
-    for c in complex_.spec.curves:
-        loop = curve_loop_word(complex_.spec, c.id)
-        lengths[c.id] = translation_length(walk(cocycle.values, loop).renormalized())
-        m = cocycle.values[f"c{c.id}.x0"]
+    for cid, cells in cocycle.complex.curves.items():
+        lengths[cid] = translation_length(walk(cocycle.values, cells.loop).renormalized())
+        m = cocycle.values[cells.crossings[0]]
         scale = m.norm()
         if abs(m.a) > 1e-8 * scale or abs(m.d) > 1e-8 * scale:
             raise NonStandardCocycleError(
-                f"crossing edge of curve {c.id} is not antidiagonal"
+                f"crossing edge of curve {cid} is not antidiagonal"
             )
         t = m.c if m.c > 0.0 else -m.c
         if t == 0.0:
-            raise NonStandardCocycleError(f"crossing edge of curve {c.id} is singular")
-        twists[c.id] = -2.0 * math.log(t)
+            raise NonStandardCocycleError(f"crossing edge of curve {cid} is singular")
+        twists[cid] = -2.0 * math.log(t)
     return FNPoint(lengths, twists)
 
 

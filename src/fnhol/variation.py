@@ -133,30 +133,18 @@ def variation_cocycle(spec, fn, tangent):
 
 
 def _seam_data(base, fn):
-    """Per pants: its curves at boundaries 0, 1, 2 and, for each k, the
-    edge ids of boundary arc k and seam k with grad log |b_k c_k| and the
-    seam coefficient at fn, the point the base was assembled at.  With
-    it, per curve: the positions of its pants in that list (one for a
-    self-glued curve) and the ids of its two crossings.  Evaluated once
-    per base cocycle, when the first variation over it is taken."""
+    """Pants id -> per boundary k, grad log |b_k c_k| and the seam
+    coefficient at fn, the point the base was assembled at; evaluated
+    once per base cocycle, when the first variation over it is taken."""
     if base._seam_data is None:
-        complex_ = base.complex
-        data = []
-        for pid in complex_.spec.pants:
-            lengths = pants_boundary_lengths(complex_, fn, pid)
-            data.append((
-                complex_.pants_lengths_order[pid],
-                tuple(
-                    (f"p{pid}.b{k}0", f"p{pid}.b{k}1", f"p{pid}.seam{k}",
-                     grad_log_bc(lengths, k), seam_variation_coefficient(lengths, k))
-                    for k in range(3)
-                ),
-            ))
-        at = {pid: i for i, pid in enumerate(complex_.spec.pants)}
-        curves = complex_.spec.curves
-        pants_of = {c.id: {at[c.left[0]], at[c.right[0]]} for c in curves}
-        crossings_of = {c.id: (f"c{c.id}.x0", f"c{c.id}.x1") for c in curves}
-        base._seam_data = (data, pants_of, crossings_of)
+        data = {}
+        for pid in base.complex.pants:
+            lengths = pants_boundary_lengths(base.complex, fn, pid)
+            data[pid] = tuple(
+                (grad_log_bc(lengths, k), seam_variation_coefficient(lengths, k))
+                for k in range(3)
+            )
+        base._seam_data = data
     return base._seam_data
 
 
@@ -164,24 +152,25 @@ def _variation_values(base, fn, tangent):
     """The closed-form values (edge id -> TracelessMat2) of the tangent
     direction at fn, on the edges where it acts.  Only the curves of the
     tangent are visited; those not in the complex are ignored."""
-    data, pants_of, crossings_of = _seam_data(base, fn)
+    seams = _seam_data(base, fn)
+    pants, curves = base.complex.pants, base.complex.curves
     values = {}
     dl_of = tangent.dl
-    for i in {i for c in dl_of for i in pants_of.get(c, ())}:
-        curves, seams = data[i]
-        dl = tuple(dl_of.get(c, 0.0) for c in curves)
-        for k, (arc0, arc1, seam, grad, coef) in enumerate(seams):
-            arc = TracelessMat2.diag(0.25 * dl[k])
+    for pid in {pid for c in dl_of if c in curves for pid in curves[c].pants}:
+        cells = pants[pid]
+        dl = tuple(dl_of.get(c, 0.0) for c in cells.curves)
+        for (arc0, arc1, seam), (grad, coef), dl_k in zip(cells.edges, seams[pid], dl):
+            arc = TracelessMat2.diag(0.25 * dl_k)
             values[arc0] = arc
             values[arc1] = arc
             dlogf = grad[0] * dl[0] + grad[1] * dl[1] + grad[2] * dl[2]
             values[seam] = TracelessMat2.offdiag(coef * dlogf)
     for c, dtau in tangent.dtau.items():
-        crossings = crossings_of.get(c)
-        if crossings is not None:
+        cells = curves.get(c)
+        if cells is not None:
             cross = TracelessMat2.diag(0.5 * dtau)
-            values[crossings[0]] = cross
-            values[crossings[1]] = cross
+            for eid in cells.crossings:
+                values[eid] = cross
     return values
 
 

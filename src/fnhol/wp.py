@@ -49,6 +49,7 @@ the parts into the matrix.  Its cost grows linearly in the genus.
 import math
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 
 from .mat2 import Mat2, _max_or_nan, ad_action, walk
 from .surface import SurfaceCocycle, assemble_cocycle
@@ -166,8 +167,7 @@ def pants_bigon_chain(complex_, pid):
     """The two bigon correction terms of a pants, along its boundary
     circle 1: +b10 x b10 and -b11 x b11.  Their contributions are
     (1/8) dl1 dl1 with opposite signs and cancel exactly."""
-    b10 = f"p{pid}.b10"
-    b11 = f"p{pid}.b11"
+    b10, b11, _ = complex_.pants[pid].edges[1]
     path = ((b10, 1),)
     return FaceChain(
         f"p{pid}.bigons",
@@ -225,6 +225,32 @@ def _face_part(first, terms, values1, values2):
     return PAIRING_NORMALIZATION * math.fsum(total)
 
 
+def _face_layouts(complex_):
+    """Per face, in sorted order: (face id, the slot of its first position,
+    {rotation: :func:`_rotation_layout`}), kept with the complex and made
+    when the first kernel over it is built; a rotation is laid out when a
+    face walk first begins there."""
+    if complex_.pairing_layout is None:
+        faces = sorted(complex_.faces)
+        firsts = accumulate((len(complex_.faces[f].cycle) for f in faces), initial=0)
+        complex_.pairing_layout = [(fid, first, {}) for fid, first in zip(faces, firsts)]
+    return complex_.pairing_layout
+
+
+def _rotation_layout(complex_, fid, first, start):
+    """The face's part of the kernel at rotation ``start`` of its cycle,
+    less the cocycle's moves: the :func:`_chain_shape` terms, the
+    distinct nonzero prefix lengths whose products are the moves, and
+    per position (edge id, chain orientation, slot, prefix length)."""
+    gens = _oriented_cycle(complex_, fid, start)
+    terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
+    positions = tuple(
+        (eid, orient, first + pos, upto)
+        for pos, (((eid, orient), _), upto) in enumerate(zip(gens, uptos))
+    )
+    return terms, tuple(set(uptos) - {0}), positions
+
+
 class PairingKernel:
     """The pairing against one base cocycle, assembled once.
 
@@ -234,30 +260,28 @@ class PairingKernel:
     products of the cocycle's face walk, begun at the rotation the walk
     chose: the move of a position is its prefix product P_upto of the
     edge values, renormalized, the holonomy of the path from the
-    basepoint to the start of the edge.  The chain terms are the face's
-    :func:`_chain_shape` at that rotation."""
+    basepoint to the start of the edge.  Everything else, the chain terms
+    of that rotation and which prefix each position reads, is the
+    complex's layout (:func:`_face_layouts`)."""
 
     def __init__(self, cocycle):
         complex_ = cocycle.complex
         self._edge_slots = {}  # edge id -> (orientation, [(slot, face, move or None)])
         self._face_terms = []  # face -> (slot of its first position, chain terms)
-        n_slots = 0
-        for face, fid in enumerate(sorted(complex_.faces)):
+        for face, (fid, first, rotations) in enumerate(_face_layouts(complex_)):
             prefixes = []
             start, _ = cocycle.face_walk(fid, prefixes)
-            gens = _oriented_cycle(complex_, fid, start)
-            terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
-            moves = {
-                upto: Mat2(*prefixes[upto - 1], check=False).renormalized()
-                for upto in set(uptos) - {0}
-            }
-            moves[0] = None  # the empty path needs no move
-            for pos, ((eid, orient), _) in enumerate(gens):
-                self._edge_slots.setdefault(eid, (orient, []))[1].append(
-                    (n_slots + pos, face, moves[uptos[pos]])
-                )
-            self._face_terms.append((n_slots, terms))
-            n_slots += len(gens)
+            layout = rotations.get(start)
+            if layout is None:
+                layout = rotations[start] = _rotation_layout(complex_, fid, first, start)
+            terms, stops, positions = layout
+            moves = {0: None}  # the empty path needs no move
+            for upto in stops:
+                moves[upto] = Mat2(*prefixes[upto - 1], check=False).renormalized()
+            for eid, orient, slot, upto in positions:
+                slots = self._edge_slots.setdefault(eid, (orient, []))[1]
+                slots.append((slot, face, moves[upto]))
+            self._face_terms.append((first, terms))
 
     def transport(self, variation):
         """The variation's value on every slot of the edges it carries,

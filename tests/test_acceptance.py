@@ -14,7 +14,7 @@ from fnhol.pants import (
     pants_cocycle,
     standardize,
 )
-from fnhol.surface import FNPoint, assemble_cocycle, build_complex, curve_loop_word, extract_fn
+from fnhol.surface import FNPoint, assemble_cocycle, build_complex, extract_fn
 from fnhol.variation import (
     check_cocycle_condition,
     coboundary,
@@ -152,7 +152,7 @@ def test_acceptance_6_localization():
         zv = variation_cocycle(cx, fn, v)
         base = zu.base
         for c in spec.curves:
-            got = sum(pair_on_face(base, zu, zv, f) for f in cx.squares_of_curve(c.id))
+            got = sum(pair_on_face(base, zu, zv, f) for f in cx.curves[c.id].squares)
             expect = u.dtau[c.id] * v.dl[c.id] - u.dl[c.id] * v.dtau[c.id]
             assert abs(got - expect) <= 1e-9
         for pid in spec.pants:
@@ -163,7 +163,7 @@ def test_acceptance_6_localization():
             ]
             assert abs(bigons[0] + bigons[1]) <= 1e-12
             hexes = sum(
-                pair_on_face(base, zu, zv, f) for f in cx.hexagons_of_pants(pid)
+                pair_on_face(base, zu, zv, f) for f in cx.pants[pid].hexagons
             )
             assert abs(hexes + bigons[0] + bigons[1]) <= 1e-9
     _report(6, "pairing localizes on the annuli; pants terms vanish")
@@ -217,7 +217,7 @@ def test_acceptance_8_spin():
             lifted = assemble_spin(cx, fn, eps, signs)
             assert lifted.max_face_residual() <= 1e-8
             for c in spec.curves:
-                hol = sl2_holonomy(lifted, curve_loop_word(spec, c.id))
+                hol = sl2_holonomy(lifted, cx.curves[c.id].loop)
                 assert (1 if hol.trace() > 0 else -1) == eps[c.id]
             for pid in spec.pants:
                 total = sum(

@@ -10,6 +10,7 @@ import fnhol.cli
 import fnhol.pants
 import fnhol.spin
 import fnhol.surface
+import fnhol.wp
 from fnhol.cli import (
     DocumentError,
     main,
@@ -130,6 +131,24 @@ def test_spin_list_builds_no_complex(monkeypatch):
 
     monkeypatch.setattr(fnhol.cli, "build_complex", refused)
     assert run_command(doc, "spin", list_spin=True) == expected
+
+
+def test_commands_that_do_not_pair_lay_out_nothing(monkeypatch):
+    # the pairing kernel's layout is kept with the complex, made on first
+    # use; verify, fn, holonomy and spin never pair, so never make it
+    doc = parse_document(json.dumps(genus2_doc()))
+
+    def refused(complex_):
+        raise AssertionError("this command never pairs")
+
+    monkeypatch.setattr(fnhol.wp, "_face_layouts", refused)
+    for cmd, kw in (("verify", {}), ("fn", {}), ("holonomy", {"word": "p0.b00 p0.b01"}),
+                    ("spin", {})):
+        assert run_command(doc, cmd, **kw)[1] == 0, cmd
+    assert doc.complex.pairing_layout is None
+    monkeypatch.undo()
+    assert run_command(doc, "wp")[1] == 0
+    assert doc.complex.pairing_layout is not None
 
 
 def test_spin_walks_face_words_once(monkeypatch):

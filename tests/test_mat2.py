@@ -182,3 +182,37 @@ def test_scalar_generic_on_fractions():
     # scalars that do not mix with floats keep their type too
     d = walk({"m": Mat2(Decimal(2), Decimal(3), Decimal(1), Decimal(2))}, (("m", -1),))
     assert d.entries() == (2, -3, -1, 2) and type(d.a) is Decimal
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_distances_keep_a_nan_in_any_entry(position):
+    # Python's max drops a nan unless it comes first; every max-entry
+    # norm and distance must give nan instead, so that no bound passes it
+    nan = math.nan
+    entries = [1.0, 0.0, 0.0, 1.0]
+    entries[position] = nan
+    m = Mat2(*entries, check=False)
+    assert math.isnan(m.norm())
+    for other in (Mat2.identity(), -Mat2.identity(), Mat2(2.0, 3.0, 1.0, 2.0)):
+        assert math.isnan(m.dist(other)) and math.isnan(other.dist(m))
+        assert math.isnan(m.proj_dist(other)) and math.isnan(other.proj_dist(m))
+    assert not m.close_to(Mat2.identity())
+    if position < 3:
+        t = [0.0, 0.0, 0.0]
+        t[position] = nan
+        assert math.isnan(TracelessMat2(*t).norm())
+        assert math.isnan(TracelessMat2(*t).dist(TracelessMat2.zero()))
+
+
+def test_finite_distances_are_the_largest_entry():
+    m = Mat2(2.0, -3.0, -1.0, 2.0)
+    assert m.norm() == 3.0
+    assert m.dist(Mat2.identity()) == 3.0
+    assert m.proj_dist(Mat2.identity()) == 3.0
+    assert Mat2(math.inf, 0.0, 0.0, 1.0, check=False).norm() == math.inf
+    assert TracelessMat2(0.5, -4.0, 2.0).norm() == 4.0
+    F = Fraction
+    f = Mat2(F(2), F(3), F(1), F(2))
+    assert f.norm() == 3 and f.dist(Mat2(F(1), F(0), F(0), F(1))) == 3
+    assert f.proj_dist(Mat2(F(-2), F(-3), F(-1), F(-2))) == 0
+    assert TracelessMat2(F(1, 2), F(-3), F(7, 4)).norm() == 3

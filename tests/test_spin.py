@@ -5,7 +5,7 @@ import pytest
 
 from fnhol.mat2 import Mat2, NonHyperbolicError, walk
 from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix
-from fnhol.surface import FNPoint, assemble_cocycle, build_complex, curve_loop_word
+from fnhol.surface import FNPoint, assemble_cocycle, build_complex
 from fnhol.spin import (
     BoundarySigns,
     SpinSignError,
@@ -210,7 +210,8 @@ def _closed_form_lift(cx, fn, eps, signs):
     """The lift built pants by pants: :func:`sl2_pants_cocycle` on every
     pants, s (0, -1/T; T, 0) on x0 and eps s times that on x1."""
     values = {}
-    for pid, sides in cx.pants_lengths_order.items():
+    for pid, cells in cx.pants.items():
+        sides = cells.curves
         lengths = PantsLengths(*(fn.lengths[c] for c in sides))
         for e, m in sl2_pants_cocycle(lengths, [eps[c] for c in sides]).items():
             values[f"p{pid}.{e}"] = m
@@ -276,6 +277,25 @@ def test_lift_on_a_short_curve_fails_as_the_closed_form():
     assert str(info.value) == "expected a unique sign assignment, found 0"
 
 
+@pytest.mark.parametrize("entry", [1, 2])
+def test_a_nan_off_the_diagonal_of_a_hexagon_is_not_plus_identity(entry):
+    # the distance to +I kept a nan only in the first entry, so a
+    # hexagon product with a nan in b or c read as +I and the lift passed
+    spec = genus2_spec()
+    cx = build_complex(spec)
+    fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.3 for i in range(3)})
+    eps = {0: -1, 1: -1, 2: -1}
+    assert assemble_spin(assemble_cocycle(cx, fn), fn, eps).max_residual <= 1e-8
+    base = assemble_cocycle(cx, fn)
+    products = base.face_products()
+    entries = list(products["p1.hex-"].entries())
+    entries[entry] = math.nan
+    products["p1.hex-"] = Mat2(*entries, check=False)
+    with pytest.raises(AssertionError) as info:
+        assemble_spin(base, fn, eps)
+    assert str(info.value) == "expected a unique sign assignment, found 0"
+
+
 def test_assemble_spin_rejects_bad_data():
     spec = genus2_spec()
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.0 for i in range(3)})
@@ -333,7 +353,7 @@ def test_rot_numbers():
     eps = {0: -1, 1: -1, 2: -1}
     lifted = assemble_spin(cx, fn, eps)
     for c in range(3):
-        loop = curve_loop_word(spec, c)
+        loop = cx.curves[c].loop
         assert rot2(lifted, loop) == 1  # negative trace for eps = -1
         doubled = loop + loop
         assert rot2(lifted, doubled) == 0

@@ -13,7 +13,6 @@ from fnhol.surface import (
     SurfaceSpec,
     assemble_cocycle,
     build_complex,
-    curve_loop_word,
     extract_fn,
     holonomy,
     parse_word,
@@ -166,7 +165,7 @@ def test_curve_loop_length():
     fn = random_fn(rng, spec)
     c = assemble_cocycle(spec, fn)
     for i in range(3):
-        loop = curve_loop_word(spec, i)
+        loop = c.complex.curves[i].loop
         assert abs(translation_length(holonomy(c, loop)) - fn.lengths[i]) <= 1e-10
 
 
@@ -219,10 +218,29 @@ def test_dehn_twist_shift():
     t1 = abs(c1.values["c0.x0"].c)
     t2 = abs(c2.values["c0.x0"].c)
     assert abs(t2 - t1 / lam) <= 1e-12 * max(1.0, t1)
-    loop = curve_loop_word(spec, 0)
+    loop = c1.complex.curves[0].loop
     tr1 = holonomy(c1, loop).trace_abs()
     tr2 = holonomy(c2, loop).trace_abs()
     assert abs(tr1 - tr2) <= 1e-9 * max(1.0, tr1)
+
+
+def test_face_check_rejects_broken_cycles():
+    # a face word must be composable, close up, and with the other faces
+    # use every edge once with each sign
+    cx = build_complex(genus2_spec())
+    face = cx.faces["c0.sq0"]
+    cycle = face.cycle
+    broken = (
+        (ValueError, cycle[1:2] + cycle[:1] + cycle[2:]),  # not composable
+        (ValueError, cycle[:3]),  # does not close up
+        (AssertionError, tuple((e, -s) for e, s in reversed(cycle))),  # signs used twice
+    )
+    for error, word in broken:
+        cx.faces["c0.sq0"] = face._replace(cycle=word)
+        with pytest.raises(error):
+            cx._check_faces()
+    cx.faces["c0.sq0"] = face
+    cx._check_faces()
 
 
 def test_word_parse():
@@ -254,7 +272,7 @@ def test_stored_signs_change_no_result(spec_fn):
     assert {f: c.face_residual(f) for f in cx.faces} == {
         f: neg.face_residual(f) for f in cx.faces
     }
-    words = [curve_loop_word(spec, cid) for cid in spec.curve_ids()]
+    words = [cx.curves[cid].loop for cid in spec.curve_ids()]
     words += [face.cycle for face in cx.faces.values()]
     for word in words:
         h, hn = holonomy(c, word), holonomy(neg, word)

@@ -148,14 +148,14 @@ def test_square_pair_carries_twist_length_term():
     spec = genus2_spec()
     cx, base, u, v, zu, zv = _setup(spec, "squares")
     for c in range(3):
-        total = sum(pair_on_face(base, zu, zv, f) for f in cx.squares_of_curve(c))
+        total = sum(pair_on_face(base, zu, zv, f) for f in cx.curves[c].squares)
         expect = u.dtau[c] * v.dl[c] - u.dl[c] * v.dtau[c]
         assert abs(total - expect) <= 1e-9
     # coordinate directions split evenly between the two squares
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.0 for i in range(3)})
     ztau = variation_cocycle(cx, fn, TangentVector({}, {0: 1.0}))
     zl = variation_cocycle(cx, fn, TangentVector({0: 1.0}, {}))
-    for f in cx.squares_of_curve(0):
+    for f in cx.curves[0].squares:
         assert abs(pair_on_face(ztau.base, ztau, zl, f) - 0.5) <= 1e-12
 
 
@@ -163,7 +163,7 @@ def test_pants_contribution_vanishes():
     spec = genus2_spec()
     cx, base, u, v, zu, zv = _setup(spec, "pantszero")
     for pid in (0, 1):
-        hexes = sum(pair_on_face(base, zu, zv, f) for f in cx.hexagons_of_pants(pid))
+        hexes = sum(pair_on_face(base, zu, zv, f) for f in cx.pants[pid].hexagons)
         bigons = pair_chain(base, zu, zv, pants_bigon_chain(cx, pid))
         assert abs(hexes + bigons) <= 1e-9
 
@@ -179,7 +179,7 @@ def test_bigon_terms_cancel_exactly():
         ]
         # each bigon alone sees the square of the length differential of
         # the circle it sits on
-        c1 = cx.pants_lengths_order[pid][1]
+        c1 = cx.pants[pid].curves[1]
         expect = 0.25 * u.dl[c1] * v.dl[c1]
         assert abs(parts[0] - expect) <= 1e-12 * max(1.0, abs(expect))
         assert abs(parts[0] + parts[1]) <= 1e-12
@@ -551,7 +551,7 @@ def test_kernel_transport_keeps_only_nonzero_slots():
     assert values and all(v.x or v.y or v.z for v in values.values())
     # a twist direction lives on the crossings of its curve, which only
     # the two squares of that curve contain
-    assert {sorted(cx.faces)[f] for f in faces} == set(cx.squares_of_curve(0))
+    assert {sorted(cx.faces)[f] for f in faces} == set(cx.curves[0].squares)
     zero = variation_cocycle(cx, fn, TangentVector())
     assert kernel.transport(zero) == ({}, set())
     assert kernel.pair(kernel.transport(zero), kernel.transport(z)) == 0.0
@@ -567,3 +567,58 @@ def test_wp_genus3():
         zu = variation_cocycle(cx, fn, u)
         zv = variation_cocycle(cx, fn, v)
         assert abs(wp_pairing(zu.base, zu, zv) - wolpert_reference(u, v)) <= 1e-8
+
+
+def test_layout_is_made_once_per_complex(monkeypatch):
+    """Two cocycles on one complex, with a kernel and two variations
+    each: each face is laid out once per rotation a face walk begins at,
+    and no cell id is formatted after the complex is built.  The second
+    point has a twist near the bound, where the squares of curve 0 are
+    walked from rotation 1."""
+    spec = genus2_spec()
+    cx = build_complex(spec)
+    rng = rng_for("layout-once")
+    fns = [
+        random_fn(rng, spec),
+        FNPoint({i: 2.0 for i in range(3)}, {0: 1419.5, 1: 0.3, 2: 0.3}),
+    ]
+    laid_out = []
+    named = []
+    rotation_layout = fnhol.wp._rotation_layout
+    cell_names = fnhol.surface._cell_names
+
+    def counted_layout(complex_, fid, first, start):
+        laid_out.append((fid, start))
+        return rotation_layout(complex_, fid, first, start)
+
+    def counted_names(*args):
+        named.append(args)
+        return cell_names(*args)
+
+    monkeypatch.setattr(fnhol.wp, "_rotation_layout", counted_layout)
+    monkeypatch.setattr(fnhol.surface, "_cell_names", counted_names)
+    assert cx.pairing_layout is None
+    pairings = []
+    for fn in fns:
+        base = assemble_cocycle(cx, fn)
+        u, v = random_tangent(rng, spec), random_tangent(rng, spec)
+        zu, zv = variation_cocycle(base, fn, u), variation_cocycle(base, fn, v)
+        kernel = PairingKernel(base)
+        pairings.append((kernel.pair(kernel.transport(zu), kernel.transport(zv)), base, zu, zv))
+        assert abs(pairings[-1][0] - wolpert_reference(u, v)) <= 1e-8
+    assert named == []
+    used = {(fid, 0) for fid in cx.faces} | {("c0.sq0", 1), ("c0.sq1", 1)}
+    assert sorted(laid_out) == sorted(used)
+    # more kernels and a pairing matrix over the same complex lay out
+    # nothing more, and pair as a kernel over a fresh complex does
+    for pairing, base, zu, zv in pairings:
+        assert wp_pairing(base, zu, zv) == pairing
+    wp_matrix(cx, fns[1])
+    assert sorted(laid_out) == sorted(used) and named == []
+    monkeypatch.undo()
+    fresh = build_complex(spec)
+    for fn, (pairing, base, zu, zv) in zip(fns, pairings):
+        other = assemble_cocycle(fresh, fn)
+        yu = VariationCocycle(other, zu.values)
+        yv = VariationCocycle(other, zv.values)
+        assert wp_pairing(other, yu, yv) == pairing

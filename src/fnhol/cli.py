@@ -168,9 +168,9 @@ def parse_document(text):
             sides.append((pid, k))
         curves.append(Curve(cid, sides[0], sides[1]))
     spec = SurfaceSpec(genus, tuple(pants), tuple(curves))
-    diag = validate_surface(spec)
-    if not diag.ok:
-        _fail("document", str(diag))
+    problems = validate_surface(spec)
+    if problems:
+        _fail("document", "; ".join(problems))
 
     curve_ids = spec.curve_ids()
     curves_by_str = {str(c): c for c in curve_ids}

@@ -33,12 +33,7 @@ import math
 
 from .mat2 import Mat2, NonHyperbolicError, _max_or_nan, walk
 from . import pants as pants_mod
-from .surface import (
-    CellComplex,
-    SurfaceCocycle,
-    assemble_cocycle,
-    check_word,
-)
+from .surface import CellComplex, _cocycle_at, check_word
 
 __all__ = [
     "SpinSignError",
@@ -48,7 +43,6 @@ __all__ = [
     "assemble_spin",
     "enumerate_spin",
     "spanning_tree_curves",
-    "apply_pants_gauge",
     "rot2",
     "sl2_holonomy",
 ]
@@ -184,15 +178,16 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     (curve id -> +-1) and crossing-edge signs (curve id -> +-1,
     defaulting to +1, required to be +1 on the spanning tree).
 
-    ``spec`` is a decomposition, its cell complex, or the cocycle that
-    ``assemble_cocycle`` returns at fn, which is then the base and is not
-    assembled again.  The lift negates the base values on b{k}1 where
-    eps_k = -1, on x0 where s_i = +1 and on x1 where s_i eps_i = +1: the
-    base crossing value is -(0, -1/T_i; T_i, 0), and the lift's are
-    s_i (0, -1/T_i; T_i, 0) on side 0 and eps_i times that on side 1.
+    ``spec`` is a decomposition or its cell complex, assembled at fn, or
+    a cocycle at fn, which is then the base and is not assembled again
+    (a cocycle at another point raises ValueError).  The lift negates
+    the base values on b{k}1 where eps_k = -1, on x0 where s_i = +1 and
+    on x1 where s_i eps_i = +1: the base crossing value is
+    -(0, -1/T_i; T_i, 0), and the lift's are s_i (0, -1/T_i; T_i, 0) on
+    side 0 and eps_i times that on side 1.
     AssertionError ("found 0"), as from :func:`sl2_pants_cocycle`, when
     a pants has no lift, as happens for very short boundaries."""
-    base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
+    base = _cocycle_at(spec, fn)
     complex_ = base.complex
     eps = {cid: int(eps[cid]) for cid in complex_.curves}
     if any(e not in (-1, 1) for e in eps.values()):
@@ -308,20 +303,6 @@ def enumerate_spin(spec):
         signs.update(dict(zip(free, combo)))
         classes.append(signs)
     return eps_assignments, classes
-
-
-def apply_pants_gauge(spec, pid, crossing_signs):
-    """Crossing signs after gauging by -I on all vertices of one pants:
-    curves meeting the pants once flip, a curve glued to it twice is
-    fixed."""
-    if isinstance(spec, CellComplex):
-        spec = spec.spec
-    out = dict(crossing_signs)
-    for c in spec.curves:
-        touches = (c.left[0] == pid) + (c.right[0] == pid)
-        if touches == 1:
-            out[c.id] = -out[c.id]
-    return out
 
 
 def sl2_holonomy(spin_cocycle, word):

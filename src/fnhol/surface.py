@@ -29,7 +29,6 @@ from .pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
 __all__ = [
     "SurfaceSpec",
     "Curve",
-    "Diagnostics",
     "CellComplex",
     "FNPoint",
     "SurfaceCocycle",
@@ -68,70 +67,52 @@ class SurfaceSpec(namedtuple("SurfaceSpec", "genus pants curves")):
         return tuple(c.id for c in self.curves)
 
 
-class Diagnostics:
-    """Validation report; ``ok`` is True iff ``problems`` is empty."""
-
-    __slots__ = ("problems",)
-
-    def __init__(self):
-        self.problems = []
-
-    @property
-    def ok(self):
-        return not self.problems
-
-    def add(self, msg):
-        self.problems.append(msg)
-
-    def __str__(self):
-        return "ok" if self.ok else "; ".join(self.problems)
-
-
 def validate_surface(spec):
     """Check the pairing, connectivity and genus bookkeeping of a
-    decomposition; returns Diagnostics instead of raising."""
-    diag = Diagnostics()
+    decomposition; returns the list of problems (empty when there are
+    none) instead of raising."""
+    problems = []
     if spec.genus < 2:
-        diag.add(f"genus {spec.genus} must be at least 2")
-        return diag
+        problems.append(f"genus {spec.genus} must be at least 2")
+        return problems
     if len(set(spec.pants)) != len(spec.pants):
-        diag.add("pants ids are not distinct")
+        problems.append("pants ids are not distinct")
     if len(set(c.id for c in spec.curves)) != len(spec.curves):
-        diag.add("curve ids are not distinct")
+        problems.append("curve ids are not distinct")
     # cell names and JSON keys are built from str(id)
     for kind, ids in (("pants", spec.pants), ("curve", spec.curve_ids())):
         by_str = {}
         for x in ids:
             y = by_str.setdefault(str(x), x)
             if y != x:
-                diag.add(f"{kind} ids {y!r} and {x!r} have the same string form")
+                problems.append(f"{kind} ids {y!r} and {x!r} have the same string form")
     if len(spec.pants) != 2 * spec.genus - 2:
-        diag.add(f"expected {2 * spec.genus - 2} pants, got {len(spec.pants)}")
+        problems.append(f"expected {2 * spec.genus - 2} pants, got {len(spec.pants)}")
     if len(spec.curves) != 3 * spec.genus - 3:
-        diag.add(f"expected {3 * spec.genus - 3} curves, got {len(spec.curves)}")
+        problems.append(f"expected {3 * spec.genus - 3} curves, got {len(spec.curves)}")
 
     pants_set = set(spec.pants)
     seen = {}
     for c in spec.curves:
         if c.left == c.right:
-            diag.add(f"curve {c.id} glues a boundary to itself")
+            problems.append(f"curve {c.id} glues a boundary to itself")
         for side in (c.left, c.right):
             pid, k = side
             if pid not in pants_set:
-                diag.add(f"curve {c.id} refers to unknown pants {pid}")
+                problems.append(f"curve {c.id} refers to unknown pants {pid}")
                 continue
             if k not in (0, 1, 2):
-                diag.add(f"curve {c.id} uses boundary index {k} outside 0..2")
+                problems.append(f"curve {c.id} uses boundary index {k} outside 0..2")
                 continue
             if side in seen:
-                diag.add(f"boundary {side} used by curves {seen[side]} and {c.id}")
+                problems.append(f"boundary {side} used by curves {seen[side]} and {c.id}")
             seen[side] = c.id
     for pid in spec.pants:
         for k in range(3):
             if (pid, k) not in seen:
-                diag.add(f"boundary ({pid}, {k}) is not glued to any curve")
+                problems.append(f"boundary ({pid}, {k}) is not glued to any curve")
 
-    if diag.ok and spec.pants:
+    if not problems and spec.pants:
         # connectivity of the gluing multigraph
         reached = {spec.pants[0]}
         frontier = [spec.pants[0]]
@@ -146,10 +127,10 @@ def validate_surface(spec):
                     reached.add(q)
                     frontier.append(q)
         if len(reached) != len(spec.pants):
-            diag.add("gluing graph is not connected")
-    if diag.ok and 2 - 2 * spec.genus != -len(spec.pants):
-        diag.add("Euler characteristic mismatch")
-    return diag
+            problems.append("gluing graph is not connected")
+    if not problems and 2 - 2 * spec.genus != -len(spec.pants):
+        problems.append("Euler characteristic mismatch")
+    return problems
 
 
 # kind is "seam" | "arc0" | "arc1" | "crossing"
@@ -240,9 +221,9 @@ class CellComplex:
 
 def build_complex(spec):
     """Build the cell complex of a valid decomposition."""
-    diag = validate_surface(spec)
-    if not diag.ok:
-        raise ValueError(f"invalid surface: {diag}")
+    problems = validate_surface(spec)
+    if problems:
+        raise ValueError(f"invalid surface: {'; '.join(problems)}")
     return CellComplex(spec)
 
 
@@ -270,19 +251,21 @@ class FNPoint:
 
 class SurfaceCocycle:
     """A holonomy cocycle on the cell complex (edge id -> Mat2, each a
-    sign-free representative of its projective class).
+    sign-free representative of its projective class) and ``fn``, the
+    point of Teichmueller space it represents.
 
     The values are fixed once the cocycle is constructed.  Every product
     along a face word is taken by :meth:`face_walk`; the face products
     are walked once, on first use, and kept with it, and lifts of the
     cocycle (:mod:`fnhol.spin`) read them too.  So are the seam data
-    that variations over it (:mod:`fnhol.variation`) read."""
+    that variations over it (:mod:`fnhol.variation`) read at ``fn``."""
 
-    __slots__ = ("complex", "values", "_face_products", "_seam_data")
+    __slots__ = ("complex", "values", "fn", "_face_products", "_seam_data")
 
-    def __init__(self, complex_, values):
+    def __init__(self, complex_, values, fn):
         self.complex = complex_
         self.values = dict(values)
+        self.fn = fn
         self._face_products = None
         self._seam_data = None
 
@@ -352,7 +335,20 @@ def assemble_cocycle(spec, fn):
         crossing = -Mat2(0.0, -1.0 / t, t, 0.0, check=False)
         for eid in cells.crossings:
             values[eid] = crossing
-    return SurfaceCocycle(complex_, values)
+    return SurfaceCocycle(complex_, values, fn)
+
+
+def _cocycle_at(spec, fn):
+    """The base cocycle at fn of a variation, a pairing matrix or a spin
+    lift: a decomposition or complex assembled at fn, or a cocycle as it
+    is, which must have been assembled at fn (the same point or one with
+    equal lengths and twists); ValueError if it was not."""
+    if not isinstance(spec, SurfaceCocycle):
+        return assemble_cocycle(spec, fn)
+    at = spec.fn
+    if fn is not at and (fn.lengths != at.lengths or fn.twists != at.twists):
+        raise ValueError("the cocycle was assembled at another point than fn")
+    return spec
 
 
 def holonomy(cocycle, word):

@@ -25,7 +25,7 @@ from .mat2 import Mat2, TracelessMat2, _max_or_nan, ad_action
 from .pants import bc_magnitude, bc_magnitude_minus_one
 from .surface import (
     CellComplex,
-    SurfaceCocycle,
+    _cocycle_at,
     assemble_cocycle,
     build_complex,
     pants_boundary_lengths,
@@ -58,14 +58,6 @@ class TangentVector:
     def __init__(self, dl=None, dtau=None):
         self.dl = dict(dl or {})
         self.dtau = dict(dtau or {})
-
-    def combined(self, other, s, t):
-        """s * self + t * other."""
-        keys = set(self.dl) | set(other.dl)
-        dl = {c: s * self.dl.get(c, 0.0) + t * other.dl.get(c, 0.0) for c in keys}
-        keys = set(self.dtau) | set(other.dtau)
-        dtau = {c: s * self.dtau.get(c, 0.0) + t * other.dtau.get(c, 0.0) for c in keys}
-        return TangentVector(dl, dtau)
 
     def __repr__(self):
         return f"TangentVector({self.dl!r}, {self.dtau!r})"
@@ -122,24 +114,26 @@ def seam_variation_coefficient(lengths, k):
 def variation_cocycle(spec, fn, tangent):
     """Closed-form variation cocycle of the tangent direction at fn.
 
-    ``spec`` is a decomposition, its cell complex, or the cocycle
-    assembled at fn; a cocycle is reused as the base, so variations
-    that share it assemble it, and evaluate its seam data, once.  The
+    ``spec`` is a decomposition or its cell complex, assembled at fn, or
+    a cocycle, which must be at fn; a cocycle is reused as the base, so
+    variations that share it assemble it, and evaluate its seam data,
+    once (a cocycle at another point raises ValueError).  The
     values sit on the edges where the direction acts: the arcs and seams
     of each pants with a curve in ``tangent.dl``, and the crossings of
     each curve in ``tangent.dtau``."""
-    base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
-    return VariationCocycle(base, _variation_values(base, fn, tangent))
+    base = _cocycle_at(spec, fn)
+    return VariationCocycle(base, _variation_values(base, tangent))
 
 
-def _seam_data(base, fn):
+def _seam_data(base):
     """Pants id -> per boundary k, grad log |b_k c_k| and the seam
-    coefficient at fn, the point the base was assembled at; evaluated
-    once per base cocycle, when the first variation over it is taken."""
+    coefficient at ``base.fn``, the point the base was assembled at;
+    evaluated once per base cocycle, when the first variation over it is
+    taken."""
     if base._seam_data is None:
         data = {}
         for pid in base.complex.pants:
-            lengths = pants_boundary_lengths(base.complex, fn, pid)
+            lengths = pants_boundary_lengths(base.complex, base.fn, pid)
             data[pid] = tuple(
                 (grad_log_bc(lengths, k), seam_variation_coefficient(lengths, k))
                 for k in range(3)
@@ -148,11 +142,12 @@ def _seam_data(base, fn):
     return base._seam_data
 
 
-def _variation_values(base, fn, tangent):
+def _variation_values(base, tangent):
     """The closed-form values (edge id -> TracelessMat2) of the tangent
-    direction at fn, on the edges where it acts.  Only the curves of the
-    tangent are visited; those not in the complex are ignored."""
-    seams = _seam_data(base, fn)
+    direction at the base's point, on the edges where it acts.  Only the
+    curves of the tangent are visited; those not in the complex are
+    ignored."""
+    seams = _seam_data(base)
     pants, curves = base.complex.pants, base.complex.curves
     values = {}
     dl_of = tangent.dl

@@ -40,10 +40,11 @@ every sum is a ``math.fsum``, which is correctly rounded, and
 :func:`pair_on_face` transports along the same left-to-right products,
 so the result is the same to the bit as the face-by-face sum.
 
-:func:`wp_matrix` is assembled face by face, the way finite elements
-are: a coordinate direction carries values on a few faces only, so per
-face it contracts every pair of directions present there and scatters
-the parts into the matrix.  Its cost grows linearly in the genus.
+:func:`wp_matrix` transports each coordinate direction once through
+one kernel.  A direction carries values on a few faces only, so it
+pairs only the directions that share a face, each pair by the kernel's
+one contraction; the rest of the matrix is zero.  Its cost grows
+linearly in the genus.
 """
 
 import math
@@ -52,7 +53,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .mat2 import Mat2, _max_or_nan, ad_action, walk
-from .surface import SurfaceCocycle, assemble_cocycle
+from .surface import _cocycle_at
 from .variation import TangentVector, variation_cocycle
 
 __all__ = [
@@ -341,40 +342,30 @@ def wp_matrix(spec, fn):
     """The pairing matrix over the coordinate directions, ordered as all
     length directions then all twist directions (curves sorted by id).
 
-    ``spec`` is a decomposition, its cell complex, or the cocycle
-    assembled at fn, which is then the base of every direction.
+    ``spec`` is a decomposition or its cell complex, assembled at fn, or
+    a cocycle at fn, which is then the base of every direction.
     Returns (labels, matrix) with matrix[i][j] the pairing of direction
     i against direction j; the exact value is the block form with
     matrix[dl_i][dtau_i] = -1 and matrix[dtau_i][dl_i] = +1.
 
-    Each direction acts on a few faces only, so the matrix is assembled
-    per face from the directions present there, and each entry is the
-    fsum of its face parts: the same to the bit as
-    :meth:`PairingKernel.pair`."""
-    base = spec if isinstance(spec, SurfaceCocycle) else assemble_cocycle(spec, fn)
+    Each direction acts on a few faces only, so only the pairs of
+    directions present on a common face are paired
+    (:meth:`PairingKernel.pair`); every other entry is zero."""
+    base = _cocycle_at(spec, fn)
     curves = sorted((c.id for c in base.complex.spec.curves), key=str)
     labels = [f"dl[{c}]" for c in curves] + [f"dtau[{c}]" for c in curves]
     basis = [TangentVector({c: 1.0}, {}) for c in curves] + [
         TangentVector({}, {c: 1.0}) for c in curves
     ]
     kernel = PairingKernel(base)
-    transported = [kernel.transport(variation_cocycle(base, fn, v)) for v in basis]
+    transported = [kernel.transport(variation_cocycle(base, base.fn, v)) for v in basis]
     present = {}  # face -> the directions with a nonzero slot on it
     for d, (_, faces) in enumerate(transported):
         for face in faces:
             present.setdefault(face, []).append(d)
-    parts = {}  # (i, j) -> the parts of matrix[i][j], in face order
-    for face in sorted(present):
-        first, terms = kernel._face_terms[face]
-        directions = present[face]
-        for i in directions:
-            values_i = transported[i][0]
-            for j in directions:
-                part = _face_part(first, terms, values_i, transported[j][0])
-                parts.setdefault((i, j), []).append(part)
     matrix = [[0.0] * len(basis) for _ in basis]
-    for (i, j), entry_parts in parts.items():
-        matrix[i][j] = math.fsum(entry_parts)
+    for i, j in {(i, j) for ds in present.values() for i in ds for j in ds}:
+        matrix[i][j] = kernel.pair(transported[i], transported[j])
     return labels, matrix
 
 

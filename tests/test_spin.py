@@ -9,7 +9,6 @@ from fnhol.surface import FNPoint, assemble_cocycle, build_complex
 from fnhol.spin import (
     BoundarySigns,
     SpinSignError,
-    apply_pants_gauge,
     assemble_spin,
     enumerate_spin,
     rot2,
@@ -309,6 +308,18 @@ def test_assemble_spin_rejects_bad_data():
 def test_face_minus_identity_counts_as_failure():
     m = -Mat2.identity()
     assert m.dist(Mat2.identity()) == 2.0
+
+
+def apply_pants_gauge(spec, pid, crossing_signs):
+    """Crossing signs after gauging by -I on all vertices of one pants:
+    curves meeting the pants once flip, a curve glued to it twice is
+    fixed."""
+    out = dict(crossing_signs)
+    for c in spec.curves:
+        touches = (c.left[0] == pid) + (c.right[0] == pid)
+        if touches == 1:
+            out[c.id] = -out[c.id]
+    return out
 
 
 def test_gauge_action_properties():

@@ -17,6 +17,7 @@ from fnhol.variation import (
     grad_log_bc,
     variation_cocycle,
 )
+from fnhol.spin import assemble_spin
 from fnhol.wp import killing_form, wp_matrix, wp_pairing
 from conftest import (
     caterpillar,
@@ -144,6 +145,15 @@ def test_cocycle_condition_sensitivity():
     assert check_cocycle_condition(z.base, z) >= 1e-4
 
 
+def combined(u, v, s, t):
+    """The tangent vector s * u + t * v."""
+    keys = set(u.dl) | set(v.dl)
+    dl = {c: s * u.dl.get(c, 0.0) + t * v.dl.get(c, 0.0) for c in keys}
+    keys = set(u.dtau) | set(v.dtau)
+    dtau = {c: s * u.dtau.get(c, 0.0) + t * v.dtau.get(c, 0.0) for c in keys}
+    return TangentVector(dl, dtau)
+
+
 def test_linearity():
     spec = genus2_spec()
     cx = build_complex(spec)
@@ -152,7 +162,7 @@ def test_linearity():
     u = random_tangent(rng, spec)
     v = random_tangent(rng, spec)
     a, b = 0.7, -1.9
-    lhs = variation_cocycle(cx, fn, u.combined(v, a, b))
+    lhs = variation_cocycle(cx, fn, combined(u, v, a, b))
     rhs = variation_cocycle(cx, fn, u).combined(variation_cocycle(cx, fn, v), a, b)
     assert max(lhs.values[e].dist(rhs.values[e]) for e in lhs.values) <= 1e-13
 
@@ -273,7 +283,8 @@ def test_variations_share_one_base(monkeypatch):
         calls.append(1)
         return assemble(*args)
 
-    for module in (fnhol.surface, fnhol.variation, fnhol.wp):
+    # every base is chosen in surface, which assembles through its own name
+    for module in (fnhol.surface, fnhol.variation):
         monkeypatch.setattr(module, "assemble_cocycle", counted)
     base = fnhol.surface.assemble_cocycle(cx, fn)
     y1, y2 = variation_cocycle(base, fn, u), variation_cocycle(base, fn, v)
@@ -310,6 +321,46 @@ def test_coordinate_directions_carry_values_where_they_act(spec):
         z = variation_cocycle(base, fn, TangentVector({}, {c.id: 1.0}))
         assert set(z.values) == {f"c{c.id}.x0", f"c{c.id}.x1"}
         assert check_cocycle_condition(base, z) <= 1e-8
+
+
+def test_a_cocycle_is_used_only_at_its_own_point():
+    # a cocycle stands for the point it was assembled at; given another
+    # point beside it, variations, the pairing matrix and spin lifts
+    # refuse it, before any seam data are evaluated at the wrong point,
+    # and an equal point built separately gives the same bits
+    spec = genus2_spec()
+    fn = FNPoint({0: 2.0, 1: 1.4, 2: 3.0}, {0: 0.5, 1: -0.3, 2: 7.3})
+    tangent = TangentVector({0: 1.0, 1: -0.5}, {2: 0.25})
+    eps = {0: -1, 1: -1, 2: -1}
+    base = assemble_cocycle(spec, fn)
+    for other in (FNPoint({**fn.lengths, 1: 1.5}, fn.twists),
+                  FNPoint(fn.lengths, {**fn.twists, 2: 7.0})):
+        with pytest.raises(ValueError, match="another point"):
+            variation_cocycle(base, other, tangent)
+        with pytest.raises(ValueError, match="another point"):
+            wp_matrix(base, other)
+        with pytest.raises(ValueError, match="another point"):
+            assemble_spin(base, other, eps)
+    assert base._seam_data is None
+
+    def bits(fn_given):
+        z = variation_cocycle(base, fn_given, tangent)
+        lifted = assemble_spin(base, fn_given, eps)
+        assert z.base is base
+        return (
+            {e: v.entries() for e, v in z.values.items()},
+            repr(wp_matrix(base, fn_given)),
+            {e: m.entries() for e, m in lifted.values.items()},
+            lifted.max_residual,
+        )
+
+    fresh = assemble_cocycle(spec, fn)
+    want = (
+        {e: v.entries() for e, v in variation_cocycle(fresh, fn, tangent).values.items()},
+        repr(wp_matrix(fresh, fn)),
+    )
+    assert bits(FNPoint(dict(fn.lengths), dict(fn.twists))) == bits(fn)
+    assert bits(fn)[:2] == want
 
 
 def test_seam_data_is_evaluated_once_per_base(monkeypatch):

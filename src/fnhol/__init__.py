@@ -9,7 +9,6 @@ enumerates and assembles the determinant-one spin lifts.
 
 from .mat2 import (
     Mat2,
-    ProjMat2,
     TracelessMat2,
     ad_action,
     nearest_point_on_imaginary_axis,

@@ -43,7 +43,7 @@ import sys
 from collections import namedtuple
 from functools import cached_property
 
-from .mat2 import NonHyperbolicError, _max_or_nan, translation_length
+from .mat2 import NonHyperbolicError, ProjMat2, _max_or_nan, translation_length
 from .surface import (
     Curve,
     FNPoint,
@@ -233,6 +233,14 @@ def _emit(report, fmt, stream):
             stream.write(line + "\n")
 
 
+def _verdict(command, fields, lines, ok):
+    """(report, exit code) of a checking command: ``lines`` ends with
+    PASS or FAIL, and the report holds the command, ``fields``, ``ok``
+    and the lines, in that order."""
+    lines.append("PASS" if ok else "FAIL")
+    return {"command": command, **fields, "ok": ok, "lines": lines}, 0 if ok else 1
+
+
 def _spin_list(spec):
     """The ``spin --list`` report: every boundary-sign assignment and
     crossing-sign class; it needs no cell complex."""
@@ -280,28 +288,18 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         residuals = {fid: cocycle.face_residual(fid) for fid in sorted(doc.complex.faces)}
         worst = _max_or_nan(residuals.values())
         rt = _roundtrip(doc)
-        ok = worst <= tolerance and rt <= tolerance
         lines = [
             f"faces {len(residuals)}  max residual {_num(worst)}",
             f"coordinate round trip {_num(rt)}",
-            "PASS" if ok else "FAIL",
         ]
-        report = {
-            "command": "verify",
-            "max_residual": worst,
-            "roundtrip": rt,
-            "residuals": {k: v for k, v in residuals.items()},
-            "ok": ok,
-            "lines": lines,
-        }
-        return report, 0 if ok else 1
+        fields = {"max_residual": worst, "roundtrip": rt, "residuals": residuals}
+        return _verdict("verify", fields, lines, worst <= tolerance and rt <= tolerance)
 
     if command == "holonomy":
         if not word:
             raise DocumentError("holonomy requires --word")
-        hol = holonomy(doc.cocycle, parse_word(doc.complex, word))
-        m = hol.rep
-        tr = hol.trace_abs()
+        m = ProjMat2(holonomy(doc.cocycle, parse_word(doc.complex, word))).rep
+        tr = abs(m.trace())
         lines = [
             f"word {word}",
             f"matrix [[{_num(m.a)}, {_num(m.b)}], [{_num(m.c)}, {_num(m.d)}]]",
@@ -314,7 +312,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
             "lines": lines,
         }
         try:
-            length = translation_length(hol)
+            length = translation_length(m)
             report["translation_length"] = length
             lines.append(f"translation length {_num(length)}")
         except NonHyperbolicError:
@@ -330,37 +328,23 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
             for c in doc.spec.curves
         ]
         worst = _roundtrip(doc)
-        ok = worst <= tolerance
         lines.append(f"round trip {_num(worst)}")
-        lines.append("PASS" if ok else "FAIL")
-        report = {
-            "command": "fn",
+        fields = {
             "lengths": {str(c): back.lengths[c] for c in back.lengths},
             "twists": {str(c): back.twists[c] for c in back.twists},
             "roundtrip": worst,
-            "ok": ok,
-            "lines": lines,
         }
-        return report, 0 if ok else 1
+        return _verdict("fn", fields, lines, worst <= tolerance)
 
     if command == "wp":
         labels, matrix = wp_matrix(doc.cocycle, doc.fn)
         worst = block_form_deviation(matrix)
-        ok = worst <= tolerance
         lines = [" ".join(labels)]
         for row in matrix:
             lines.append(" ".join(_num(x) for x in row))
         lines.append(f"max deviation from twist-length block form {_num(worst)}")
-        lines.append("PASS" if ok else "FAIL")
-        report = {
-            "command": "wp",
-            "labels": labels,
-            "matrix": matrix,
-            "max_deviation": worst,
-            "ok": ok,
-            "lines": lines,
-        }
-        return report, 0 if ok else 1
+        fields = {"labels": labels, "matrix": matrix, "max_deviation": worst}
+        return _verdict("wp", fields, lines, worst <= tolerance)
 
     if command == "spin":
         if doc.spin is None:
@@ -383,16 +367,8 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
             pants_sums[str(pid)] = s % 2
             lines.append(f"pants {pid}  rot sum mod 2 = {s % 2}")
         ok = worst <= tolerance and all(v == 1 for v in pants_sums.values())
-        lines.append("PASS" if ok else "FAIL")
-        report = {
-            "command": "spin",
-            "max_residual": worst,
-            "rot": rots,
-            "pants_rot_sums": pants_sums,
-            "ok": ok,
-            "lines": lines,
-        }
-        return report, 0 if ok else 1
+        fields = {"max_residual": worst, "rot": rots, "pants_rot_sums": pants_sums}
+        return _verdict("spin", fields, lines, ok)
 
     raise DocumentError(f"unknown command {command!r}")
 

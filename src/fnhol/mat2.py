@@ -6,7 +6,8 @@ Conventions used throughout the package:
 * ``Mat2(a, b, c, d)`` is the matrix ``(a b; c d)`` with ``det = 1``.
   Cocycle values are sign-free representatives of their projective
   classes; "projective" is only a comparison (:meth:`Mat2.proj_dist`)
-  and, when a report is written, a canonical sign (:class:`ProjMat2`).
+  and, when the command line writes a holonomy, a canonical sign
+  (:class:`ProjMat2`).
 * ``TracelessMat2(x, y, z)`` is ``(x y; z -x)``, a tangent direction in
   the 2x2 traceless matrices.
 * Matrices act on the upper half-plane by ``z -> (az+b)/(cz+d)``.
@@ -196,9 +197,6 @@ class ProjMat2:
                     self.rep = -m
                 break
 
-    def trace_abs(self):
-        return abs(self.rep.trace())
-
     def __repr__(self):
         return f"ProjMat2({self.rep!r})"
 
@@ -288,8 +286,8 @@ def nearest_point_on_imaginary_axis(conj, lam=None):
 
 def translation_length(m):
     """Translation length 2*log(lambda) of a hyperbolic class, where
-    lambda = (|tr| + sqrt(tr^2 - 4))/2."""
-    t = abs((m.rep if isinstance(m, ProjMat2) else m).trace())
+    lambda = (|tr| + sqrt(tr^2 - 4))/2; either sign of m gives it."""
+    t = abs(m.trace())
     if t <= 2.0 + HYPERBOLIC_MARGIN:
         raise NonHyperbolicError(f"|trace| = {t!r} is not above 2")
     lam = 0.5 * (t + math.sqrt(t * t - 4.0))

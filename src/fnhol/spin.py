@@ -3,12 +3,13 @@ structures they classify.
 
 A lift assigns a genuine SL2 matrix to every edge so that each face
 word multiplies to +I (never -I); trace signs of lifted holonomies are
-then mod-2 rotation numbers of the corresponding loops.  A lift has the
+then mod-2 rotation numbers of the corresponding loops, read off
+:func:`fnhol.surface.holonomy` like any other word.  A lift has the
 matrices of the assembled normalized cocycle up to one sign per edge,
-so it is built as sign flips on that cocycle's values.  Negation is
-exact, so each lifted face product is the cocycle's own face product,
-walked once and shared by the cocycle and all its lifts, times -1 per
-flipped edge on the face.
+so it is a :class:`~fnhol.surface.SurfaceCocycle` built as sign flips on
+that cocycle's values.  Negation is exact, so each lifted face product
+is the cocycle's own face product, walked once and shared by the
+cocycle and all its lifts, times -1 per flipped edge on the face.
 
 On one pair of pants the boundary trace signs eps_k always satisfy
 eps_0 eps_1 eps_2 = -1, and under that constraint there is at most one
@@ -31,9 +32,9 @@ of the gluing graph be fixed to +1; the remaining g signs enumerate the
 import itertools
 import math
 
-from .mat2 import Mat2, NonHyperbolicError, _max_or_nan, walk
+from .mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
 from . import pants as pants_mod
-from .surface import CellComplex, _cocycle_at, check_word
+from .surface import CellComplex, SurfaceCocycle, _cocycle_at, holonomy
 
 __all__ = [
     "SpinSignError",
@@ -44,7 +45,6 @@ __all__ = [
     "enumerate_spin",
     "spanning_tree_curves",
     "rot2",
-    "sl2_holonomy",
 ]
 
 _FACE_TOL = 1e-8
@@ -125,43 +125,38 @@ def spanning_tree_curves(spec):
     return tuple(tree)
 
 
-class SpinSurfaceCocycle:
-    """A determinant-one cocycle (edge id -> Mat2) lifting the
-    normalized cocycle ``base``, with its classifying sign data.
+class SpinSurfaceCocycle(SurfaceCocycle):
+    """A determinant-one cocycle lifting the normalized cocycle ``base``,
+    at the base's point: the base values, negated on the edges in
+    ``flipped``.
 
-    ``values`` are the base values, negated on the edges in ``flipped``.
     Negation is exact, so the product along a face word is the base's
     face product times -1 per flipped edge on the face, up to the signs
-    of zero entries; ``face_products`` (face id -> Mat2) holds these,
-    read off the base without walking a word.  ``max_residual`` is
+    of zero entries; :meth:`face_products` holds these, read off the
+    base without walking a word.  ``max_residual`` is
     :meth:`max_face_residual`, evaluated once when the cocycle is made."""
 
-    __slots__ = ("complex", "values", "flipped", "eps", "crossing_signs",
-                 "face_products", "max_residual")
+    __slots__ = ("max_residual",)
 
-    def __init__(self, base, flipped, eps, crossing_signs):
-        self.complex = base.complex
-        self.flipped = flipped = frozenset(flipped)
-        self.values = dict(base.values)
-        for eid in flipped:
-            self.values[eid] = -self.values[eid]
-        self.eps = dict(eps)
-        self.crossing_signs = dict(crossing_signs)
+    def __init__(self, base, flipped):
+        flipped = frozenset(flipped)
+        super().__init__(
+            base.complex,
+            {eid: -m if eid in flipped else m for eid, m in base.values.items()},
+            base.fn,
+        )
         faces = self.complex.faces
-        self.face_products = {}
+        self._face_products = {}
         for fid, m in base.face_products().items():
             odd = False
-            for eid, _ in faces[fid].cycle:
+            for eid, _ in faces[fid]:
                 odd ^= eid in flipped
-            self.face_products[fid] = -m if odd else m
+            self._face_products[fid] = -m if odd else m
         self.max_residual = self.max_face_residual()
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
-        return self.face_products[fid].dist(Mat2.identity())
-
-    def max_face_residual(self):
-        return _max_or_nan(self.face_residual(f) for f in self.complex.faces)
+        return self.face_products()[fid].dist(Mat2.identity())
 
 
 def _pants_sign_constraint(complex_, eps):
@@ -216,11 +211,11 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
             flipped.append(x0)
         if crossing_signs[cid] * eps[cid] > 0:
             flipped.append(x1)
-    out = SpinSurfaceCocycle(base, flipped, eps, crossing_signs)
+    out = SpinSurfaceCocycle(base, flipped)
     for cells in complex_.pants.values():
         if not (
             all(base.values[seam].a > 0.0 for _, _, seam in cells.edges)
-            and all(out.face_products[f].close_to(Mat2.identity(), _FACE_TOL)
+            and all(out.face_products()[f].close_to(Mat2.identity(), _FACE_TOL)
                     for f in cells.hexagons)
         ):
             raise AssertionError("expected a unique sign assignment, found 0")
@@ -305,17 +300,10 @@ def enumerate_spin(spec):
     return eps_assignments, classes
 
 
-def sl2_holonomy(spin_cocycle, word):
-    """Product of the determinant-one edge values along a composable
-    word of (edge id, +-1), renormalized."""
-    check_word(spin_cocycle.complex, word)
-    return walk(spin_cocycle.values, word).renormalized()
-
-
 def rot2(spin_cocycle, loop):
     """Mod-2 rotation number of a loop with hyperbolic holonomy:
     0 when the lifted trace is positive, 1 when negative."""
-    tr = sl2_holonomy(spin_cocycle, loop).trace()
-    if abs(tr) <= 2.0 + 1e-12:
+    tr = holonomy(spin_cocycle, loop).trace()
+    if abs(tr) <= 2.0 + HYPERBOLIC_MARGIN:
         raise NonHyperbolicError(f"loop holonomy trace {tr!r} is not hyperbolic")
     return 0 if tr > 0.0 else 1

@@ -11,10 +11,10 @@ for edges, the same with ``v`` for vertices, and ``p{pants}.hex+|-`` /
 every other module reads them off its tables.
 
 Holonomy values are sign-free ``Mat2`` representatives of their
-projective classes; only :func:`holonomy` wraps its result in a
-``ProjMat2`` for reports.  In the assembled cocycle the
-boundary arcs on both sides of curve i carry diag(lambda_i^(1/2), ...)
-and the crossing edges carry (0, -1/T_i; T_i, 0) with
+projective classes, and so is what :func:`holonomy` returns for them;
+only the command line gives a written matrix its canonical sign.  In
+the assembled cocycle the boundary arcs on both sides of curve i carry
+diag(lambda_i^(1/2), ...) and the crossing edges carry (0, -1/T_i; T_i, 0) with
 T_i = exp(-twist_i / 2), so twists are recovered globally (not modulo
 the curve length) as -2 log T_i.
 """
@@ -22,7 +22,7 @@ the curve length) as -2 log T_i.
 import math
 from collections import namedtuple
 
-from .mat2 import Mat2, ProjMat2, _max_or_nan, translation_length, walk
+from .mat2 import Mat2, _max_or_nan, translation_length, walk
 from . import pants as pants_mod
 from .pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
 
@@ -135,9 +135,6 @@ def validate_surface(spec):
 
 # kind is "seam" | "arc0" | "arc1" | "crossing"
 Edge = namedtuple("Edge", "start end kind")
-# kind is "hexagon" | "square"; cycle is ((edge id, +1/-1), ...)
-# counterclockwise
-Face = namedtuple("Face", "kind cycle")
 # per pants: the curves glued at its boundaries 0, 1, 2; per boundary k
 # the ids of arcs b{k}0, b{k}1 and seam k; its faces hex+ and hex-
 PantsCells = namedtuple("PantsCells", "curves edges hexagons")
@@ -160,9 +157,11 @@ def _cell_names(kind, xid, local):
 class CellComplex:
     """The cell structure of the decomposed surface and every cell name;
     it depends on the decomposition alone, and a cocycle is the complex
-    plus values.  ``pants`` (pants id -> ``PantsCells``) and ``curves``
-    (curve id -> ``CurveCells``), in spec order, hold the ids cocycles
-    are written and read through; ``pairing_layout`` is the pairing
+    plus values.  ``faces`` maps a face id to its cycle, the word
+    ((edge id, +1/-1), ...) around it counterclockwise.  ``pants``
+    (pants id -> ``PantsCells``) and ``curves`` (curve id ->
+    ``CurveCells``), in spec order, hold the ids cocycles are written
+    and read through; ``pairing_layout`` is the pairing
     kernel's part (:mod:`fnhol.wp`), made there on first use."""
 
     def __init__(self, spec):
@@ -183,8 +182,7 @@ class CellComplex:
             for e, (v0, v1, kind) in PANTS_EDGES.items():
                 self.edges[name[e]] = Edge(name[v0], name[v1], kind)
             for f, cycle in PANTS_FACES.items():
-                word = tuple((name[e], s) for e, s in cycle)
-                self.faces[name[f]] = Face("hexagon", word)
+                self.faces[name[f]] = tuple((name[e], s) for e, s in cycle)
             self.pants[pid] = PantsCells(
                 tuple(sides[pid]),
                 tuple(tuple(name[e] for e in by_k) for by_k in _PANTS_EDGES_BY_K),
@@ -197,8 +195,8 @@ class CellComplex:
             # crossing x{eps} joins the starts of arcs b{k}{eps} on the two sides
             self.edges[x0] = Edge(self.edges[l0].start, self.edges[r0].start, "crossing")
             self.edges[x1] = Edge(self.edges[l1].start, self.edges[r1].start, "crossing")
-            self.faces[sq0] = Face("square", ((x0, 1), (r1, -1), (x1, -1), (l0, -1)))
-            self.faces[sq1] = Face("square", ((x1, 1), (r0, -1), (x0, -1), (l1, -1)))
+            self.faces[sq0] = ((x0, 1), (r1, -1), (x1, -1), (l0, -1))
+            self.faces[sq1] = ((x1, 1), (r0, -1), (x0, -1), (l1, -1))
             self.curves[c.id] = CurveCells(
                 (x0, x1), (sq0, sq1), (jl,) if jl == jr else (jl, jr), ((l0, 1), (l1, 1))
             )
@@ -210,9 +208,9 @@ class CellComplex:
         # sign across all faces; walks along face cycles rely on this and
         # check nothing per step
         use = {e: [0, 0] for e in self.edges}
-        for face in self.faces.values():
-            check_word(self, face.cycle + face.cycle[:1])
-            for eid, sign in face.cycle:
+        for cycle in self.faces.values():
+            check_word(self, cycle + cycle[:1])
+            for eid, sign in cycle:
                 use[eid][sign < 0] += 1
         for eid, (plus, minus) in use.items():
             if plus != 1 or minus != 1:
@@ -257,8 +255,9 @@ class SurfaceCocycle:
     The values are fixed once the cocycle is constructed.  Every product
     along a face word is taken by :meth:`face_walk`; the face products
     are walked once, on first use, and kept with it, and lifts of the
-    cocycle (:mod:`fnhol.spin`) read them too.  So are the seam data
-    that variations over it (:mod:`fnhol.variation`) read at ``fn``."""
+    cocycle (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) read
+    theirs off them.  So are the seam data that variations over it
+    (:mod:`fnhol.variation`) read at ``fn``."""
 
     __slots__ = ("complex", "values", "fn", "_face_products", "_seam_data")
 
@@ -283,7 +282,7 @@ class SurfaceCocycle:
         that walk as entry tuples (:func:`fnhol.mat2.walk`); the pairing
         kernel and the cocycle-condition check read their transports
         from them."""
-        cycle = self.complex.faces[fid].cycle
+        cycle = self.complex.faces[fid]
         for start in range(len(cycle)):
             if prefixes is not None:
                 prefixes.clear()
@@ -352,13 +351,14 @@ def _cocycle_at(spec, fn):
 
 
 def holonomy(cocycle, word):
-    """The projective class of the product of the edge values along a
-    composable edge word, renormalized, for reports.
+    """The product of the edge values along a composable edge word,
+    renormalized: a sign-free representative for the assembled cocycle,
+    the determinant-one matrix whose trace sign counts for a spin lift.
 
     ``word`` is a sequence of (edge id, +1/-1); reversed edges
     contribute inverses.  The empty word gives the identity."""
     check_word(cocycle.complex, word)
-    return ProjMat2(walk(cocycle.values, word).renormalized())
+    return walk(cocycle.values, word).renormalized()
 
 
 def check_word(complex_, word):

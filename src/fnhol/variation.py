@@ -228,10 +228,10 @@ def check_cocycle_condition(cocycle, variation):
     rotation is this one moved by Ad of a prefix product, so the two
     vanish together."""
     entries = []
-    for fid, face in cocycle.complex.faces.items():
+    for fid, cycle in cocycle.complex.faces.items():
         prefixes = []
         start, _ = cocycle.face_walk(fid, prefixes)
-        rotated = face.cycle[start:] + face.cycle[:start]
+        rotated = cycle[start:] + cycle[:start]
         total = variation.value(*rotated[0])
         for step, prefix in zip(rotated[1:], prefixes):
             total = total + ad_action(Mat2(*prefix, check=False), variation.value(*step))

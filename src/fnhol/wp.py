@@ -105,7 +105,7 @@ def _oriented_cycle(complex_, fid, start):
     begin at position ``start``: a list of ((edge id, orientation),
     exponent) pairs, where the oriented edge is the generator the chain
     uses and the exponent is how the rotated cycle traverses it."""
-    cycle = complex_.faces[fid].cycle
+    cycle = complex_.faces[fid]
     n = len(cycle)
     out = []
     for i in range(n):
@@ -143,7 +143,7 @@ def diagonal_chain(complex_, fid, start=0):
     identically against closed cocycles."""
     if fid not in complex_.faces:
         raise KeyError(f"unknown face {fid!r}")
-    cycle = complex_.faces[fid].cycle
+    cycle = complex_.faces[fid]
     n = len(cycle)
     rotated = tuple(cycle[(start + i) % n] for i in range(n))
     gens = _oriented_cycle(complex_, fid, start)
@@ -233,7 +233,7 @@ def _face_layouts(complex_):
     face walk first begins there."""
     if complex_.pairing_layout is None:
         faces = sorted(complex_.faces)
-        firsts = accumulate((len(complex_.faces[f].cycle) for f in faces), initial=0)
+        firsts = accumulate((len(complex_.faces[f]) for f in faces), initial=0)
         complex_.pairing_layout = [(fid, first, {}) for fid, first in zip(faces, firsts)]
     return complex_.pairing_layout
 
@@ -323,7 +323,12 @@ def wp_pairing(cocycle, z1, z2):
 
     The face chains already assemble into a diagonal cycle, so the bigon
     corrections of :func:`pants_bigon_chain` are not part of the sum
-    (their two terms cancel identically on variation cocycles)."""
+    (their two terms cancel identically on variation cocycles).  Both
+    variations must be taken at the cocycle's point (ValueError if not),
+    since their values on reversed edges are read through their own
+    base."""
+    for z in (z1, z2):
+        _cocycle_at(cocycle, z.base.fn)
     kernel = PairingKernel(cocycle)
     return kernel.pair(kernel.transport(z1), kernel.transport(z2))
 

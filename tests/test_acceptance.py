@@ -14,7 +14,7 @@ from fnhol.pants import (
     pants_cocycle,
     standardize,
 )
-from fnhol.surface import FNPoint, assemble_cocycle, build_complex, extract_fn
+from fnhol.surface import FNPoint, assemble_cocycle, build_complex, extract_fn, holonomy
 from fnhol.variation import (
     check_cocycle_condition,
     coboundary,
@@ -30,7 +30,7 @@ from fnhol.wp import (
     wp_matrix,
     wp_pairing,
 )
-from fnhol.spin import assemble_spin, enumerate_spin, rot2, sl2_holonomy
+from fnhol.spin import assemble_spin, enumerate_spin, rot2
 from conftest import (
     genus2_spec,
     genus3_spec,
@@ -217,7 +217,7 @@ def test_acceptance_8_spin():
             lifted = assemble_spin(cx, fn, eps, signs)
             assert lifted.max_face_residual() <= 1e-8
             for c in spec.curves:
-                hol = sl2_holonomy(lifted, cx.curves[c.id].loop)
+                hol = holonomy(lifted, cx.curves[c.id].loop)
                 assert (1 if hol.trace() > 0 else -1) == eps[c.id]
             for pid in spec.pants:
                 total = sum(

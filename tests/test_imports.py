@@ -1,10 +1,14 @@
 import ast
+import importlib
 import pathlib
+import types
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fnhol"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# the canonical sign of a written matrix is the command line's business
+PROJMAT2_FILES = {"mat2.py", "cli.py"}
 
 
 def unused_imports(source):
@@ -41,3 +45,48 @@ def test_the_check_sees_an_unused_import():
 def test_no_module_imports_a_name_it_never_uses(path):
     # the package __init__ imports only to re-export, so it is not checked
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def names_in(source):
+    """Every identifier a module's code uses or defines: names, attribute
+    names, imported names and class and function names (not strings)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                found.update((alias.name, alias.asname))
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            found.add(node.name)
+    return found
+
+
+def test_projmat2_is_named_only_in_mat2_and_the_cli():
+    assert "ProjMat2" in names_in("from .mat2 import ProjMat2 as P\n")
+    assert "ProjMat2" in names_in("import fnhol.mat2\nfnhol.mat2.ProjMat2\n")
+    assert "ProjMat2" not in names_in('"""ProjMat2 in a docstring"""\n')
+    naming = {p.name for p in PACKAGE.glob("*.py")
+              if "ProjMat2" in names_in(p.read_text(encoding="utf-8"))}
+    assert naming == PROJMAT2_FILES
+
+
+def unresolved_exports(module):
+    """The entries of a module's ``__all__`` that are not attributes of
+    it, which ``from module import *`` would fail on."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+def test_the_check_sees_an_export_that_is_gone():
+    module = types.ModuleType("gone")
+    module.kept = None
+    module.__all__ = ["kept", "deleted"]
+    assert unresolved_exports(module) == ["deleted"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_export_resolves(path):
+    module = importlib.import_module(f"fnhol.{path.stem}")
+    assert unresolved_exports(module) == []

@@ -74,7 +74,7 @@ def test_nearest_point_cases():
 
 def test_translation_length():
     assert abs(translation_length(Mat2.diagonal(math.e)) - 2.0) < 1e-14
-    assert abs(translation_length(ProjMat2(-Mat2.diagonal(math.e))) - 2.0) < 1e-14
+    assert abs(translation_length(-Mat2.diagonal(math.e)) - 2.0) < 1e-14
     rng = rng_for("tlength")
     for _ in range(50):
         p = random_mat2(rng)

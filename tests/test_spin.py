@@ -5,14 +5,13 @@ import pytest
 
 from fnhol.mat2 import Mat2, NonHyperbolicError, walk
 from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix
-from fnhol.surface import FNPoint, assemble_cocycle, build_complex
+from fnhol.surface import FNPoint, SurfaceCocycle, assemble_cocycle, build_complex, holonomy
 from fnhol.spin import (
     BoundarySigns,
     SpinSignError,
     assemble_spin,
     enumerate_spin,
     rot2,
-    sl2_holonomy,
     sl2_pants_cocycle,
     spanning_tree_curves,
 )
@@ -254,8 +253,8 @@ def test_lift_is_the_closed_form_as_sign_flips(shape, genus):
                 assert lifted.values.keys() == want.keys()
                 for e, m in want.items():
                     assert _same_entries(lifted.values[e], m), e
-                for fid, face in cx.faces.items():
-                    own = walk(lifted.values, face.cycle).dist(Mat2.identity())
+                for fid, cycle in cx.faces.items():
+                    own = walk(lifted.values, cycle).dist(Mat2.identity())
                     assert lifted.face_residual(fid) == own, fid
                 assert lifted.max_residual <= 1e-8
 
@@ -400,13 +399,53 @@ def test_crossing_sign_flip_changes_lift_not_reduction():
     assert rot2(a, word) != rot2(b, word)
 
 
-def test_sl2_holonomy_word_check():
+def test_holonomy_on_a_lift_checks_the_word():
     spec = genus2_spec()
     cx = build_complex(spec)
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.0 for i in range(3)})
     lifted = assemble_spin(cx, fn, {0: -1, 1: -1, 2: -1})
     with pytest.raises(ValueError):
-        sl2_holonomy(lifted, (("p0.b00", 1), ("p0.b10", 1)))
+        holonomy(lifted, (("p0.b00", 1), ("p0.b10", 1)))
+
+
+def test_a_lift_is_a_surface_cocycle():
+    # a lift is the base's complex and point with flipped values; its
+    # face products and maximum residual are the standard cocycle's
+    # methods, and it keeps no sign data of its own
+    spec = genus2_spec()
+    fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.3 for i in range(3)})
+    base = assemble_cocycle(spec, fn)
+    lifted = assemble_spin(base, fn, {0: -1, 1: -1, 2: -1}, {1: -1})
+    assert isinstance(lifted, SurfaceCocycle)
+    assert lifted.complex is base.complex and lifted.fn is base.fn
+    assert type(lifted).face_products is SurfaceCocycle.face_products
+    assert type(lifted).max_face_residual is SurfaceCocycle.max_face_residual
+    assert lifted.max_face_residual() == lifted.max_residual <= 1e-8
+    flipped = {e for e, m in lifted.values.items() if m is not base.values[e]}
+    assert flipped and all(
+        lifted.values[e].entries() == (-base.values[e]).entries() for e in flipped
+    )
+    for name in ("flipped", "eps", "crossing_signs"):
+        assert not hasattr(lifted, name)
+
+
+@pytest.mark.parametrize("spec_fn", [genus2_spec, genus3_spec])
+def test_lifted_trace_signs_give_rot2_and_eps(spec_fn):
+    # for every lift, the sign of a curve loop's holonomy trace is the
+    # curve's boundary sign, and rot2 reads the same sign
+    spec = spec_fn()
+    cx = build_complex(spec)
+    fn = random_fn(rng_for(f"trace-signs-{spec.genus}"), spec)
+    base = assemble_cocycle(cx, fn)
+    eps_list, classes = enumerate_spin(spec)
+    for eps in eps_list:
+        for signs in classes:
+            lifted = assemble_spin(base, fn, eps, signs)
+            for cid, cells in cx.curves.items():
+                tr = holonomy(lifted, cells.loop).trace()
+                assert abs(tr) > 2.0
+                assert rot2(lifted, cells.loop) == (0 if tr > 0.0 else 1)
+                assert eps[cid] == (1 if tr > 0.0 else -1)
 
 
 def _relabel(spec, rng):

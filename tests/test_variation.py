@@ -363,6 +363,30 @@ def test_a_cocycle_is_used_only_at_its_own_point():
     assert bits(fn)[:2] == want
 
 
+def test_wp_pairing_refuses_variations_at_another_point():
+    # variations read reversed edges through their own base, so pairing
+    # them through a cocycle at another point mixes two surfaces; on
+    # README's surface this was off the twist-length reference by up to
+    # 21 without an error
+    spec = genus2_spec()
+    fn = FNPoint({0: 2.0, 1: 1.4, 2: 3.0}, {0: 0.5, 1: -0.3, 2: 7.3})
+    far = FNPoint({0: 0.2, 1: 5.0, 2: 9.0}, fn.twists)
+    cocycle, other = assemble_cocycle(spec, fn), assemble_cocycle(spec, far)
+    u = TangentVector({0: 1.0}, {})
+    v = TangentVector({}, {0: 1.0})
+    z_far = variation_cocycle(other, far, u)
+    z_here = variation_cocycle(cocycle, fn, v)
+    for z1, z2 in ((z_far, z_here), (z_here, z_far), (z_far, z_far)):
+        with pytest.raises(ValueError, match="another point"):
+            wp_pairing(cocycle, z1, z2)
+    # a base with equal coordinates is the same point
+    twin = assemble_cocycle(spec, FNPoint(dict(fn.lengths), dict(fn.twists)))
+    z_twin = variation_cocycle(twin, twin.fn, u)
+    z_own = variation_cocycle(cocycle, fn, u)
+    assert wp_pairing(cocycle, z_twin, z_here) == wp_pairing(cocycle, z_own, z_here)
+    assert abs(wp_pairing(other, z_far, variation_cocycle(other, far, v)) + 1.0) <= 1e-8
+
+
 def test_seam_data_is_evaluated_once_per_base(monkeypatch):
     # three gradients and three seam coefficients per pants for the whole
     # pairing matrix, none while the cocycle is assembled

@@ -79,7 +79,7 @@ def _formal_boundary_of_chain(complex_, chain, fid):
         out[("VE", a.start, e2)] -= coef
         out[("EV", e1, b.end)] -= coef
         out[("EV", e1, b.start)] += coef
-    for eid, sign in complex_.faces[fid].cycle:
+    for eid, sign in complex_.faces[fid]:
         out[("EV", eid, chain.basepoint)] += sign  # from d(E x base)
         out[("VE", chain.basepoint, eid)] += sign  # from d(base x E)
     return out
@@ -90,7 +90,7 @@ def _formal_diagonal_of_face_boundary(complex_, fid):
     # e x (oriented start) + (oriented end) x e, where "oriented" refers
     # to the chain orientation of the edge (reversed for b{k}1 arcs)
     out = defaultdict(float)
-    for eid, sign in complex_.faces[fid].cycle:
+    for eid, sign in complex_.faces[fid]:
         edge = complex_.edges[eid]
         orient = _edge_chain_orientation(complex_, eid)
         v0, v1 = (edge.start, edge.end) if orient > 0 else (edge.end, edge.start)
@@ -121,8 +121,8 @@ def test_chain_shape():
     for term in sq.terms + hx.terms:
         for path in (term.path_first, term.path_second):
             # transport paths stay on the face boundary
-            face_edges = {e for e, _ in complex_.faces[sq.face_id].cycle} | {
-                e for e, _ in complex_.faces[hx.face_id].cycle
+            face_edges = {e for e, _ in complex_.faces[sq.face_id]} | {
+                e for e, _ in complex_.faces[hx.face_id]
             }
             assert all(e in face_edges for e, _ in path)
 
@@ -227,9 +227,9 @@ def test_wp_gauge_invariance():
 def test_basepoint_independence():
     spec = genus2_spec()
     cx, base, u, v, zu, zv = _setup(spec, "basepoint")
-    for fid, face in sorted(cx.faces.items()):
+    for fid, cycle in sorted(cx.faces.items()):
         vals = [
-            pair_on_face(base, zu, zv, fid, start=s) for s in range(len(face.cycle))
+            pair_on_face(base, zu, zv, fid, start=s) for s in range(len(cycle))
         ]
         assert max(vals) - min(vals) <= 1e-10
 
@@ -421,7 +421,7 @@ def _kernel_starts(kernel, cx):
                 first_edge[face] = eid
     starts = {}
     for face, fid in enumerate(sorted(cx.faces)):
-        eids = [eid for eid, _ in cx.faces[fid].cycle]
+        eids = [eid for eid, _ in cx.faces[fid]]
         assert len(set(eids)) == len(eids)
         starts[fid] = eids.index(first_edge[face])
     return starts
@@ -506,7 +506,7 @@ def test_kernel_build_walks_each_face_once(monkeypatch):
     expected = {
         "diagonal_chain": 0,
         "products": 0,
-        "steps": sum(len(face.cycle) for face in cx.faces.values()),
+        "steps": sum(len(cycle) for cycle in cx.faces.values()),
         "walks": len(cx.faces),
     }
     for build in (lambda: wp_matrix(cx, fn), lambda: wp_pairing(zu.base, zu, zv)):
@@ -530,10 +530,10 @@ def _walk(cx, vertex, word):
 @pytest.mark.parametrize("spec_fn", [comb4_spec, caterpillar5_spec])
 def test_diagonal_chain_terms_follow_chain_shape(spec_fn):
     cx = build_complex(spec_fn())
-    for fid, face in sorted(cx.faces.items()):
-        n = len(face.cycle)
+    for fid, cycle in sorted(cx.faces.items()):
+        n = len(cycle)
         for start in range(n):
-            rotated = face.cycle[start:] + face.cycle[:start]
+            rotated = cycle[start:] + cycle[:start]
             gens = [(eid, _edge_chain_orientation(cx, eid)) for eid, _ in rotated]
             exponents = tuple(s * o for (_, s), (_, o) in zip(rotated, gens))
             terms, uptos = fnhol.wp._chain_shape(exponents)

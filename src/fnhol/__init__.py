@@ -15,7 +15,6 @@ from .mat2 import (
     translation_length,
 )
 from .pants import (
-    PantsCocycle,
     PantsLengths,
     bc_magnitude,
     bc_magnitude_minus_one,
@@ -54,7 +53,6 @@ from .wp import (
     wp_pairing,
 )
 from .spin import (
-    BoundarySigns,
     SpinSurfaceCocycle,
     assemble_spin,
     enumerate_spin,

@@ -355,15 +355,18 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         worst = lifted.max_residual
         lines = [f"max face residual against +I {_num(worst)}"]
         rots = {}
+        # a curve's loop is the boundary loop of the pants on its left
+        by_loop = {}
         for cid, cells in doc.complex.curves.items():
-            r = spin_mod.rot2(lifted, cells.loop)
+            r = by_loop[cells.loop] = spin_mod.rot2(lifted, cells.loop)
             rots[str(cid)] = r
             lines.append(f"curve {cid}  rot {r}")
         pants_sums = {}
         for pid, cells in doc.complex.pants.items():
             s = 0
             for arc0, arc1, _ in cells.edges:
-                s += spin_mod.rot2(lifted, ((arc0, 1), (arc1, 1)))
+                loop = ((arc0, 1), (arc1, 1))
+                s += by_loop[loop] if loop in by_loop else spin_mod.rot2(lifted, loop)
             pants_sums[str(pid)] = s % 2
             lines.append(f"pants {pid}  rot sum mod 2 = {s % 2}")
         ok = worst <= tolerance and all(v == 1 for v in pants_sums.values())

@@ -8,8 +8,8 @@ boundary arcs are diagonal matrices diag(lambda_k^(1/2), ...) and whose
 seam values satisfy a*b = c*d; this module constructs it in closed
 form, applies gauge moves to it, and recovers it from any gauged copy.
 
-Values are sign-free :class:`fnhol.mat2.Mat2` representatives of their
-projective classes.
+A pants cocycle is its nine values, edge id -> :class:`fnhol.mat2.Mat2`,
+each a sign-free representative of its projective class.
 
 Labels (k runs over Z/3):
 
@@ -21,11 +21,10 @@ Labels (k runs over Z/3):
 
 import math
 
-from .mat2 import Mat2, _max_or_nan, walk
+from .mat2 import Mat2
 
 __all__ = [
     "PantsLengths",
-    "PantsCocycle",
     "NotFuchsianError",
     "bc_magnitude",
     "bc_magnitude_minus_one",
@@ -151,70 +150,29 @@ def seam_matrix(lengths, k):
     return Mat2(alpha, -beta, beta, -alpha, check=False)
 
 
-class PantsCocycle:
-    """Values of a holonomy cocycle on the nine pants edges."""
-
-    __slots__ = ("lengths", "values", "standard")
-
-    def __init__(self, lengths, values, standard=False):
-        self.lengths = lengths
-        self.values = dict(values)
-        self.standard = standard
-
-    def holonomy(self, word):
-        """Product of edge values along a word of (edge id, +1/-1)
-        pairs, renormalized; a sign-free representative."""
-        return walk(self.values, word).renormalized()
-
-    def face_residual(self, face):
-        return self.holonomy(PANTS_FACES[face]).proj_dist(Mat2.identity())
-
-    def max_face_residual(self):
-        return _max_or_nan(self.face_residual(f) for f in PANTS_FACES)
-
-
 def pants_cocycle(lengths):
     """The normalized cocycle of the pants with the given boundary
-    lengths: arcs carry diag(exp(l_k/4), ...), seams carry
-    seam_matrix."""
+    lengths, edge id -> Mat2: arcs carry diag(exp(l_k/4), ...), seams
+    carry seam_matrix.  Each k's values come in the order seam{k},
+    b{k}0, b{k}1."""
     values = {}
     for k in range(3):
-        root_lam = math.exp(0.25 * lengths[k])
-        arc = Mat2.diagonal(root_lam)
+        arc = Mat2.diagonal(math.exp(0.25 * lengths[k]))
+        values[f"seam{k}"] = seam_matrix(lengths, k)
         values[f"b{k}0"] = arc
         values[f"b{k}1"] = arc
-        values[f"seam{k}"] = seam_matrix(lengths, k)
-    return PantsCocycle(lengths, values, standard=True)
+    return values
 
 
-def gauge_transform(cocycle, gauge):
+def gauge_transform(values, gauge):
     """Conjugate every edge value by the vertex function ``gauge``:
     an edge from v0 to v1 becomes gauge(v0)^-1 @ value @ gauge(v1).
     Vertices missing from ``gauge`` are treated as the identity."""
     ident = Mat2.identity()
-    values = {}
-    for edge, (v0, v1, _) in PANTS_EDGES.items():
-        b0 = gauge.get(v0, ident)
-        b1 = gauge.get(v1, ident)
-        values[edge] = b0.inv() @ cocycle.values[edge] @ b1
-    out = PantsCocycle(cocycle.lengths, values, standard=False)
-    out.standard = is_standard(out)
-    return out
-
-
-def is_standard(cocycle, tol=1e-9):
-    """Whether arcs are the diagonal matrices of the boundary lengths, up
-    to sign, and seams satisfy the a*b = c*d normalization."""
-    for k in range(3):
-        arc = Mat2.diagonal(math.exp(0.25 * cocycle.lengths[k]))
-        for eps in (0, 1):
-            m = cocycle.values[f"b{k}{eps}"]
-            if m.proj_dist(arc) > tol * max(1.0, m.norm(), arc.norm()):
-                return False
-        m = cocycle.values[f"seam{k}"]
-        if abs(m.a * m.b - m.c * m.d) > tol * max(1.0, m.norm() ** 2):
-            return False
-    return True
+    return {
+        edge: gauge.get(v0, ident).inv() @ values[edge] @ gauge.get(v1, ident)
+        for edge, (v0, v1, _) in PANTS_EDGES.items()
+    }
 
 
 def _eigen_conjugator(m):
@@ -244,10 +202,11 @@ def _eigen_conjugator(m):
     return Mat2(ux * s, wx * s, uy * s, wy * s, check=False)
 
 
-def standardize(cocycle):
-    """Gauge an arbitrary pants holonomy cocycle into the normalized
-    form, returning ``(standard cocycle, gauge)`` with
-    ``gauge_transform(cocycle, gauge)`` equal to the first component.
+def standardize(values):
+    """Gauge an arbitrary pants holonomy cocycle (edge id -> Mat2) into
+    the normalized form, returning ``(lengths, standard values, gauge)``
+    with the recovered :class:`PantsLengths` and
+    ``gauge_transform(values, gauge)`` equal to the standard values.
 
     Proceeds in three vertex-gauge steps: diagonalize the two boundary
     holonomies at each circle, rescale the arcs to the symmetric
@@ -258,18 +217,18 @@ def standardize(cocycle):
     # step 1: make both arcs at each boundary diagonal
     g1 = {}
     for k in range(3):
-        m0 = cocycle.values[f"b{k}0"]
-        m1 = cocycle.values[f"b{k}1"]
+        m0 = values[f"b{k}0"]
+        m1 = values[f"b{k}1"]
         g1[f"v{k}0"] = _eigen_conjugator(m0 @ m1)
         g1[f"v{k}1"] = _eigen_conjugator(m1 @ m0)
-    step1 = gauge_transform(cocycle, g1)
+    step1 = gauge_transform(values, g1)
 
     # step 2: move each arc value to diag(lambda_k^(1/2), ...)
     g2 = {}
     lengths = []
     for k in range(3):
-        nu = abs(step1.values[f"b{k}0"].a)
-        lam = nu * abs(step1.values[f"b{k}1"].a)
+        nu = abs(step1[f"b{k}0"].a)
+        lam = nu * abs(step1[f"b{k}1"].a)
         if lam <= 1.0:
             raise NotFuchsianError(f"boundary {k} eigenvalue {lam!r} is not above 1")
         lengths.append(2.0 * math.log(lam))
@@ -280,7 +239,7 @@ def standardize(cocycle):
     # step 3: normalize the seams with one diagonal scale per boundary
     g3 = {}
     for k in range(3):
-        m = step2.values[f"seam{k}"]
+        m = step2[f"seam{k}"]
         if abs(m.c * m.d) <= 1e-14 * m.norm() ** 2:
             raise NotFuchsianError("seam value has c*d = 0")
         ratio = (m.a * m.b) / (m.c * m.d)
@@ -294,6 +253,4 @@ def standardize(cocycle):
     gauge = {}
     for v in PANTS_VERTICES:
         gauge[v] = (g1[v] @ g2[v] @ g3[v]).renormalized()
-    result.lengths = PantsLengths(*lengths)
-    result.standard = is_standard(result)
-    return result, gauge
+    return PantsLengths(*lengths), result, gauge

@@ -16,9 +16,11 @@ eps_0 eps_1 eps_2 = -1, and under that constraint there is at most one
 lift whose seam and b{k}0 arc values have positive (1,1) entry: the
 positivity rules fix every seam and b{k}0 sign to +1, the signs the
 assembled cocycle stores, b{k}1 is eps_k times b{k}0, and the one
-candidate is checked against both hexagon words.
-:func:`sl2_pants_cocycle` builds that candidate for one pants on its
-own, as a reference.
+candidate is checked against both hexagon words.  That check is one
+rule, applied by :func:`assemble_spin` to every pants of a surface and
+by :func:`sl2_pants_cocycle`, the one-pants candidate kept as a
+reference: :func:`fnhol.pants.pants_cocycle` with b{k}1 negated where
+eps_k = -1.
 
 Globally, the boundary signs form an affine system over GF(2), one
 equation per pants, of rank 2g-3; Gaussian elimination gives its 2^g
@@ -30,7 +32,6 @@ of the gluing graph be fixed to +1; the remaining g signs enumerate the
 """
 
 import itertools
-import math
 
 from .mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
 from . import pants as pants_mod
@@ -38,7 +39,6 @@ from .surface import CellComplex, SurfaceCocycle, _cocycle_at, holonomy
 
 __all__ = [
     "SpinSignError",
-    "BoundarySigns",
     "SpinSurfaceCocycle",
     "sl2_pants_cocycle",
     "assemble_spin",
@@ -55,53 +55,41 @@ class SpinSignError(ValueError):
     normalization."""
 
 
-class BoundarySigns:
-    """Signs of the three boundary eigenvalues of one pants; their
-    product must be -1."""
-
-    __slots__ = ("eps",)
-
-    def __init__(self, e0, e1, e2):
-        self.eps = (int(e0), int(e1), int(e2))
-        if any(e not in (-1, 1) for e in self.eps):
-            raise SpinSignError(f"signs must be +-1, got {self.eps}")
-        if self.eps[0] * self.eps[1] * self.eps[2] != -1:
-            raise SpinSignError(f"boundary signs {self.eps} must multiply to -1")
-
-    def __getitem__(self, k):
-        return self.eps[k % 3]
-
-    def __repr__(self):
-        return f"BoundarySigns{self.eps!r}"
+def _check_pants_lift(seams, hexagon_products):
+    """The lift test of one pants: every seam value has positive (1,1)
+    entry, and then both hexagon products are +I; AssertionError
+    ("found 0") if not."""
+    if not (
+        all(seam.a > 0.0 for seam in seams)
+        and all(m.close_to(Mat2.identity(), _FACE_TOL) for m in hexagon_products)
+    ):
+        raise AssertionError("expected a unique sign assignment, found 0")
 
 
 def sl2_pants_cocycle(lengths, signs):
     """The unique determinant-one lift of the normalized pants cocycle
-    with the given boundary trace signs.
+    with the given boundary trace signs (eps_0, eps_1, eps_2), each +-1
+    and multiplying to -1 (SpinSignError if not).
 
-    Returns edge id -> Mat2.  Both hexagon words evaluate to +I; the
-    seams and the b{k}0 arcs have positive (1,1) entry, and each
-    boundary holonomy b{k}0 b{k}1 has trace of sign eps_k.  Positivity
-    leaves one candidate: seam_matrix and diag(exp(l_k/4)) unsigned,
-    with b{k}1 = eps_k b{k}0.  AssertionError ("found 0") when that
-    candidate fails a hexagon word or has a seam with (1,1) entry not
-    positive, as happens for very short boundaries."""
-    if not isinstance(signs, BoundarySigns):
-        signs = BoundarySigns(*signs)
-    seams = [pants_mod.seam_matrix(lengths, k) for k in range(3)]
-    arcs = [Mat2.diagonal(math.exp(0.25 * lengths[k])) for k in range(3)]
-
-    values = {}
-    for k in range(3):
-        values[f"seam{k}"] = seams[k]
-        values[f"b{k}0"] = arcs[k]
-        values[f"b{k}1"] = arcs[k] if signs[k] > 0 else -arcs[k]
-    if not (
-        all(seam.a > 0.0 for seam in seams)
-        and all(walk(values, word).close_to(Mat2.identity(), _FACE_TOL)
-                for word in pants_mod.PANTS_FACES.values())
-    ):
-        raise AssertionError("expected a unique sign assignment, found 0")
+    Returns edge id -> Mat2: :func:`fnhol.pants.pants_cocycle` with
+    b{k}1 negated where eps_k = -1.  Both hexagon words evaluate to +I;
+    the seams and the b{k}0 arcs have positive (1,1) entry, and each
+    boundary holonomy b{k}0 b{k}1 has trace of sign eps_k.
+    AssertionError ("found 0") when that candidate fails the lift test,
+    as happens for very short boundaries."""
+    eps = tuple(int(e) for e in signs)
+    if len(eps) != 3 or any(e not in (-1, 1) for e in eps):
+        raise SpinSignError(f"signs must be three of +-1, got {eps}")
+    if eps[0] * eps[1] * eps[2] != -1:
+        raise SpinSignError(f"boundary signs {eps} must multiply to -1")
+    values = pants_mod.pants_cocycle(lengths)
+    for k, e in enumerate(eps):
+        if e < 0:
+            values[f"b{k}1"] = -values[f"b{k}1"]
+    _check_pants_lift(
+        (values[f"seam{k}"] for k in range(3)),
+        (walk(values, word) for word in pants_mod.PANTS_FACES.values()),
+    )
     return values
 
 
@@ -212,13 +200,12 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
         if crossing_signs[cid] * eps[cid] > 0:
             flipped.append(x1)
     out = SpinSurfaceCocycle(base, flipped)
+    products = out.face_products()
     for cells in complex_.pants.values():
-        if not (
-            all(base.values[seam].a > 0.0 for _, _, seam in cells.edges)
-            and all(out.face_products()[f].close_to(Mat2.identity(), _FACE_TOL)
-                    for f in cells.hexagons)
-        ):
-            raise AssertionError("expected a unique sign assignment, found 0")
+        _check_pants_lift(
+            (base.values[seam] for _, _, seam in cells.edges),
+            (products[f] for f in cells.hexagons),
+        )
     if out.max_residual > _FACE_TOL:
         raise SpinSignError(
             f"face word failed to lift to +I (residual {out.max_residual:g})"

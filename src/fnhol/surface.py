@@ -322,10 +322,10 @@ def assemble_cocycle(spec, fn):
         raise ValueError(f"coordinates missing for curves {sorted(map(str, missing))}")
     values = {}
     for pid, cells in complex_.pants.items():
-        cocycle = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
-        for local, ids in zip(_PANTS_EDGES_BY_K, cells.edges):
-            for e, eid in zip(local, ids):
-                values[eid] = cocycle.values[e]
+        local = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
+        for names, ids in zip(_PANTS_EDGES_BY_K, cells.edges):
+            for e, eid in zip(names, ids):
+                values[eid] = local[e]
     for cid, cells in complex_.curves.items():
         t = math.exp(-0.5 * fn.twists[cid])
         # either sign represents the class; this one, (-0.0, 1/T; -T, -0.0),

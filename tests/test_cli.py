@@ -167,7 +167,7 @@ def test_spin_walks_face_words_once(monkeypatch):
 
         return wrapper
 
-    for module in (fnhol.surface, fnhol.spin, fnhol.pants):
+    for module in (fnhol.surface, fnhol.spin):
         monkeypatch.setattr(module, "walk", counted("walk", module.walk))
     for name in ("seam_matrix", "pants_cocycle"):
         monkeypatch.setattr(fnhol.pants, name, counted(name, getattr(fnhol.pants, name)))

@@ -1,11 +1,14 @@
 import ast
 import importlib
+import importlib.util
+import json
 import pathlib
 import types
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "fnhol"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fnhol"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # the canonical sign of a written matrix is the command line's business
 PROJMAT2_FILES = {"mat2.py", "cli.py"}
@@ -90,3 +93,36 @@ def test_the_check_sees_an_export_that_is_gone():
 def test_every_export_resolves(path):
     module = importlib.import_module(f"fnhol.{path.stem}")
     assert unresolved_exports(module) == []
+
+
+def _tracer():
+    """``benchmarks/tracer.py``, loaded as a module without changing
+    ``sys.path``."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "benchmarks" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_benchmark_binds_resolves():
+    # the traced benchmark spans every public function of its layers and
+    # binds some methods; a per-layer metric whose name is gone would
+    # fail only as "metric ... was not measured" in a traced run
+    tracer = _tracer()
+    methods = tracer.COUNTED_METHODS + tracer.SPANNED_METHODS
+    for mod, cls, meth, _ in methods:
+        owner = getattr(importlib.import_module(f"fnhol.{mod}"), cls)
+        assert callable(getattr(owner, meth, None)), f"{cls}.{meth}"
+    bound = {metric for *_, metric in methods}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    checked = 0
+    for metric in metrics:
+        layer, _, rest = metric["name"].partition(".")
+        name, _, kind = rest.rpartition(".")
+        if layer not in tracer.SPAN_LAYERS or kind not in ("calls", "self_ms"):
+            continue
+        if f"{layer}.{name}" not in bound:
+            module = importlib.import_module(f"fnhol.{layer}")
+            assert name in tracer.public_functions(module), metric["name"]
+        checked += 1
+    assert checked

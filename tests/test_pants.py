@@ -2,11 +2,18 @@ import math
 
 import pytest
 
-from fnhol.mat2 import Mat2, nearest_point_on_imaginary_axis, translation_length
+from fnhol.mat2 import (
+    Mat2,
+    _max_or_nan,
+    nearest_point_on_imaginary_axis,
+    translation_length,
+    walk,
+)
 from fnhol.pants import (
     GAMMA_WORDS,
     NotFuchsianError,
     PANTS_EDGES,
+    PANTS_FACES,
     PANTS_VERTICES,
     PantsLengths,
     bc_magnitude,
@@ -21,6 +28,30 @@ from conftest import random_mat2, rng_for
 
 def random_lengths(rng, lo=0.1, hi=10.0):
     return PantsLengths(*(rng.uniform(lo, hi) for _ in range(3)))
+
+
+def hol(values, word):
+    return walk(values, word).renormalized()
+
+
+def face_residuals(values):
+    """Face id -> distance of the face word from +-I."""
+    return {f: hol(values, w).proj_dist(Mat2.identity()) for f, w in PANTS_FACES.items()}
+
+
+def is_standard(lengths, values, tol=1e-9):
+    """Whether arcs are the diagonal matrices of the boundary lengths, up
+    to sign, and seams satisfy the a*b = c*d normalization."""
+    for k in range(3):
+        arc = Mat2.diagonal(math.exp(0.25 * lengths[k]))
+        for eps in (0, 1):
+            m = values[f"b{k}{eps}"]
+            if m.proj_dist(arc) > tol * max(1.0, m.norm(), arc.norm()):
+                return False
+        m = values[f"seam{k}"]
+        if abs(m.a * m.b - m.c * m.d) > tol * max(1.0, m.norm() ** 2):
+            return False
+    return True
 
 
 def test_bc_magnitude_reference_value():
@@ -87,26 +118,28 @@ def test_pants_cocycle_faces_and_lengths():
     for _ in range(200):
         l = random_lengths(rng)
         c = pants_cocycle(l)
-        assert c.standard
-        assert c.max_face_residual() <= 1e-9
+        assert is_standard(l, c)
+        assert all(r <= 1e-9 for r in face_residuals(c).values())
         for k in range(3):
             loop = ((f"b{k}0", 1), (f"b{k}1", 1))
-            assert abs(translation_length(c.holonomy(loop)) - l[k]) <= 1e-10
+            assert abs(translation_length(hol(c, loop)) - l[k]) <= 1e-10
 
 
 def test_max_face_residual_keeps_a_nan():
     # hex+ comes first and is finite; a nan on b01 shows only in hex-
     c = pants_cocycle(PantsLengths(2, 2, 2))
-    c.values["b01"] = Mat2(math.nan, 0.0, 0.0, math.nan, check=False)
-    assert c.face_residual("hex+") <= 1e-9
-    assert math.isnan(c.face_residual("hex-"))
-    assert math.isnan(c.max_face_residual())
+    c["b01"] = Mat2(math.nan, 0.0, 0.0, math.nan, check=False)
+    residuals = face_residuals(c)
+    assert residuals["hex+"] <= 1e-9
+    assert math.isnan(residuals["hex-"])
+    assert math.isnan(_max_or_nan(residuals.values()))
+    assert not all(r <= 1e-9 for r in residuals.values())
 
 
 def test_gamma_relation_and_trace():
     l = PantsLengths(2, 2, 2)
     c = pants_cocycle(l)
-    g = {k: c.holonomy(GAMMA_WORDS[k]) for k in range(3)}
+    g = {k: hol(c, GAMMA_WORDS[k]) for k in range(3)}
     prod = g[2] @ g[1] @ g[0]
     assert prod.proj_dist(Mat2.identity()) <= 1e-12
     # the middle boundary word has trace -(lambda_1 + 1/lambda_1)
@@ -133,7 +166,7 @@ def test_seam_foot_of_middle_boundary():
     for _ in range(100):
         l = random_lengths(rng, 0.2, 6.0)
         c = pants_cocycle(l)
-        conj = Mat2.diagonal(math.sqrt(l.lam(0))) @ c.values["seam1"].inv()
+        conj = Mat2.diagonal(math.sqrt(l.lam(0))) @ c["seam1"].inv()
         assert abs(nearest_point_on_imaginary_axis(conj) - l.lam(0)) <= 1e-8 * l.lam(0)
 
 
@@ -142,8 +175,8 @@ def test_gamma1_two_expressions_agree():
     for _ in range(50):
         l = random_lengths(rng, 0.3, 6.0)
         c = pants_cocycle(l)
-        word_val = c.holonomy(GAMMA_WORDS[1])
-        a1 = c.values["seam1"]
+        word_val = hol(c, GAMMA_WORDS[1])
+        a1 = c["seam1"]
         d0 = Mat2.diagonal(math.sqrt(l.lam(0)))
         alt = d0 @ a1.inv() @ Mat2.diagonal(l.lam(1)) @ a1 @ d0.inv()
         assert word_val.proj_dist(alt) <= 1e-10 * max(1.0, alt.norm())
@@ -163,12 +196,12 @@ def test_gauge_identity_and_constant():
     l = PantsLengths(1.3, 2.1, 0.8)
     c = pants_cocycle(l)
     same = gauge_transform(c, {v: Mat2.identity() for v in PANTS_VERTICES})
-    assert all(same.values[e].close_to(c.values[e], 1e-14) for e in PANTS_EDGES)
-    assert same.standard
+    assert all(same[e].close_to(c[e], 1e-14) for e in PANTS_EDGES)
+    assert is_standard(l, same)
 
     p = random_mat2(rng)
     conj = gauge_transform(c, {v: p for v in PANTS_VERTICES})
-    assert conj.max_face_residual() <= 1e-9
+    assert all(r <= 1e-9 for r in face_residuals(conj).values())
 
 
 def test_gauge_diagonal_preserves_arcs():
@@ -183,16 +216,16 @@ def test_gauge_diagonal_preserves_arcs():
     moved = gauge_transform(c, gauge)
     for k in range(3):
         arc = Mat2.diagonal(math.exp(0.25 * l[k]))
-        assert moved.values[f"b{k}0"].close_to(arc, 1e-12)
-        assert moved.values[f"b{k}1"].close_to(arc, 1e-12)
+        assert moved[f"b{k}0"].close_to(arc, 1e-12)
+        assert moved[f"b{k}1"].close_to(arc, 1e-12)
 
 
 def test_standardize_idempotent():
     c = pants_cocycle(PantsLengths(1.2, 2.3, 0.7))
-    out, gauge = standardize(c)
-    assert all(out.values[e].proj_dist(c.values[e]) <= 1e-12 for e in PANTS_EDGES)
+    lengths, out, gauge = standardize(c)
+    assert all(out[e].proj_dist(c[e]) <= 1e-12 for e in PANTS_EDGES)
     assert all(gauge[v].proj_dist(Mat2.identity()) <= 1e-12 for v in PANTS_VERTICES)
-    assert out.standard
+    assert is_standard(lengths, out)
 
 
 def test_standardize_roundtrip():
@@ -202,27 +235,27 @@ def test_standardize_roundtrip():
         c = pants_cocycle(l)
         gauge = {v: random_mat2(rng) for v in PANTS_VERTICES}
         moved = gauge_transform(c, gauge)
-        assert not moved.standard
-        recovered, found = standardize(moved)
+        assert not is_standard(l, moved)
+        lengths, recovered, found = standardize(moved)
         assert all(
-            recovered.values[e].proj_dist(c.values[e]) <= 1e-8 for e in PANTS_EDGES
+            recovered[e].proj_dist(c[e]) <= 1e-8 for e in PANTS_EDGES
         )
         # the returned gauge actually produces the standard cocycle
         check = gauge_transform(moved, found)
         assert all(
-            check.values[e].proj_dist(recovered.values[e]) <= 1e-9 for e in PANTS_EDGES
+            check[e].proj_dist(recovered[e]) <= 1e-9 for e in PANTS_EDGES
         )
         for k in range(3):
-            assert abs(recovered.lengths[k] - l[k]) <= 1e-10 * max(1.0, l[k])
+            assert abs(lengths[k] - l[k]) <= 1e-10 * max(1.0, l[k])
 
 
 def test_standardize_rejects_non_hyperbolic_boundary():
     c = pants_cocycle(PantsLengths(1.0, 1.0, 1.0))
-    broken = dict(c.values)
+    broken = dict(c)
     broken["b00"] = Mat2(0.0, -1.0, 1.0, 0.0)
     broken["b01"] = broken["b00"]
     with pytest.raises(NotFuchsianError):
-        standardize(type(c)(c.lengths, broken))
+        standardize(broken)
 
 
 def test_lengths_validation():

@@ -7,7 +7,6 @@ from fnhol.mat2 import Mat2, NonHyperbolicError, walk
 from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix
 from fnhol.surface import FNPoint, SurfaceCocycle, assemble_cocycle, build_complex, holonomy
 from fnhol.spin import (
-    BoundarySigns,
     SpinSignError,
     assemble_spin,
     enumerate_spin,
@@ -29,14 +28,15 @@ from conftest import (
 
 
 def test_boundary_signs_constraint():
-    BoundarySigns(1, 1, -1)
-    BoundarySigns(-1, -1, -1)
+    l = PantsLengths(2, 2, 2)
+    sl2_pants_cocycle(l, (1, 1, -1))
+    sl2_pants_cocycle(l, (-1, -1, -1))
     with pytest.raises(SpinSignError):
-        BoundarySigns(1, 1, 1)
+        sl2_pants_cocycle(l, (1, 1, 1))
     with pytest.raises(SpinSignError):
-        BoundarySigns(1, -1, -1)
+        sl2_pants_cocycle(l, (1, -1, -1))
     with pytest.raises(SpinSignError):
-        BoundarySigns(2, 1, -1)
+        sl2_pants_cocycle(l, (2, 1, -1))
 
 
 def _face_value(values, word):
@@ -259,20 +259,41 @@ def test_lift_is_the_closed_form_as_sign_flips(shape, genus):
                 assert lifted.max_residual <= 1e-8
 
 
+def _lift_or_failure(build):
+    """The lift's values, or the message of the AssertionError it raised."""
+    try:
+        return build()
+    except AssertionError as exc:
+        return str(exc)
+
+
 def test_lift_on_a_short_curve_fails_as_the_closed_form():
-    # the handle with a short self-glued curve: the lift from the
-    # cocycle, from the complex and pants by pants fail alike
-    spec = handle_spec()
-    cx = build_complex(spec)
-    fn = FNPoint({0: 1e-4, 1: 2.0, 2: 2.0}, {i: 0.3 for i in range(3)})
-    eps = {0: 1, 1: -1, 2: 1}
-    for source in (assemble_cocycle(cx, fn), cx, spec):
-        with pytest.raises(AssertionError) as info:
-            assemble_spin(source, fn, eps)
-        assert str(info.value) == "expected a unique sign assignment, found 0"
-    with pytest.raises(AssertionError) as info:
-        _closed_form_lift(cx, fn, eps, {c: 1 for c in range(3)})
-    assert str(info.value) == "expected a unique sign assignment, found 0"
+    # curve 0 from 1e-6 to 1e-1 on the handle (a short self-glued curve),
+    # genus 2 and caterpillar(3), for every eps: the lift from the
+    # cocycle, from the complex and from the spec, and the per-pants
+    # closed form, either all fail with "found 0" or all give the same
+    # entries, so the lift test of a pants is the closed form's
+    outcomes = {"raised": 0, "lifted": 0}
+    for spec in (handle_spec(), genus2_spec(), caterpillar(3)):
+        cx = build_complex(spec)
+        eps_list, _ = enumerate_spin(spec)
+        for e in range(-6, 0):
+            lengths = {c.id: 2.0 for c in spec.curves}
+            lengths[0] = 10.0**e
+            fn = FNPoint(lengths, {c.id: 0.3 for c in spec.curves})
+            for eps in eps_list:
+                signs = {c.id: 1 for c in spec.curves}
+                want = _lift_or_failure(lambda: _closed_form_lift(cx, fn, eps, signs))
+                for source in (assemble_cocycle(cx, fn), cx, spec):
+                    got = _lift_or_failure(lambda: assemble_spin(source, fn, eps, signs).values)
+                    if isinstance(want, str):
+                        assert got == want == "expected a unique sign assignment, found 0"
+                        continue
+                    assert got.keys() == want.keys()
+                    for edge, m in want.items():
+                        assert _same_entries(got[edge], m), (spec, e, eps, edge)
+                outcomes["raised" if isinstance(want, str) else "lifted"] += 1
+    assert outcomes["raised"] and outcomes["lifted"], outcomes
 
 
 @pytest.mark.parametrize("entry", [1, 2])

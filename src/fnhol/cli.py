@@ -38,7 +38,6 @@ command run on it.
 """
 
 import json
-import math
 import sys
 from collections import namedtuple
 from functools import cached_property
@@ -48,6 +47,7 @@ from .surface import (
     Curve,
     FNPoint,
     SurfaceSpec,
+    _crossing_entry,
     assemble_cocycle,
     build_complex,
     extract_fn,
@@ -119,6 +119,13 @@ def _id(val, path):
     return val
 
 
+def _sign(val, path):
+    """A spin sign: +1 or -1, never a boolean."""
+    if isinstance(val, bool) or val not in (-1, 1):
+        _fail(path, f"expected +-1, got {val!r}")
+    return val
+
+
 def _curve_key(raw_id, curves_by_str, path):
     """Resolve a curve reference (a JSON object key is always a string)
     by its string form, which validation made unique per curve."""
@@ -126,17 +133,6 @@ def _curve_key(raw_id, curves_by_str, path):
     if cid is None:
         _fail(path, f"unknown curve {raw_id!r}")
     return cid
-
-
-def _crossing_finite(twist):
-    """Whether the crossing entries T = exp(-twist/2) and 1/T that
-    ``assemble_cocycle`` builds, and the spin lifts negate, are both
-    finite and nonzero."""
-    try:
-        t = math.exp(-0.5 * twist)
-    except OverflowError:
-        return False
-    return 0.0 < t < math.inf and 1.0 / t < math.inf
 
 
 def parse_document(text):
@@ -185,9 +181,10 @@ def parse_document(text):
         if cid in lengths:
             _fail(path, f"duplicate coordinates for curve {cid!r}")
         tw = _require(item, "twist", float, path)
-        if not _crossing_finite(tw):
-            _fail(f"{path}.twist", f"{tw!r} makes exp(-twist/2) or its inverse "
-                  "zero or not finite")
+        try:
+            _crossing_entry(tw, f"{path}.twist")
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from None
         lengths[cid] = l
         twists[cid] = tw
     missing = [c for c in curve_ids if c not in lengths]
@@ -203,18 +200,14 @@ def parse_document(text):
         eps = {}
         for key, val in _require(block, "eps", dict, "spin").items():
             cid = _curve_key(key, curves_by_str, "spin.eps")
-            if val not in (-1, 1):
-                _fail(f"spin.eps.{key}", f"expected +-1, got {val!r}")
-            eps[cid] = val
+            eps[cid] = _sign(val, f"spin.eps.{key}")
         if set(eps) != set(curve_ids):
             _fail("spin.eps", "must assign a sign to every curve")
         signs = {c: 1 for c in curve_ids}
         if "crossing_signs" in block:
-            for key, val in block["crossing_signs"].items():
+            for key, val in _require(block, "crossing_signs", dict, "spin").items():
                 cid = _curve_key(key, curves_by_str, "spin.crossing_signs")
-                if val not in (-1, 1):
-                    _fail(f"spin.crossing_signs.{key}", f"expected +-1, got {val!r}")
-                signs[cid] = val
+                signs[cid] = _sign(val, f"spin.crossing_signs.{key}")
         spin = {"eps": eps, "crossing_signs": signs}
     return SurfaceDocument(spec, fn, spin)
 

@@ -35,7 +35,7 @@ import itertools
 
 from .mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
 from . import pants as pants_mod
-from .surface import CellComplex, SurfaceCocycle, _cocycle_at, holonomy
+from .surface import CellComplex, SurfaceCocycle, _cocycle_at, holonomy, spanning_tree_curves
 
 __all__ = [
     "SpinSignError",
@@ -91,26 +91,6 @@ def sl2_pants_cocycle(lengths, signs):
         (walk(values, word) for word in pants_mod.PANTS_FACES.values()),
     )
     return values
-
-
-def spanning_tree_curves(spec):
-    """Curve ids of a spanning tree of the pants gluing multigraph,
-    chosen greedily over curves sorted by id (union-find)."""
-    parent = {p: p for p in spec.pants}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for c in sorted(spec.curves, key=lambda c: str(c.id)):
-        a, b = find(c.left[0]), find(c.right[0])
-        if a != b:
-            parent[a] = b
-            tree.append(c.id)
-    return tuple(tree)
 
 
 class SpinSurfaceCocycle(SurfaceCocycle):

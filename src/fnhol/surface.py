@@ -33,6 +33,7 @@ __all__ = [
     "FNPoint",
     "SurfaceCocycle",
     "validate_surface",
+    "spanning_tree_curves",
     "build_complex",
     "assemble_cocycle",
     "holonomy",
@@ -112,25 +113,31 @@ def validate_surface(spec):
             if (pid, k) not in seen:
                 problems.append(f"boundary ({pid}, {k}) is not glued to any curve")
 
-    if not problems and spec.pants:
-        # connectivity of the gluing multigraph
-        reached = {spec.pants[0]}
-        frontier = [spec.pants[0]]
-        adj = {p: [] for p in spec.pants}
-        for c in spec.curves:
-            adj[c.left[0]].append(c.right[0])
-            adj[c.right[0]].append(c.left[0])
-        while frontier:
-            p = frontier.pop()
-            for q in adj[p]:
-                if q not in reached:
-                    reached.add(q)
-                    frontier.append(q)
-        if len(reached) != len(spec.pants):
-            problems.append("gluing graph is not connected")
-    if not problems and 2 - 2 * spec.genus != -len(spec.pants):
-        problems.append("Euler characteristic mismatch")
+    if not problems and len(spanning_tree_curves(spec)) != len(spec.pants) - 1:
+        problems.append("gluing graph is not connected")
     return problems
+
+
+def spanning_tree_curves(spec):
+    """Curve ids of a spanning tree of the pants gluing multigraph,
+    chosen greedily over curves sorted by id (union-find); a tree of
+    the whole graph has one curve fewer than there are pants exactly
+    when the graph is connected."""
+    parent = {p: p for p in spec.pants}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = []
+    for c in sorted(spec.curves, key=lambda c: str(c.id)):
+        a, b = find(c.left[0]), find(c.right[0])
+        if a != b:
+            parent[a] = b
+            tree.append(c.id)
+    return tuple(tree)
 
 
 # kind is "seam" | "arc0" | "arc1" | "crossing"
@@ -161,8 +168,9 @@ class CellComplex:
     ((edge id, +1/-1), ...) around it counterclockwise.  ``pants``
     (pants id -> ``PantsCells``) and ``curves`` (curve id ->
     ``CurveCells``), in spec order, hold the ids cocycles are written
-    and read through; ``pairing_layout`` is the pairing
-    kernel's part (:mod:`fnhol.wp`), made there on first use."""
+    and read through.  ``pairing_layout`` is the pairing kernel's part
+    (:mod:`fnhol.wp`), a dict keyed by (face id, rotation), empty until
+    the first kernel over the complex fills it."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -171,7 +179,7 @@ class CellComplex:
         self.faces = {}
         self.pants = {}
         self.curves = {}
-        self.pairing_layout = None
+        self.pairing_layout = {}
         sides = {pid: [None, None, None] for pid in spec.pants}
         for c in spec.curves:
             for (p, k) in (c.left, c.right):
@@ -313,12 +321,26 @@ def pants_boundary_lengths(complex_, fn, pid):
     return pants_mod.PantsLengths(fn.lengths[c0], fn.lengths[c1], fn.lengths[c2])
 
 
+def _crossing_entry(twist, name):
+    """T = exp(-twist/2), which the crossing edges carry with 1/T;
+    ValueError, naming the twist by ``name``, unless T and 1/T are both
+    finite and nonzero (about |twist| <= 1419.56)."""
+    try:
+        t = math.exp(-0.5 * twist)
+    except OverflowError:
+        t = math.inf
+    if not (0.0 < t < math.inf and 1.0 / t < math.inf):
+        raise ValueError(f"{name}: {twist!r} makes exp(-twist/2) or its inverse "
+                         "zero or not finite")
+    return t
+
+
 def assemble_cocycle(spec, fn):
     """The normalized cocycle of the hyperbolic structure with the given
     Fenchel-Nielsen coordinates."""
     complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
-    missing = complex_.curves.keys() - fn.lengths.keys()
-    if missing or complex_.curves.keys() - fn.twists.keys():
+    missing = complex_.curves.keys() - (fn.lengths.keys() & fn.twists.keys())
+    if missing:
         raise ValueError(f"coordinates missing for curves {sorted(map(str, missing))}")
     values = {}
     for pid, cells in complex_.pants.items():
@@ -327,7 +349,7 @@ def assemble_cocycle(spec, fn):
             for e, eid in zip(names, ids):
                 values[eid] = local[e]
     for cid, cells in complex_.curves.items():
-        t = math.exp(-0.5 * fn.twists[cid])
+        t = _crossing_entry(fn.twists[cid], f"twist of curve {cid}")
         # either sign represents the class; this one, (-0.0, 1/T; -T, -0.0),
         # is the canonical sign of a report, chosen because the sign of a
         # zero entry can show in a written holonomy matrix

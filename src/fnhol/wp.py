@@ -32,13 +32,14 @@ surface has only a few (its hexagons and squares).
 The pairing is a bilinear form on H^1, so :class:`PairingKernel` builds
 it once per base cocycle: per face, the prefix products of the
 cocycle's one face walk (:meth:`SurfaceCocycle.face_walk`) are the
-transport matrices of every position.  A variation cocycle is
-transported once, visiting only the edges it carries, and the pairing
-of two transported cocycles is a contraction over the faces they share,
-one face at a time.  Slots whose value is exactly zero are left out;
-every sum is a ``math.fsum``, which is correctly rounded, and
-:func:`pair_on_face` transports along the same left-to-right products,
-so the result is the same to the bit as the face-by-face sum.
+transport matrices of every position of its cycle.  A variation cocycle
+is transported once, visiting only the edges it carries, into its
+values per face id at the positions of that face's cycle, and the
+pairing of two transported cocycles is a contraction over the faces
+they share, one face at a time.  Values that are exactly zero are left
+out; every sum is a ``math.fsum``, which is correctly rounded in any
+order, and :func:`pair_on_face` transports along the same left-to-right
+products, so the result is the same to the bit as the face-by-face sum.
 
 :func:`wp_matrix` transports each coordinate direction once through
 one kernel.  A direction carries values on a few faces only, so it
@@ -50,7 +51,6 @@ linearly in the genus.
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate
 
 from .mat2 import Mat2, _max_or_nan, ad_action, walk
 from .surface import _cocycle_at
@@ -211,115 +211,104 @@ def pair_on_face(cocycle, z1, z2, fid, start=0):
     return pair_chain(cocycle, z1, z2, diagonal_chain(cocycle.complex, fid, start))
 
 
-def _face_part(first, terms, values1, values2):
-    """One face's part of the pairing of two transported variations
-    (slot -> value): the fsum of the chain terms, whose positions count
-    from slot ``first``.  With finite values, a term with an exactly zero
-    slot contributes an exact zero, which no fsum can see."""
+def _face_part(terms, values1, values2):
+    """One face's part of the pairing of two transported variations, each
+    its values at the positions of the face cycle: the fsum of the chain
+    terms.  With finite values, a term with an exactly zero value (None)
+    contributes an exact zero, which no fsum can see."""
     total = []
     for sign, j, i in terms:
-        x = values1.get(first + j)
+        x = values1[j]
         if x is not None:
-            y = values2.get(first + i)
+            y = values2[i]
             if y is not None:
                 total.append(sign * killing_form(x, y))
     return PAIRING_NORMALIZATION * math.fsum(total)
 
 
-def _face_layouts(complex_):
-    """Per face, in sorted order: (face id, the slot of its first position,
-    {rotation: :func:`_rotation_layout`}), kept with the complex and made
-    when the first kernel over it is built; a rotation is laid out when a
-    face walk first begins there."""
-    if complex_.pairing_layout is None:
-        faces = sorted(complex_.faces)
-        firsts = accumulate((len(complex_.faces[f]) for f in faces), initial=0)
-        complex_.pairing_layout = [(fid, first, {}) for fid, first in zip(faces, firsts)]
-    return complex_.pairing_layout
-
-
-def _rotation_layout(complex_, fid, first, start):
+def _face_layout(complex_, fid, start):
     """The face's part of the kernel at rotation ``start`` of its cycle,
     less the cocycle's moves: the :func:`_chain_shape` terms, the
     distinct nonzero prefix lengths whose products are the moves, and
-    per position (edge id, chain orientation, slot, prefix length)."""
-    gens = _oriented_cycle(complex_, fid, start)
-    terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
-    positions = tuple(
-        (eid, orient, first + pos, upto)
-        for pos, (((eid, orient), _), upto) in enumerate(zip(gens, uptos))
-    )
-    return terms, tuple(set(uptos) - {0}), positions
+    per position (edge id, chain orientation, prefix length).  It is
+    kept in the complex's ``pairing_layout`` under (face id, start),
+    made when a face walk first begins there."""
+    layout = complex_.pairing_layout.get((fid, start))
+    if layout is None:
+        gens = _oriented_cycle(complex_, fid, start)
+        terms, uptos = _chain_shape(tuple(exponent for _, exponent in gens))
+        positions = tuple(
+            (eid, orient, upto) for ((eid, orient), _), upto in zip(gens, uptos)
+        )
+        layout = complex_.pairing_layout[fid, start] = (
+            terms, tuple(set(uptos) - {0}), positions
+        )
+    return layout
 
 
 class PairingKernel:
     """The pairing against one base cocycle, assembled once.
 
-    A slot is one position of a face cycle: the oriented edge the chain
-    carries there, and the matrix that moves its value to the face
-    basepoint.  Per face (sorted order) the kernel takes the running
-    products of the cocycle's face walk, begun at the rotation the walk
-    chose: the move of a position is its prefix product P_upto of the
+    Per face the kernel takes the running products of the cocycle's face
+    walk, begun at the rotation the walk chose, and positions count from
+    there: the move of a position is its prefix product P_upto of the
     edge values, renormalized, the holonomy of the path from the
-    basepoint to the start of the edge.  Everything else, the chain terms
-    of that rotation and which prefix each position reads, is the
-    complex's layout (:func:`_face_layouts`)."""
+    basepoint to the start of the edge carried there.  Everything else,
+    the chain terms of that rotation and which prefix each position
+    reads, is the complex's layout (:func:`_face_layout`)."""
 
     def __init__(self, cocycle):
         complex_ = cocycle.complex
-        self._edge_slots = {}  # edge id -> (orientation, [(slot, face, move or None)])
-        self._face_terms = []  # face -> (slot of its first position, chain terms)
-        for face, (fid, first, rotations) in enumerate(_face_layouts(complex_)):
+        self._edge_positions = {}  # edge id -> (orientation, [(face id, position, move or None)])
+        self._face_terms = {}  # face id -> (cycle length, chain terms)
+        for fid, cycle in complex_.faces.items():
             prefixes = []
             start, _ = cocycle.face_walk(fid, prefixes)
-            layout = rotations.get(start)
-            if layout is None:
-                layout = rotations[start] = _rotation_layout(complex_, fid, first, start)
-            terms, stops, positions = layout
+            terms, stops, positions = _face_layout(complex_, fid, start)
             moves = {0: None}  # the empty path needs no move
             for upto in stops:
                 moves[upto] = Mat2(*prefixes[upto - 1], check=False).renormalized()
-            for eid, orient, slot, upto in positions:
-                slots = self._edge_slots.setdefault(eid, (orient, []))[1]
-                slots.append((slot, face, moves[upto]))
-            self._face_terms.append((first, terms))
+            for pos, (eid, orient, upto) in enumerate(positions):
+                held = self._edge_positions.setdefault(eid, (orient, []))[1]
+                held.append((fid, pos, moves[upto]))
+            self._face_terms[fid] = (len(cycle), terms)
 
     def transport(self, variation):
-        """The variation's value on every slot of the edges it carries,
-        moved to its face basepoint.  Returns (values, faces): values
-        maps each slot whose value is not exactly zero to that value,
-        and faces holds the faces of those slots."""
-        values = {}
-        faces = set()
-        edge_slots = self._edge_slots
+        """The variation's values on the faces of the edges it carries,
+        moved to each face basepoint: face id -> its values at the
+        positions of the face cycle, None where a value is exactly zero.
+        Faces where every value is exactly zero are left out."""
+        transported = {}
+        edge_positions = self._edge_positions
+        face_terms = self._face_terms
         for eid, z in variation.values.items():
             if not (z.x or z.y or z.z):
                 continue  # every transport of an exact zero is one
-            orient, slots = edge_slots[eid]
+            orient, held = edge_positions[eid]
             if orient < 0:
                 z = variation.value(eid, orient)
-            for s, face, move in slots:
+            for fid, pos, move in held:
                 v = z if move is None else ad_action(move, z)
                 if v.x or v.y or v.z:
-                    values[s] = v
-                    faces.add(face)
-        return values, faces
+                    values = transported.get(fid)
+                    if values is None:
+                        values = transported[fid] = [None] * face_terms[fid][0]
+                    values[pos] = v
+        return transported
 
     def pair(self, t1, t2):
         """The pairing of two transported variation cocycles: the fsum of
-        their parts on the faces they share (:func:`_face_part`)."""
-        values1, faces1 = t1
-        values2, faces2 = t2
+        their parts on the faces they share (:func:`_face_part`), which
+        is correctly rounded in any face order."""
         face_terms = self._face_terms
         return math.fsum(
-            _face_part(*face_terms[face], values1, values2)
-            for face in sorted(faces1 & faces2)
+            _face_part(face_terms[fid][1], t1[fid], t2[fid]) for fid in t1.keys() & t2.keys()
         )
 
 
 def wp_pairing(cocycle, z1, z2):
     """The Weil-Petersson pairing of two variation cocycles: the sum of
-    all face contributions, in a fixed face order.
+    all face contributions, correctly rounded.
 
     The face chains already assemble into a diagonal cycle, so the bigon
     corrections of :func:`pants_bigon_chain` are not part of the sum
@@ -364,10 +353,10 @@ def wp_matrix(spec, fn):
     ]
     kernel = PairingKernel(base)
     transported = [kernel.transport(variation_cocycle(base, base.fn, v)) for v in basis]
-    present = {}  # face -> the directions with a nonzero slot on it
-    for d, (_, faces) in enumerate(transported):
-        for face in faces:
-            present.setdefault(face, []).append(d)
+    present = {}  # face id -> the directions with a nonzero value on it
+    for d, values in enumerate(transported):
+        for fid in values:
+            present.setdefault(fid, []).append(d)
     matrix = [[0.0] * len(basis) for _ in basis]
     for i, j in {(i, j) for ds in present.values() for i in ds for j in ds}:
         matrix[i][j] = kernel.pair(transported[i], transported[j])

@@ -19,6 +19,7 @@ from fnhol.cli import (
 )
 from fnhol.mat2 import Mat2
 from fnhol.spin import SpinSurfaceCocycle
+from conftest import comb
 
 
 def genus2_doc(spin=True):
@@ -138,17 +139,17 @@ def test_commands_that_do_not_pair_lay_out_nothing(monkeypatch):
     # use; verify, fn, holonomy and spin never pair, so never make it
     doc = parse_document(json.dumps(genus2_doc()))
 
-    def refused(complex_):
+    def refused(complex_, fid, start):
         raise AssertionError("this command never pairs")
 
-    monkeypatch.setattr(fnhol.wp, "_face_layouts", refused)
+    monkeypatch.setattr(fnhol.wp, "_face_layout", refused)
     for cmd, kw in (("verify", {}), ("fn", {}), ("holonomy", {"word": "p0.b00 p0.b01"}),
                     ("spin", {})):
         assert run_command(doc, cmd, **kw)[1] == 0, cmd
-    assert doc.complex.pairing_layout is None
+    assert doc.complex.pairing_layout == {}
     monkeypatch.undo()
     assert run_command(doc, "wp")[1] == 0
-    assert doc.complex.pairing_layout is not None
+    assert doc.complex.pairing_layout != {}
 
 
 def test_spin_walks_face_words_once(monkeypatch):
@@ -330,6 +331,24 @@ def test_parse_rejects_twists_beyond_the_crossing_range(tmp_path, capsys, twist)
     assert err.startswith("fnhol: fn[2].twist: ")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("crossing_signs", [1], "spin.crossing_signs: expected dict, got [1]"),
+        ("crossing_signs", None, "spin.crossing_signs: expected dict, got None"),
+        ("crossing_signs", {"1": True}, "spin.crossing_signs.1: expected +-1, got True"),
+        ("eps", {"0": -1, "1": -1, "2": True}, "spin.eps.2: expected +-1, got True"),
+    ],
+    ids=["list", "null", "boolean-crossing-sign", "boolean-eps"],
+)
+def test_parse_rejects_malformed_spin_signs(tmp_path, capsys, field, value, message):
+    raw = genus2_doc()
+    raw["spin"][field] = value
+    code, err = _exit_code(tmp_path, capsys, raw)
+    assert code == 2
+    assert err == f"fnhol: {message}\n"
+
+
 def test_accepted_twists_give_finite_crossing_entries():
     def with_twist(twist):
         raw = genus2_doc()
@@ -431,6 +450,39 @@ def test_spin_command_without_block(tmp_path, capsys):
     assert main(["spin", "--input", str(doc)]) == 2
     assert main(["spin", "--input", str(doc), "--list"]) == 0
     capsys.readouterr()
+
+
+def _comb_doc(g):
+    spec = comb(g)
+    return {
+        "genus": g,
+        "pants": list(spec.pants),
+        "curves": [
+            {"id": c.id, "left": {"pants": c.left[0], "k": c.left[1]},
+             "right": {"pants": c.right[0], "k": c.right[1]}}
+            for c in spec.curves
+        ],
+        "fn": [{"curve": c.id, "length": 1.0 + 0.25 * c.id, "twist": 0.3} for c in spec.curves],
+    }
+
+
+@pytest.mark.parametrize("raw", [genus2_doc(), _comb_doc(5)], ids=["readme", "comb5"])
+def test_wp_output_does_not_depend_on_the_hash_seed(tmp_path, raw):
+    # face ids are strings, so the order of a set of them changes with
+    # the hash seed; the pairing sums are correctly rounded in any order
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    src = os.path.dirname(os.path.dirname(fnhol.cli.__file__))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        run = subprocess.run(
+            [sys.executable, "-m", "fnhol.cli", "wp", "--input", str(path), "--format", "json"],
+            env=env, capture_output=True,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_import_leaves_argparse_out():

@@ -99,6 +99,23 @@ def test_validate_ids_with_one_string_form():
         build_complex(spec)
 
 
+def test_assemble_refuses_missing_twists_by_curve():
+    spec = genus2_spec()
+    fn = FNPoint({i: 2.0 for i in range(3)}, {0: 0.3, 2: 0.3})
+    with pytest.raises(ValueError, match=r"coordinates missing for curves \['1'\]"):
+        assemble_cocycle(spec, fn)
+
+
+@pytest.mark.parametrize("twist", [2000.0, -2000.0, 1419.6])
+def test_assemble_refuses_twists_beyond_the_crossing_range(twist):
+    # exp(-twist/2) underflows to zero, overflows, or has an infinite
+    # inverse: the crossing entries T and 1/T would not both be finite
+    spec = genus2_spec()
+    fn = FNPoint({i: 2.0 for i in range(3)}, {0: 0.3, 1: twist, 2: 0.3})
+    with pytest.raises(ValueError, match=f"twist of curve 1: {twist!r} makes exp"):
+        assemble_cocycle(spec, fn)
+
+
 def test_complex_counts():
     def counts(cx):
         return (len(cx.vertices), len(cx.edges), len(cx.faces))

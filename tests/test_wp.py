@@ -410,20 +410,19 @@ def test_wp_matrix_work_grows_linearly_in_genus(monkeypatch):
 
 
 def _kernel_starts(kernel, cx):
-    """Face id -> the rotation of its cycle the kernel's slots begin at:
-    the position in the cycle of the edge that holds the face's first
-    slot (no face runs an edge twice)."""
+    """Face id -> the rotation of its cycle the kernel's positions begin
+    at: the position in the cycle of the edge the kernel holds at
+    position 0 of the face (no face runs an edge twice)."""
     first_edge = {}
-    firsts = {first: face for face, (first, _) in enumerate(kernel._face_terms)}
-    for eid, (_, slots) in kernel._edge_slots.items():
-        for slot, face, _ in slots:
-            if firsts.get(slot) == face:
-                first_edge[face] = eid
+    for eid, (_, held) in kernel._edge_positions.items():
+        for fid, pos, _ in held:
+            if pos == 0:
+                first_edge[fid] = eid
     starts = {}
-    for face, fid in enumerate(sorted(cx.faces)):
-        eids = [eid for eid, _ in cx.faces[fid]]
+    for fid, cycle in cx.faces.items():
+        eids = [eid for eid, _ in cycle]
         assert len(set(eids)) == len(eids)
-        starts[fid] = eids.index(first_edge[face])
+        starts[fid] = eids.index(first_edge[fid])
     return starts
 
 
@@ -441,11 +440,11 @@ def test_kernel_walks_an_overflowing_face_from_a_later_rotation():
         u, v = random_tangent(rng, spec), random_tangent(rng, spec)
         zu, zv = variation_cocycle(base, fn, u), variation_cocycle(base, fn, v)
         kernel = PairingKernel(base)
-        (values_u, _), (values_v, _) = kernel.transport(zu), kernel.transport(zv)
+        tu, tv = kernel.transport(zu), kernel.transport(zv)
         starts = {fid: base.face_walk(fid)[0] for fid in cx.faces}
         assert _kernel_starts(kernel, cx) == starts
-        for face, fid in enumerate(sorted(cx.faces)):
-            part = kernel.pair((values_u, {face}), (values_v, {face}))
+        for fid in cx.faces:
+            part = kernel.pair({fid: tu[fid]}, {fid: tv[fid]})
             assert part == pair_on_face(base, zu, zv, fid, starts[fid])
         assert {f for f, start in starts.items() if start} == {"c0.sq0", "c0.sq1"}
         assert math.isnan(pair_on_face(base, zu, zv, "c0.sq0"))
@@ -565,13 +564,15 @@ def test_kernel_transport_keeps_only_nonzero_slots():
     fn = random_fn(rng_for("sparse"), spec)
     z = variation_cocycle(cx, fn, TangentVector({}, {0: 1.0}))
     kernel = PairingKernel(z.base)
-    values, faces = kernel.transport(z)
-    assert values and all(v.x or v.y or v.z for v in values.values())
+    transported = kernel.transport(z)
     # a twist direction lives on the crossings of its curve, which only
     # the two squares of that curve contain
-    assert {sorted(cx.faces)[f] for f in faces} == set(cx.curves[0].squares)
+    assert set(transported) == set(cx.curves[0].squares)
+    for fid, values in transported.items():
+        assert len(values) == len(cx.faces[fid])
+        assert all(v.x or v.y or v.z for v in values if v is not None)
     zero = variation_cocycle(cx, fn, TangentVector())
-    assert kernel.transport(zero) == ({}, set())
+    assert kernel.transport(zero) == {}
     assert kernel.pair(kernel.transport(zero), kernel.transport(z)) == 0.0
 
 
@@ -602,20 +603,21 @@ def test_layout_is_made_once_per_complex(monkeypatch):
     ]
     laid_out = []
     named = []
-    rotation_layout = fnhol.wp._rotation_layout
+    face_layout = fnhol.wp._face_layout
     cell_names = fnhol.surface._cell_names
 
-    def counted_layout(complex_, fid, first, start):
-        laid_out.append((fid, start))
-        return rotation_layout(complex_, fid, first, start)
+    def counted_layout(complex_, fid, start):
+        if (fid, start) not in complex_.pairing_layout:
+            laid_out.append((fid, start))
+        return face_layout(complex_, fid, start)
 
     def counted_names(*args):
         named.append(args)
         return cell_names(*args)
 
-    monkeypatch.setattr(fnhol.wp, "_rotation_layout", counted_layout)
+    monkeypatch.setattr(fnhol.wp, "_face_layout", counted_layout)
     monkeypatch.setattr(fnhol.surface, "_cell_names", counted_names)
-    assert cx.pairing_layout is None
+    assert cx.pairing_layout == {}
     pairings = []
     for fn in fns:
         base = assemble_cocycle(cx, fn)

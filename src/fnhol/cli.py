@@ -342,10 +342,10 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
     if command == "spin":
         if doc.spin is None:
             raise DocumentError("document has no spin block (or use --list)")
-        lifted = spin_mod.assemble_spin(
-            doc.cocycle, doc.fn, doc.spin["eps"], doc.spin["crossing_signs"]
-        )
-        worst = lifted.max_residual
+        # the verdict below judges the lift's residual, nan included,
+        # against the tolerance asked for
+        lifted = spin_mod._lift(doc.cocycle, doc.spin["eps"], doc.spin["crossing_signs"])
+        worst = lifted.max_face_residual()
         lines = [f"max face residual against +I {_num(worst)}"]
         rots = {}
         # a curve's loop is the boundary loop of the pants on its left

@@ -96,17 +96,18 @@ def sl2_pants_cocycle(lengths, signs):
 class SpinSurfaceCocycle(SurfaceCocycle):
     """A determinant-one cocycle lifting the normalized cocycle ``base``,
     at the base's point: the base values, negated on the edges in
-    ``flipped``.
+    ``flipped``.  It keeps ``base``, so while a lift is in use, a lift
+    at the same point from the same complex reuses its base.
 
     Negation is exact, so the product along a face word is the base's
     face product times -1 per flipped edge on the face, up to the signs
     of zero entries; :meth:`face_products` holds these, read off the
-    base without walking a word.  ``max_residual`` is
-    :meth:`max_face_residual`, evaluated once when the cocycle is made."""
+    base without walking a word."""
 
-    __slots__ = ("max_residual",)
+    __slots__ = ("base",)
 
     def __init__(self, base, flipped):
+        self.base = base
         flipped = frozenset(flipped)
         super().__init__(
             base.complex,
@@ -120,7 +121,6 @@ class SpinSurfaceCocycle(SurfaceCocycle):
             for eid, _ in faces[fid]:
                 odd ^= eid in flipped
             self._face_products[fid] = -m if odd else m
-        self.max_residual = self.max_face_residual()
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
@@ -141,16 +141,31 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     (curve id -> +-1) and crossing-edge signs (curve id -> +-1,
     defaulting to +1, required to be +1 on the spanning tree).
 
-    ``spec`` is a decomposition or its cell complex, assembled at fn, or
+    ``spec`` is a decomposition, assembled at fn; a cell complex, which
+    reuses the cocycle of the last point asked of it while that cocycle
+    is in use and has fn's lengths and twists, so lifts at one point
+    from one complex share one base as long as one of them is held; or
     a cocycle at fn, which is then the base and is not assembled again
-    (a cocycle at another point raises ValueError).  The lift negates
-    the base values on b{k}1 where eps_k = -1, on x0 where s_i = +1 and
-    on x1 where s_i eps_i = +1: the base crossing value is
-    -(0, -1/T_i; T_i, 0), and the lift's are s_i (0, -1/T_i; T_i, 0) on
-    side 0 and eps_i times that on side 1.
+    (a cocycle at another point raises ValueError).
+    The lift negates the base values on b{k}1 where eps_k = -1, on x0
+    where s_i = +1 and on x1 where s_i eps_i = +1: the base crossing
+    value is -(0, -1/T_i; T_i, 0), and the lift's are
+    s_i (0, -1/T_i; T_i, 0) on side 0 and eps_i times that on side 1.
     AssertionError ("found 0"), as from :func:`sl2_pants_cocycle`, when
-    a pants has no lift, as happens for very short boundaries."""
-    base = _cocycle_at(spec, fn)
+    a pants has no lift, as happens for very short boundaries, and
+    SpinSignError when the largest face residual of the lift is above
+    1e-8 or nan."""
+    out = _lift(_cocycle_at(spec, fn), eps, crossing_signs)
+    residual = out.max_face_residual()
+    if not residual <= _FACE_TOL:
+        raise SpinSignError(f"face word failed to lift to +I (residual {residual:g})")
+    return out
+
+
+def _lift(base, eps, crossing_signs):
+    """The lift of :func:`assemble_spin` over ``base``, checked pants by
+    pants but not for its face residuals; the command line reports those
+    against its own tolerance."""
     complex_ = base.complex
     eps = {cid: int(eps[cid]) for cid in complex_.curves}
     if any(e not in (-1, 1) for e in eps.values()):
@@ -185,10 +200,6 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
         _check_pants_lift(
             (base.values[seam] for _, _, seam in cells.edges),
             (products[f] for f in cells.hexagons),
-        )
-    if out.max_residual > _FACE_TOL:
-        raise SpinSignError(
-            f"face word failed to lift to +I (residual {out.max_residual:g})"
         )
     return out
 

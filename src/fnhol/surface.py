@@ -20,6 +20,7 @@ the curve length) as -2 log T_i.
 """
 
 import math
+import weakref
 from collections import namedtuple
 
 from .mat2 import Mat2, _max_or_nan, translation_length, walk
@@ -170,7 +171,9 @@ class CellComplex:
     ``CurveCells``), in spec order, hold the ids cocycles are written
     and read through.  ``pairing_layout`` is the pairing kernel's part
     (:mod:`fnhol.wp`), a dict keyed by (face id, rotation), empty until
-    the first kernel over the complex fills it."""
+    the first kernel over the complex fills it.  The complex also
+    remembers the standard cocycle of the last point a library entry
+    point asked of it (:func:`_cocycle_at`)."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -180,6 +183,12 @@ class CellComplex:
         self.pants = {}
         self.curves = {}
         self.pairing_layout = {}
+        # (lengths, twists, weak reference to the cocycle): copies of
+        # the point's coordinates and the cocycle assembled there.  Weak,
+        # because the cocycle refers to the complex: a strong slot would
+        # make every complex a reference cycle that outlives its last
+        # user until the cyclic garbage collector runs
+        self._last_cocycle = None
         sides = {pid: [None, None, None] for pid in spec.pants}
         for c in spec.curves:
             for (p, k) in (c.left, c.right):
@@ -264,17 +273,21 @@ class SurfaceCocycle:
     along a face word is taken by :meth:`face_walk`; the face products
     are walked once, on first use, and kept with it, and lifts of the
     cocycle (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) read
-    theirs off them.  So are the seam data that variations over it
-    (:mod:`fnhol.variation`) read at ``fn``."""
+    theirs off them.  So are the largest face residual, the seam data
+    that variations over it (:mod:`fnhol.variation`) read at ``fn`` and
+    the pairing kernel over it (:mod:`fnhol.wp`)."""
 
-    __slots__ = ("complex", "values", "fn", "_face_products", "_seam_data")
+    __slots__ = ("complex", "values", "fn", "_face_products", "_max_residual",
+                 "_seam_data", "_pairing_kernel", "__weakref__")
 
     def __init__(self, complex_, values, fn):
         self.complex = complex_
         self.values = dict(values)
         self.fn = fn
         self._face_products = None
+        self._max_residual = None
         self._seam_data = None
+        self._pairing_kernel = None
 
     def face_walk(self, fid, prefixes=None):
         """(start, product): the product along the face word, not
@@ -313,12 +326,31 @@ class SurfaceCocycle:
         return hol.proj_dist(Mat2.identity())
 
     def max_face_residual(self):
-        return _max_or_nan(self.face_residual(f) for f in self.complex.faces)
+        """The largest :meth:`face_residual`, nan if any is nan; evaluated
+        on the first call and kept."""
+        if self._max_residual is None:
+            self._max_residual = _max_or_nan(
+                self.face_residual(f) for f in self.complex.faces
+            )
+        return self._max_residual
 
 
 def pants_boundary_lengths(complex_, fn, pid):
     c0, c1, c2 = complex_.pants[pid].curves
     return pants_mod.PantsLengths(fn.lengths[c0], fn.lengths[c1], fn.lengths[c2])
+
+
+def _check_length(length, name):
+    """ValueError, naming the length by ``name``, unless the arc entry
+    exp(length/4) is above 1 and cosh(length/2) is finite (about
+    4.45e-16 <= length <= 1420.95)."""
+    try:
+        ok = 1.0 < math.exp(0.25 * length) and math.cosh(0.5 * length) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name}: {length!r} makes exp(length/4) not above 1 "
+                         "or cosh(length/2) not finite")
 
 
 def _crossing_entry(twist, name):
@@ -337,14 +369,31 @@ def _crossing_entry(twist, name):
 
 def assemble_cocycle(spec, fn):
     """The normalized cocycle of the hyperbolic structure with the given
-    Fenchel-Nielsen coordinates."""
+    Fenchel-Nielsen coordinates, a fresh one on every call.  ValueError,
+    naming the curves, when a coordinate is missing, when a length or a
+    twist is outside what the closed forms take (:func:`_check_length`,
+    :func:`_crossing_entry`), or when the lengths of one pants together
+    make its cocycle not finite."""
     complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
     missing = complex_.curves.keys() - (fn.lengths.keys() & fn.twists.keys())
     if missing:
         raise ValueError(f"coordinates missing for curves {sorted(map(str, missing))}")
+    for cid in complex_.curves:
+        _check_length(fn.lengths[cid], f"length of curve {cid}")
     values = {}
     for pid, cells in complex_.pants.items():
-        local = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
+        # the arcs are finite once each length passes, but lengths that
+        # pass one at a time can still overflow a seam together, through
+        # cosh((l0 + l1)/2) or over the sinh of two short boundaries
+        try:
+            local = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
+            finite = all(local[seam].is_finite() for _, _, seam in _PANTS_EDGES_BY_K)
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            curves = ", ".join(map(str, cells.curves))
+            raise ValueError(f"lengths of curves {curves}: the cocycle of pants {pid} "
+                             "is not finite")
         for names, ids in zip(_PANTS_EDGES_BY_K, cells.edges):
             for e, eid in zip(names, ids):
                 values[eid] = local[e]
@@ -361,15 +410,31 @@ def assemble_cocycle(spec, fn):
 
 def _cocycle_at(spec, fn):
     """The base cocycle at fn of a variation, a pairing matrix or a spin
-    lift: a decomposition or complex assembled at fn, or a cocycle as it
-    is, which must have been assembled at fn (the same point or one with
-    equal lengths and twists); ValueError if it was not."""
-    if not isinstance(spec, SurfaceCocycle):
+    lift.  A cocycle is used as it is, and must have been assembled at
+    fn (the same point or one with equal lengths and twists); ValueError
+    if it was not.  A decomposition is assembled at fn on a fresh
+    complex.  A complex reuses the cocycle of the last point asked of it
+    when fn has equal lengths and twists and that cocycle is still in
+    use (held by the caller, a variation over it or a lift of it), and
+    otherwise assembles one at a copy of fn and remembers it in place of
+    that one; the complex compares against copies of its own, so a
+    caller who changes fn afterwards is never handed a cocycle of the
+    old point."""
+    if isinstance(spec, SurfaceCocycle):
+        at = spec.fn
+        if fn is not at and (fn.lengths != at.lengths or fn.twists != at.twists):
+            raise ValueError("the cocycle was assembled at another point than fn")
+        return spec
+    if not isinstance(spec, CellComplex):
         return assemble_cocycle(spec, fn)
-    at = spec.fn
-    if fn is not at and (fn.lengths != at.lengths or fn.twists != at.twists):
-        raise ValueError("the cocycle was assembled at another point than fn")
-    return spec
+    last = spec._last_cocycle
+    if last is not None and fn.lengths == last[0] and fn.twists == last[1]:
+        cocycle = last[2]()
+        if cocycle is not None:
+            return cocycle
+    cocycle = assemble_cocycle(spec, FNPoint(fn.lengths, fn.twists))
+    spec._last_cocycle = (dict(fn.lengths), dict(fn.twists), weakref.ref(cocycle))
+    return cocycle
 
 
 def holonomy(cocycle, word):

@@ -114,10 +114,12 @@ def seam_variation_coefficient(lengths, k):
 def variation_cocycle(spec, fn, tangent):
     """Closed-form variation cocycle of the tangent direction at fn.
 
-    ``spec`` is a decomposition or its cell complex, assembled at fn, or
-    a cocycle, which must be at fn; a cocycle is reused as the base, so
-    variations that share it assemble it, and evaluate its seam data,
-    once (a cocycle at another point raises ValueError).  The
+    ``spec`` is a decomposition, assembled at fn; a cell complex, which
+    reuses the cocycle of the last point asked of it while that cocycle
+    is in use and has fn's lengths and twists; or a cocycle, which must be at fn (a cocycle
+    at another point raises ValueError).  Variations that share a base,
+    given as that cocycle or through one complex at one point, assemble
+    it, and evaluate its seam data, once.  The
     values sit on the edges where the direction acts: the arcs and seams
     of each pants with a curve in ``tangent.dl``, and the crossings of
     each curve in ``tangent.dtau``."""

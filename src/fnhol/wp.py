@@ -30,16 +30,17 @@ generators; :func:`_chain_shape` computes them once per pattern, and a
 surface has only a few (its hexagons and squares).
 
 The pairing is a bilinear form on H^1, so :class:`PairingKernel` builds
-it once per base cocycle: per face, the prefix products of the
-cocycle's one face walk (:meth:`SurfaceCocycle.face_walk`) are the
-transport matrices of every position of its cycle.  A variation cocycle
-is transported once, visiting only the edges it carries, into its
-values per face id at the positions of that face's cycle, and the
-pairing of two transported cocycles is a contraction over the faces
-they share, one face at a time.  Values that are exactly zero are left
-out; every sum is a ``math.fsum``, which is correctly rounded in any
-order, and :func:`pair_on_face` transports along the same left-to-right
-products, so the result is the same to the bit as the face-by-face sum.
+it once per base cocycle, and the cocycle keeps it: per face, the
+prefix products of the cocycle's one face walk
+(:meth:`SurfaceCocycle.face_walk`) are the transport matrices of every
+position of its cycle.  A variation cocycle is transported once,
+visiting only the edges it carries, into its values per face id at the
+positions of that face's cycle, and the pairing of two transported
+cocycles is a contraction over the faces they share, one face at a
+time.  Values that are exactly zero are left out; every sum is a
+``math.fsum``, which is correctly rounded in any order, and
+:func:`pair_on_face` transports along the same left-to-right products,
+so the result is the same to the bit as the face-by-face sum.
 
 :func:`wp_matrix` transports each coordinate direction once through
 one kernel.  A direction carries values on a few faces only, so it
@@ -306,6 +307,14 @@ class PairingKernel:
         )
 
 
+def _kernel(cocycle):
+    """The pairing kernel over the cocycle, built on first use and kept
+    with it."""
+    if cocycle._pairing_kernel is None:
+        cocycle._pairing_kernel = PairingKernel(cocycle)
+    return cocycle._pairing_kernel
+
+
 def wp_pairing(cocycle, z1, z2):
     """The Weil-Petersson pairing of two variation cocycles: the sum of
     all face contributions, correctly rounded.
@@ -318,7 +327,7 @@ def wp_pairing(cocycle, z1, z2):
     base."""
     for z in (z1, z2):
         _cocycle_at(cocycle, z.base.fn)
-    kernel = PairingKernel(cocycle)
+    kernel = _kernel(cocycle)
     return kernel.pair(kernel.transport(z1), kernel.transport(z2))
 
 
@@ -336,8 +345,10 @@ def wp_matrix(spec, fn):
     """The pairing matrix over the coordinate directions, ordered as all
     length directions then all twist directions (curves sorted by id).
 
-    ``spec`` is a decomposition or its cell complex, assembled at fn, or
-    a cocycle at fn, which is then the base of every direction.
+    ``spec`` is a decomposition, assembled at fn; a cell complex, which
+    reuses the cocycle of the last point asked of it while that cocycle
+    is in use and has fn's lengths and twists; or a cocycle at fn.  The cocycle is the
+    base of every direction.
     Returns (labels, matrix) with matrix[i][j] the pairing of direction
     i against direction j; the exact value is the block form with
     matrix[dl_i][dtau_i] = -1 and matrix[dtau_i][dl_i] = +1.
@@ -351,7 +362,7 @@ def wp_matrix(spec, fn):
     basis = [TangentVector({c: 1.0}, {}) for c in curves] + [
         TangentVector({}, {c: 1.0}) for c in curves
     ]
-    kernel = PairingKernel(base)
+    kernel = _kernel(base)
     transported = [kernel.transport(variation_cocycle(base, base.fn, v)) for v in basis]
     present = {}  # face id -> the directions with a nonzero value on it
     for d, values in enumerate(transported):

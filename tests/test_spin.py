@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -8,6 +10,7 @@ from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix
 from fnhol.surface import FNPoint, SurfaceCocycle, assemble_cocycle, build_complex, holonomy
 from fnhol.spin import (
     SpinSignError,
+    SpinSurfaceCocycle,
     assemble_spin,
     enumerate_spin,
     rot2,
@@ -15,6 +18,7 @@ from fnhol.spin import (
     spanning_tree_curves,
 )
 import fnhol.spin
+import fnhol.surface
 from fnhol.surface import Curve, SurfaceSpec
 from conftest import (
     caterpillar,
@@ -256,7 +260,7 @@ def test_lift_is_the_closed_form_as_sign_flips(shape, genus):
                 for fid, cycle in cx.faces.items():
                     own = walk(lifted.values, cycle).dist(Mat2.identity())
                     assert lifted.face_residual(fid) == own, fid
-                assert lifted.max_residual <= 1e-8
+                assert lifted.max_face_residual() <= 1e-8
 
 
 def _lift_or_failure(build):
@@ -304,7 +308,7 @@ def test_a_nan_off_the_diagonal_of_a_hexagon_is_not_plus_identity(entry):
     cx = build_complex(spec)
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.3 for i in range(3)})
     eps = {0: -1, 1: -1, 2: -1}
-    assert assemble_spin(assemble_cocycle(cx, fn), fn, eps).max_residual <= 1e-8
+    assert assemble_spin(assemble_cocycle(cx, fn), fn, eps).max_face_residual() <= 1e-8
     base = assemble_cocycle(cx, fn)
     products = base.face_products()
     entries = list(products["p1.hex-"].entries())
@@ -313,6 +317,65 @@ def test_a_nan_off_the_diagonal_of_a_hexagon_is_not_plus_identity(entry):
     with pytest.raises(AssertionError) as info:
         assemble_spin(base, fn, eps)
     assert str(info.value) == "expected a unique sign assignment, found 0"
+
+
+def test_lifts_from_one_complex_share_one_base(monkeypatch):
+    # eight lifts at one point from the complex assemble its cocycle once
+    # and are, value by value and residual by residual, the lifts of a
+    # freshly assembled cocycle
+    spec = caterpillar(4)
+    cx = build_complex(spec)
+    rng = rng_for("spin-one-base")
+    fn = random_fn(rng, spec)
+    eps_list, classes = enumerate_spin(spec)
+    pairs = [(rng.choice(eps_list), rng.choice(classes)) for _ in range(8)]
+    calls = []
+    assemble = fnhol.surface.assemble_cocycle
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(fnhol.surface, "assemble_cocycle", counted)
+    lifts = [assemble_spin(cx, fn, eps, signs) for eps, signs in pairs]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    for lifted, (eps, signs) in zip(lifts, pairs):
+        want = assemble_spin(assemble_cocycle(cx, fn), fn, eps, signs)
+        assert lifted.values.keys() == want.values.keys()
+        assert all(_same_entries(lifted.values[e], m) for e, m in want.values.items())
+        assert repr(lifted.max_face_residual()) == repr(want.max_face_residual())
+
+
+def test_a_complex_and_its_lifts_form_no_reference_cycle():
+    # the complex remembers its last cocycle weakly, and a lift keeps its
+    # base: once the complex and the lifts are dropped, reference counting
+    # alone frees the complex and the base, with the cyclic collector off
+    spec = caterpillar(3)
+    fn = random_fn(rng_for("spin-no-cycle"), spec)
+    cx = build_complex(spec)
+    eps_list, classes = enumerate_spin(spec)
+    lifts = [assemble_spin(cx, fn, eps_list[0], signs) for signs in classes[:2]]
+    assert lifts[0].base is lifts[1].base
+    refs = (weakref.ref(cx), weakref.ref(lifts[0].base))
+    gc.disable()
+    try:
+        del cx, lifts
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_nan_face_residual_fails_the_lift():
+    # the lift check read "residual > 1e-8", which a nan passes; a nan
+    # in a square's product (the hexagons pass) must fail it
+    spec = genus2_spec()
+    fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.3 for i in range(3)})
+    base = assemble_cocycle(spec, fn)
+    nan = math.nan
+    base.face_products()["c2.sq1"] = Mat2(nan, nan, nan, nan, check=False)
+    with pytest.raises(SpinSignError, match=r"residual nan\)"):
+        assemble_spin(base, fn, {0: -1, 1: -1, 2: -1})
 
 
 def test_assemble_spin_rejects_bad_data():
@@ -429,19 +492,32 @@ def test_holonomy_on_a_lift_checks_the_word():
         holonomy(lifted, (("p0.b00", 1), ("p0.b10", 1)))
 
 
-def test_a_lift_is_a_surface_cocycle():
+def test_a_lift_is_a_surface_cocycle(monkeypatch):
     # a lift is the base's complex and point with flipped values; its
     # face products and maximum residual are the standard cocycle's
     # methods, and it keeps no sign data of its own
     spec = genus2_spec()
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.3 for i in range(3)})
     base = assemble_cocycle(spec, fn)
+    residuals = []
+    face_residual = SpinSurfaceCocycle.face_residual
+
+    def counted(self, fid):
+        residuals.append(face_residual(self, fid))
+        return residuals[-1]
+
+    monkeypatch.setattr(SpinSurfaceCocycle, "face_residual", counted)
     lifted = assemble_spin(base, fn, {0: -1, 1: -1, 2: -1}, {1: -1})
     assert isinstance(lifted, SurfaceCocycle)
     assert lifted.complex is base.complex and lifted.fn is base.fn
     assert type(lifted).face_products is SurfaceCocycle.face_products
     assert type(lifted).max_face_residual is SurfaceCocycle.max_face_residual
-    assert lifted.max_face_residual() == lifted.max_residual <= 1e-8
+    # the lift's own check evaluates each face residual once, and the
+    # maximum is kept: asking for it again evaluates none
+    faces = len(base.complex.faces)
+    assert len(residuals) == faces
+    assert lifted.max_face_residual() == lifted.max_face_residual() == max(residuals) <= 1e-8
+    assert len(residuals) == faces
     flipped = {e for e, m in lifted.values.items() if m is not base.values[e]}
     assert flipped and all(
         lifted.values[e].entries() == (-base.values[e]).entries() for e in flipped

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import pytest
 
+import fnhol.surface
 from fnhol.mat2 import Mat2, NonHyperbolicError, translation_length
 from fnhol.surface import (
     Curve,
@@ -18,8 +20,17 @@ from fnhol.surface import (
     parse_word,
     validate_surface,
 )
+from fnhol.variation import variation_cocycle
 from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix
-from conftest import caterpillar, genus2_spec, genus3_spec, handle_spec, random_fn, rng_for
+from conftest import (
+    caterpillar,
+    genus2_spec,
+    genus3_spec,
+    handle_spec,
+    random_fn,
+    random_tangent,
+    rng_for,
+)
 
 
 def test_validate_good_specs():
@@ -114,6 +125,100 @@ def test_assemble_refuses_twists_beyond_the_crossing_range(twist):
     fn = FNPoint({i: 2.0 for i in range(3)}, {0: 0.3, 1: twist, 2: 0.3})
     with pytest.raises(ValueError, match=f"twist of curve 1: {twist!r} makes exp"):
         assemble_cocycle(spec, fn)
+
+
+@pytest.mark.parametrize("length", [1e4, 1e-320, math.inf])
+def test_assemble_refuses_lengths_its_closed_forms_cannot_take(length):
+    # 1e4 overflowed cosh with a bare OverflowError; 1e-320 and inf gave
+    # a cocycle whose face residuals were nan
+    spec = genus2_spec()
+    fn = FNPoint({0: length, 1: 2.0, 2: 2.0}, {i: 0.3 for i in range(3)})
+    with pytest.raises(ValueError, match=f"length of curve 0: {length!r} makes exp"):
+        assemble_cocycle(spec, fn)
+
+
+def test_assemble_refuses_lengths_that_overflow_together():
+    # each length is accepted on its own, but cosh((1400 + 50)/2) is not finite
+    spec = genus2_spec()
+    fn = FNPoint({0: 1400.0, 1: 50.0, 2: 2.0}, {i: 0.3 for i in range(3)})
+    with pytest.raises(ValueError, match="lengths of curves 0, 1, 2: the cocycle of pants 0"):
+        assemble_cocycle(spec, fn)
+
+
+def test_assemble_takes_every_corner_of_the_document_length_range():
+    spec = genus2_spec()
+    for lengths in itertools.product((1e-6, 50.0), repeat=3):
+        fn = FNPoint(dict(enumerate(lengths)), {i: 0.3 for i in range(3)})
+        assert all(m.is_finite() for m in assemble_cocycle(spec, fn).values.values())
+
+
+def _entries(cocycle):
+    return {e: m.entries() for e, m in cocycle.values.items()}
+
+
+def test_a_complex_keeps_the_cocycle_of_its_last_point(monkeypatch):
+    # a point with equal lengths and twists, a distinct object, gets the
+    # same base; a change of any one coordinate gets a new one, the same
+    # to the bit as a fresh assembly
+    spec = genus3_spec()
+    cx = build_complex(spec)
+    rng = rng_for("complex-slot")
+    fn = random_fn(rng, spec)
+    tangent = random_tangent(rng, spec)
+    calls = []
+    assemble = fnhol.surface.assemble_cocycle
+
+    def counted(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    # every base cocycle is chosen in surface, which assembles through its own name
+    monkeypatch.setattr(fnhol.surface, "assemble_cocycle", counted)
+    base = variation_cocycle(cx, fn, tangent).base
+    assert len(calls) == 1 and base.fn is not fn
+    twin = FNPoint(dict(fn.lengths), dict(fn.twists))
+    assert variation_cocycle(cx, twin, tangent).base is base and len(calls) == 1
+    assert wp_matrix(cx, fn) == wp_matrix(base, fn) and len(calls) == 1
+    for cid in fn.lengths:
+        for moved in (FNPoint({**fn.lengths, cid: fn.lengths[cid] + 0.5}, fn.twists),
+                      FNPoint(fn.lengths, {**fn.twists, cid: fn.twists[cid] - 0.25})):
+            base = variation_cocycle(cx, fn, tangent).base
+            calls.clear()
+            other = variation_cocycle(cx, moved, tangent).base
+            assert other is not base and len(calls) == 1
+            assert _entries(other) == _entries(assemble_cocycle(spec, moved))
+
+
+def test_a_complex_back_at_an_earlier_point_gives_its_bits():
+    # points A, B, A: each base, and the pairing matrix over it, are
+    # those of a fresh assembly to the bit
+    spec = caterpillar(3)
+    cx = build_complex(spec)
+    rng = rng_for("complex-slot-aba")
+    a, b = random_fn(rng, spec), random_fn(rng, spec)
+    for fn in (a, b, a):
+        fresh = assemble_cocycle(spec, fn)
+        assert repr(wp_matrix(cx, fn)) == repr(wp_matrix(fresh, fn))
+        base = variation_cocycle(cx, fn, random_tangent(rng, spec)).base
+        assert _entries(base) == _entries(fresh)
+
+
+def test_a_complex_never_returns_the_cocycle_of_a_point_changed_since():
+    # the complex compares against copies of the coordinates, and the
+    # cocycle it returns carries a copy, so changing the caller's point
+    # in place gives the new point's cocycle and leaves the old one as it was
+    spec = genus2_spec()
+    cx = build_complex(spec)
+    fn = FNPoint({0: 2.0, 1: 1.4, 2: 3.0}, {0: 0.5, 1: -0.3, 2: 7.3})
+    tangent = random_tangent(rng_for("complex-slot-mutate"), spec)
+    first = variation_cocycle(cx, fn, tangent).base
+    for coords, value in ((fn.lengths, 2.5), (fn.twists, -1.0)):
+        coords[1] = value
+        base = variation_cocycle(cx, fn, tangent).base
+        assert base is not first
+        assert _entries(base) == _entries(assemble_cocycle(spec, fn))
+        assert base.fn.lengths == fn.lengths and base.fn.twists == fn.twists
+    assert first.fn.lengths[1] == 1.4 and first.fn.twists[1] == -0.3
 
 
 def test_complex_counts():

@@ -292,11 +292,15 @@ def test_variations_share_one_base(monkeypatch):
     assert len(calls) == 1
     assert wp_pairing(base, y1, y2) == old
     assert all(y1.values[e].entries() == z1.values[e].entries() for e in z1.values)
-    # the pairing matrix assembles its base once, or not at all when given it
+    # the pairing matrix assembles its base once on a fresh complex, and
+    # not at all when given it, or given the complex the two variations
+    # were taken on at the same point
     calls.clear()
-    labels, matrix = wp_matrix(cx, fn)
+    labels, matrix = wp_matrix(build_complex(spec), fn)
     assert len(calls) == 1
     assert wp_matrix(base, fn) == (labels, matrix) and len(calls) == 1
+    assert z1.base is z2.base
+    assert wp_matrix(cx, fn) == (labels, matrix) and len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -351,7 +355,7 @@ def test_a_cocycle_is_used_only_at_its_own_point():
             {e: v.entries() for e, v in z.values.items()},
             repr(wp_matrix(base, fn_given)),
             {e: m.entries() for e, m in lifted.values.items()},
-            lifted.max_residual,
+            lifted.max_face_residual(),
         )
 
     fresh = assemble_cocycle(spec, fn)

@@ -454,13 +454,16 @@ def test_kernel_walks_an_overflowing_face_from_a_later_rotation():
 def test_kernel_build_walks_each_face_once(monkeypatch):
     """Building the kernel walks each face cycle once, through the
     cocycle's face walk, whose running products are the moves; it takes
-    no Mat2 product and builds no diagonal chain."""
+    no Mat2 product and builds no diagonal chain.  The cocycle keeps its
+    kernel, so later pairings over it walk nothing, and pair to the bit
+    as a kernel built for each of them does."""
     spec = genus3_spec()
     cx = build_complex(spec)
     rng = rng_for("kernel-build")
     fn = random_fn(rng, spec)
     zu = variation_cocycle(cx, fn, random_tangent(rng, spec))
     zv = variation_cocycle(cx, fn, random_tangent(rng, spec))
+    fresh = assemble_cocycle(cx, fn)
     calls = dict.fromkeys(("diagonal_chain", "products", "steps", "walks"), 0)
     face_walks = []
     building = []
@@ -508,12 +511,26 @@ def test_kernel_build_walks_each_face_once(monkeypatch):
         "steps": sum(len(cycle) for cycle in cx.faces.values()),
         "walks": len(cx.faces),
     }
-    for build in (lambda: wp_matrix(cx, fn), lambda: wp_pairing(zu.base, zu, zv)):
-        build()
-        assert calls == expected
-        assert sorted(face_walks) == [(fid, True) for fid in sorted(cx.faces)]
+    builds = (
+        (lambda: wp_matrix(cx, fn), True),
+        # the variations' base, from the same complex at the same point,
+        # is the one wp_matrix built its kernel for
+        (lambda: wp_pairing(zu.base, zu, zv), False),
+        (lambda: wp_pairing(fresh, zu, zv), True),
+        (lambda: wp_pairing(fresh, zv, zu), False),
+    )
+    pairings = []
+    for build, walks in builds:
+        pairings.append(build())
+        assert calls == (expected if walks else dict.fromkeys(calls, 0))
+        assert sorted(face_walks) == [(fid, True) for fid in sorted(cx.faces) if walks]
         calls.update(dict.fromkeys(calls, 0))
         face_walks.clear()
+    monkeypatch.undo()
+    for pairing, base, (z1, z2) in zip(pairings[1:], (zu.base, fresh, fresh),
+                                       ((zu, zv), (zu, zv), (zv, zu))):
+        kernel = PairingKernel(base)
+        assert pairing == kernel.pair(kernel.transport(z1), kernel.transport(z2))
 
 
 def _walk(cx, vertex, word):

@@ -35,6 +35,12 @@ exp(twist/2) must both be finite and nonzero doubles (about
 A parsed document is immutable; its cell complex, assembled cocycle and
 read-back coordinates are computed on first use and shared by every
 command run on it.
+
+Importing this module loads ``surface``, ``pants`` and ``mat2`` only.
+``wp`` (which loads ``variation``) and ``spin`` are imported by the
+commands that run them, at each call, so ``verify``, ``fn`` and
+``holonomy`` never compile them, and a function rebound in those
+modules is seen by the next command.
 """
 
 import json
@@ -55,8 +61,6 @@ from .surface import (
     parse_word,
     validate_surface,
 )
-from .wp import block_form_deviation, wp_matrix
-from . import spin as spin_mod
 
 LENGTH_RANGE = (1e-6, 50.0)
 
@@ -236,25 +240,33 @@ def _verdict(command, fields, lines, ok):
 
 def _spin_list(spec):
     """The ``spin --list`` report: every boundary-sign assignment and
-    crossing-sign class; it needs no cell complex."""
-    eps_list, classes = spin_mod.enumerate_spin(spec)
-    tree = spin_mod.spanning_tree_curves(spec)
+    crossing-sign class; it needs no cell complex.  Each curve id is
+    formatted once, not once per listed assignment."""
+    from . import spin
+
+    eps_list, classes = spin.enumerate_spin(spec)
+    tree = [str(c) for c in spin.spanning_tree_curves(spec)]
     order = sorted(spec.curve_ids(), key=str)
+    names = [str(c) for c in order]
+    tokens = [{1: f"{n}:+1", -1: f"{n}:-1"} for n in names]
     lines = [
         f"boundary-sign assignments {len(eps_list)}",
         f"crossing-sign classes per assignment {len(classes)}",
         f"total lifts in normal form {len(eps_list) * len(classes)}",
-        f"tree curves {' '.join(str(c) for c in tree)}",
+        f"tree curves {' '.join(tree)}",
     ]
-    for eps in eps_list:
-        lines.append("eps " + " ".join(f"{c}:{eps[c]:+d}" for c in order))
-    for signs in classes:
-        lines.append("class " + " ".join(f"{c}:{signs[c]:+d}" for c in order))
+    listed = {}
+    for kind, assignments in (("eps", eps_list), ("class", classes)):
+        rows = listed[kind] = []
+        for signs in assignments:
+            values = [signs[c] for c in order]
+            rows.append(dict(zip(names, values)))
+            lines.append(kind + " " + " ".join([t[v] for t, v in zip(tokens, values)]))
     return {
         "command": "spin",
-        "eps_assignments": [{str(c): e[c] for c in order} for e in eps_list],
-        "crossing_classes": [{str(c): s[c] for c in order} for s in classes],
-        "tree_curves": [str(c) for c in tree],
+        "eps_assignments": listed["eps"],
+        "crossing_classes": listed["class"],
+        "tree_curves": tree,
         "lines": lines,
     }
 
@@ -330,6 +342,8 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         return _verdict("fn", fields, lines, worst <= tolerance)
 
     if command == "wp":
+        from .wp import block_form_deviation, wp_matrix
+
         labels, matrix = wp_matrix(doc.cocycle, doc.fn)
         worst = block_form_deviation(matrix)
         lines = [" ".join(labels)]
@@ -342,16 +356,18 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
     if command == "spin":
         if doc.spin is None:
             raise DocumentError("document has no spin block (or use --list)")
+        from . import spin
+
         # the verdict below judges the lift's residual, nan included,
         # against the tolerance asked for
-        lifted = spin_mod._lift(doc.cocycle, doc.spin["eps"], doc.spin["crossing_signs"])
+        lifted = spin._lift(doc.cocycle, doc.spin["eps"], doc.spin["crossing_signs"])
         worst = lifted.max_face_residual()
         lines = [f"max face residual against +I {_num(worst)}"]
         rots = {}
         # a curve's loop is the boundary loop of the pants on its left
         by_loop = {}
         for cid, cells in doc.complex.curves.items():
-            r = by_loop[cells.loop] = spin_mod.rot2(lifted, cells.loop)
+            r = by_loop[cells.loop] = spin.rot2(lifted, cells.loop)
             rots[str(cid)] = r
             lines.append(f"curve {cid}  rot {r}")
         pants_sums = {}
@@ -359,7 +375,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
             s = 0
             for arc0, arc1, _ in cells.edges:
                 loop = ((arc0, 1), (arc1, 1))
-                s += by_loop[loop] if loop in by_loop else spin_mod.rot2(lifted, loop)
+                s += by_loop[loop] if loop in by_loop else spin.rot2(lifted, loop)
             pants_sums[str(pid)] = s % 2
             lines.append(f"pants {pid}  rot sum mod 2 = {s % 2}")
         ok = worst <= tolerance and all(v == 1 for v in pants_sums.values())

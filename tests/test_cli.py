@@ -500,6 +500,45 @@ def test_import_leaves_argparse_out():
     assert run.stdout.split() == []
 
 
+LOADED = (
+    "import json, sys\n"
+    "def loaded():\n"
+    "    return sorted(m[6:] for m in sys.modules if m.startswith('fnhol.'))\n"
+    "import fnhol\n"
+    "steps = [loaded()]\n"
+    "import fnhol.cli as cli\n"
+    "doc = cli.parse_document(sys.argv[1])\n"
+    "doc.complex\n"
+    "for cmd, word in (('verify', None), ('fn', None), ('holonomy', 'p0.b00 p0.b01')):\n"
+    "    assert cli.run_command(doc, cmd, word=word)[1] == 0, cmd\n"
+    "steps.append(loaded())\n"
+    "assert cli.run_command(doc, sys.argv[2], list_spin=sys.argv[3] == '1')[1] == 0\n"
+    "steps.append(loaded())\n"
+    "print(json.dumps(steps))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, list_spin, added",
+    [("wp", False, ["variation", "wp"]), ("spin", False, ["spin"]), ("spin", True, ["spin"])],
+    ids=["wp", "spin", "spin-list"],
+)
+def test_each_command_loads_only_the_modules_it_runs(command, list_spin, added):
+    # compiling a module is most of a fresh process's set-up, so the
+    # package loads nothing on import, and representing a point (parse,
+    # build, verify, fn, holonomy) never compiles the pairing, the
+    # variations or the spin lifts; each later command adds its own
+    src = os.path.dirname(os.path.dirname(fnhol.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-c", LOADED, json.dumps(genus2_doc()), command, str(int(list_spin))]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    package, point, after = json.loads(run.stdout)
+    assert package == []
+    assert point == ["cli", "mat2", "pants", "surface"]
+    assert sorted(set(after) - set(point)) == added and set(point) <= set(after)
+
+
 def test_every_module_imports_only_the_standard_library():
     # the core stays standard-library only: a fresh interpreter that
     # imports every fnhol module loads nothing outside the standard

@@ -89,10 +89,54 @@ def test_the_check_sees_an_export_that_is_gone():
     assert unresolved_exports(module) == ["deleted"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+EXPORTERS = [*MODULES, PACKAGE / "__init__.py"]
+
+
+@pytest.mark.parametrize("path", EXPORTERS, ids=[p.stem for p in EXPORTERS])
 def test_every_export_resolves(path):
-    module = importlib.import_module(f"fnhol.{path.stem}")
+    name = "fnhol" if path.stem == "__init__" else f"fnhol.{path.stem}"
+    module = importlib.import_module(name)
     assert unresolved_exports(module) == []
+
+
+# the names the package re-exports, by defining module, in ``__all__`` order
+PACKAGE_API = {
+    "mat2": ["Mat2", "TracelessMat2", "ad_action", "nearest_point_on_imaginary_axis",
+             "translation_length"],
+    "pants": ["PantsLengths", "bc_magnitude", "bc_magnitude_minus_one", "gauge_transform",
+              "pants_cocycle", "seam_matrix", "standardize"],
+    "surface": ["CellComplex", "Curve", "FNPoint", "SurfaceCocycle", "SurfaceSpec",
+                "assemble_cocycle", "build_complex", "extract_fn", "holonomy",
+                "validate_surface"],
+    "variation": ["TangentVector", "VariationCocycle", "check_cocycle_condition", "coboundary",
+                  "fd_variation", "grad_log_bc", "variation_cocycle"],
+    "wp": ["diagonal_chain", "killing_form", "pair_on_face", "wolpert_reference", "wp_matrix",
+           "wp_pairing"],
+    "spin": ["SpinSurfaceCocycle", "assemble_spin", "enumerate_spin", "rot2",
+             "sl2_pants_cocycle"],
+}
+
+
+def test_the_package_exports_each_name_of_its_defining_module():
+    # the package loads a module when one of its names is first read
+    # and returns that module's object, so its API is the same as when
+    # it imported all of them
+    fnhol = importlib.import_module("fnhol")
+    names = [name for names in PACKAGE_API.values() for name in names]
+    assert len(names) == 40 and fnhol.__all__ == names
+    assert fnhol.__version__ == "0.1.0"
+    star = {}
+    exec("from fnhol import *", star)
+    listed = set(dir(fnhol))
+    for mod, names in PACKAGE_API.items():
+        module = importlib.import_module(f"fnhol.{mod}")
+        for name in names:
+            assert getattr(fnhol, name) is getattr(module, name), name
+            assert star[name] is getattr(module, name), name
+            assert name in listed, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fnhol.no_such_name
+    assert not hasattr(fnhol, "no_such_name")
 
 
 def _tracer():
@@ -126,3 +170,40 @@ def test_every_name_the_benchmark_binds_resolves():
             assert name in tracer.public_functions(module), metric["name"]
         checked += 1
     assert checked
+
+
+TRACED_DOC = {
+    "genus": 2,
+    "pants": [0, 1],
+    "curves": [{"id": i, "left": {"pants": 0, "k": i}, "right": {"pants": 1, "k": i}}
+               for i in range(3)],
+    "fn": [{"curve": i, "length": 1.5 + i, "twist": 0.4 - i} for i in range(3)],
+    "spin": {"eps": {"0": -1, "1": -1, "2": -1}},
+}
+
+
+def test_the_tracer_sees_the_layers_the_cli_loads_on_first_use():
+    # the command line imports wp and spin when a command first needs
+    # them and reads their functions at call time, so the benchmark's
+    # spans there count every call; a stale binding would read 0
+    from fnhol.cli import parse_document, run_command
+
+    fnhol = importlib.import_module("fnhol")
+    tracer = _tracer().Tracer()
+    tracer.install()
+    try:
+        doc = parse_document(json.dumps(TRACED_DOC))
+        for command, list_spin in (("wp", False), ("spin", False), ("spin", True)):
+            assert run_command(doc, command, list_spin=list_spin)[1] == 0, command
+        traced = fnhol.wp_matrix
+    finally:
+        tracer.uninstall()
+    totals = tracer.span_totals()
+    for span in ("wp.wp_matrix", "spin.rot2", "spin.enumerate_spin"):
+        assert totals.get(span, (0, 0.0))[0] > 0, span
+    # nothing the package returned while traced outlives the tracer
+    wp = importlib.import_module("fnhol.wp")
+    assert traced.__wrapped__ is wp.wp_matrix
+    assert fnhol.wp_matrix is wp.wp_matrix
+    assert not hasattr(wp.wp_matrix, "__wrapped__")
+    assert "wp_matrix" not in vars(fnhol)

@@ -27,9 +27,9 @@ Document schema::
 
 Curve and pants ids are JSON integers or strings, and no two ids of
 one kind may share a string form (cell names and JSON keys are built
-from it).  ``spin`` is optional.  Lengths must lie in [1e-6, 50].
-Twists must be finite, and the crossing entries exp(-twist/2) and
-exp(twist/2) must both be finite and nonzero doubles (about
+from it).  ``spin`` is optional.  Lengths and twists pass the rules of
+:func:`fnhol.surface.assemble_cocycle`: lengths lie in [1e-6, 50], and
+exp(-twist/2) and exp(twist/2) are finite nonzero doubles (about
 |twist| <= 1419.56).
 
 A parsed document is immutable; its cell complex, assembled cocycle and
@@ -53,6 +53,7 @@ from .surface import (
     Curve,
     FNPoint,
     SurfaceSpec,
+    _check_length,
     _crossing_entry,
     assemble_cocycle,
     build_complex,
@@ -61,8 +62,6 @@ from .surface import (
     parse_word,
     validate_surface,
 )
-
-LENGTH_RANGE = (1e-6, 50.0)
 
 
 class DocumentError(ValueError):
@@ -123,6 +122,15 @@ def _id(val, path):
     return val
 
 
+def _checked(check, val, path):
+    """``val`` if the library's ``check`` passes it; its ValueError as a DocumentError."""
+    try:
+        check(val, path)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from None
+    return val
+
+
 def _sign(val, path):
     """A spin sign: +1 or -1, never a boolean."""
     if isinstance(val, bool) or val not in (-1, 1):
@@ -179,18 +187,12 @@ def parse_document(text):
         path = f"fn[{i}]"
         ref = _require(item, "curve", (int, str), path)
         cid = _curve_key(_id(ref, f"{path}.curve"), curves_by_str, path)
-        l = _require(item, "length", float, path)
-        if not (LENGTH_RANGE[0] <= l <= LENGTH_RANGE[1]):
-            _fail(f"{path}.length", f"{l!r} outside [{LENGTH_RANGE[0]}, {LENGTH_RANGE[1]}]")
+        l = _checked(_check_length, _require(item, "length", float, path), f"{path}.length")
         if cid in lengths:
             _fail(path, f"duplicate coordinates for curve {cid!r}")
-        tw = _require(item, "twist", float, path)
-        try:
-            _crossing_entry(tw, f"{path}.twist")
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from None
         lengths[cid] = l
-        twists[cid] = tw
+        twists[cid] = _checked(_crossing_entry, _require(item, "twist", float, path),
+                               f"{path}.twist")
     missing = [c for c in curve_ids if c not in lengths]
     if missing:
         _fail("fn", f"no coordinates for curves {missing!r}")

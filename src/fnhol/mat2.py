@@ -269,9 +269,9 @@ def ad_action(m, t):
     return TracelessMat2(p * d - q * c, -p * b + q * a, r * d - s * c)
 
 
-def nearest_point_on_imaginary_axis(conj, lam=None):
+def nearest_point_on_imaginary_axis(conj):
     """Height R of the point R*i on the imaginary axis closest to the
-    axis of conj @ diag(lam, 1/lam) @ conj^-1.
+    axis of conj @ diag(lam, 1/lam) @ conj^-1, which does not depend on lam.
 
     Requires the two axes to be disjoint, i.e. ab/cd > 0; then
     R = sqrt(ab/cd)."""

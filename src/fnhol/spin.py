@@ -55,6 +55,15 @@ class SpinSignError(ValueError):
     normalization."""
 
 
+def _check_sign(value, name):
+    """``value`` if it is a number equal to +1 or -1 and not a bool, the
+    command line's rule (so -1.0 passes); SpinSignError naming ``name``
+    if not."""
+    if isinstance(value, bool) or value not in (-1, 1):
+        raise SpinSignError(f"{name} must be +-1, got {value!r}")
+    return value
+
+
 def _check_pants_lift(seams, hexagon_products):
     """The lift test of one pants: every seam value has positive (1,1)
     entry, and then both hexagon products are +I; AssertionError
@@ -77,11 +86,9 @@ def sl2_pants_cocycle(lengths, signs):
     boundary holonomy b{k}0 b{k}1 has trace of sign eps_k.
     AssertionError ("found 0") when that candidate fails the lift test,
     as happens for very short boundaries."""
-    eps = tuple(int(e) for e in signs)
-    if len(eps) != 3 or any(e not in (-1, 1) for e in eps):
-        raise SpinSignError(f"signs must be three of +-1, got {eps}")
-    if eps[0] * eps[1] * eps[2] != -1:
-        raise SpinSignError(f"boundary signs {eps} must multiply to -1")
+    eps = tuple(_check_sign(e, f"boundary sign {k}") for k, e in enumerate(signs))
+    if len(eps) != 3 or eps[0] * eps[1] * eps[2] != -1:
+        raise SpinSignError(f"boundary signs {eps} must be three and multiply to -1")
     values = pants_mod.pants_cocycle(lengths)
     for k, e in enumerate(eps):
         if e < 0:
@@ -139,7 +146,9 @@ def _pants_sign_constraint(complex_, eps):
 def assemble_spin(spec, fn, eps, crossing_signs=None):
     """Assemble the determinant-one cocycle with boundary signs ``eps``
     (curve id -> +-1) and crossing-edge signs (curve id -> +-1,
-    defaulting to +1, required to be +1 on the spanning tree).
+    defaulting to +1, required to be +1 on the spanning tree).  A sign
+    is a number equal to +1 or -1 and not a bool, as on the command
+    line; SpinSignError names the curve of any other value or key.
 
     ``spec`` is a decomposition, assembled at fn; a cell complex, which
     reuses the cocycle of the last point asked of it while that cocycle
@@ -167,17 +176,15 @@ def _lift(base, eps, crossing_signs):
     pants but not for its face residuals; the command line reports those
     against its own tolerance."""
     complex_ = base.complex
-    eps = {cid: int(eps[cid]) for cid in complex_.curves}
-    if any(e not in (-1, 1) for e in eps.values()):
-        raise SpinSignError("boundary signs must be +-1")
+    crossing_signs = crossing_signs or {}
+    unknown = (eps.keys() | crossing_signs.keys()) - complex_.curves.keys()
+    if unknown:
+        raise SpinSignError(f"signs given for no curve {', '.join(sorted(map(str, unknown)))}")
+    eps = {c: _check_sign(eps.get(c), f"boundary sign of curve {c}") for c in complex_.curves}
     if not _pants_sign_constraint(complex_, eps):
         raise SpinSignError("boundary signs must multiply to -1 around every pants")
-    crossing_signs = {
-        cid: int(crossing_signs.get(cid, 1)) if crossing_signs else 1
-        for cid in complex_.curves
-    }
-    if any(s not in (-1, 1) for s in crossing_signs.values()):
-        raise SpinSignError("crossing signs must be +-1")
+    crossing_signs = {c: _check_sign(crossing_signs.get(c, 1), f"crossing sign of curve {c}")
+                      for c in complex_.curves}
     for cid in spanning_tree_curves(complex_.spec):
         if crossing_signs[cid] != 1:
             raise SpinSignError(f"crossing sign on tree curve {cid} must be +1")

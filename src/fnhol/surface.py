@@ -28,6 +28,7 @@ from . import pants as pants_mod
 from .pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
 
 __all__ = [
+    "LENGTH_RANGE",
     "SurfaceSpec",
     "Curve",
     "CellComplex",
@@ -43,6 +44,11 @@ __all__ = [
     "check_word",
     "NonStandardCocycleError",
 ]
+
+# The accepted curve lengths, the one rule of the library and the command
+# line (:func:`_check_length`): arcs are at most exp(12.5), and |b_k c_k| at
+# most (cosh 25 + cosh 50) / (2 sinh(5e-7)^2), about 5e33, so every pants is finite
+LENGTH_RANGE = (1e-6, 50.0)
 
 
 class NonStandardCocycleError(ValueError):
@@ -250,9 +256,6 @@ class FNPoint:
     def __init__(self, lengths, twists):
         self.lengths = dict(lengths)
         self.twists = dict(twists)
-        for cid, l in self.lengths.items():
-            if not l > 0.0:
-                raise ValueError(f"length of curve {cid} must be positive")
 
     def shifted(self, tangent, h):
         """The point fn + h * tangent, for finite differencing."""
@@ -341,16 +344,11 @@ def pants_boundary_lengths(complex_, fn, pid):
 
 
 def _check_length(length, name):
-    """ValueError, naming the length by ``name``, unless the arc entry
-    exp(length/4) is above 1 and cosh(length/2) is finite (about
-    4.45e-16 <= length <= 1420.95)."""
-    try:
-        ok = 1.0 < math.exp(0.25 * length) and math.cosh(0.5 * length) < math.inf
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name}: {length!r} makes exp(length/4) not above 1 "
-                         "or cosh(length/2) not finite")
+    """ValueError, naming the length by ``name``, unless it lies in
+    :data:`LENGTH_RANGE` (nan does not)."""
+    lo, hi = LENGTH_RANGE
+    if not lo <= length <= hi:
+        raise ValueError(f"{name}: {length!r} outside [{lo}, {hi}]")
 
 
 def _crossing_entry(twist, name):
@@ -370,10 +368,10 @@ def _crossing_entry(twist, name):
 def assemble_cocycle(spec, fn):
     """The normalized cocycle of the hyperbolic structure with the given
     Fenchel-Nielsen coordinates, a fresh one on every call.  ValueError,
-    naming the curves, when a coordinate is missing, when a length or a
-    twist is outside what the closed forms take (:func:`_check_length`,
-    :func:`_crossing_entry`), or when the lengths of one pants together
-    make its cocycle not finite."""
+    naming the curve, when a coordinate is missing, when a length is
+    outside :data:`LENGTH_RANGE` (:func:`_check_length`) or when a twist
+    is outside what the crossing entries take (:func:`_crossing_entry`);
+    every cocycle it returns is finite."""
     complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
     missing = complex_.curves.keys() - (fn.lengths.keys() & fn.twists.keys())
     if missing:
@@ -382,18 +380,7 @@ def assemble_cocycle(spec, fn):
         _check_length(fn.lengths[cid], f"length of curve {cid}")
     values = {}
     for pid, cells in complex_.pants.items():
-        # the arcs are finite once each length passes, but lengths that
-        # pass one at a time can still overflow a seam together, through
-        # cosh((l0 + l1)/2) or over the sinh of two short boundaries
-        try:
-            local = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
-            finite = all(local[seam].is_finite() for _, _, seam in _PANTS_EDGES_BY_K)
-        except ArithmeticError:
-            finite = False
-        if not finite:
-            curves = ", ".join(map(str, cells.curves))
-            raise ValueError(f"lengths of curves {curves}: the cocycle of pants {pid} "
-                             "is not finite")
+        local = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
         for names, ids in zip(_PANTS_EDGES_BY_K, cells.edges):
             for e, eid in zip(names, ids):
                 values[eid] = local[e]

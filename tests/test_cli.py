@@ -76,6 +76,23 @@ def test_parse_rejects_out_of_range_length():
         parse_document(json.dumps(raw))
 
 
+def test_a_refused_length_reads_as_the_library_refuses_it():
+    # the document and the library apply one rule, and their messages
+    # differ only in the name before the colon
+    raw = genus2_doc(spin=False)
+    raw["fn"][1]["length"] = 100.0
+    with pytest.raises(DocumentError) as from_doc:
+        parse_document(json.dumps(raw))
+    doc = parse_document(json.dumps(genus2_doc(spin=False)))
+    fn = fnhol.surface.FNPoint({**doc.fn.lengths, 1: 100.0}, doc.fn.twists)
+    with pytest.raises(ValueError) as from_library:
+        fnhol.surface.assemble_cocycle(doc.spec, fn)
+    doc_name, _, doc_rest = str(from_doc.value).partition(": ")
+    library_name, _, library_rest = str(from_library.value).partition(": ")
+    assert (doc_name, library_name) == ("fn[1].length", "length of curve 1")
+    assert doc_rest == library_rest == "100.0 outside [1e-06, 50.0]"
+
+
 def test_parse_rejects_bad_json_with_position():
     with pytest.raises(DocumentError) as err:
         parse_document("{\n  \"genus\": 2,\n}")

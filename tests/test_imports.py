@@ -76,6 +76,14 @@ def test_projmat2_is_named_only_in_mat2_and_the_cli():
     assert naming == PROJMAT2_FILES
 
 
+def test_only_surface_names_the_length_range():
+    # the accepted lengths are one rule, which the command line applies
+    # through surface._check_length rather than a range of its own
+    naming = {p.name for p in PACKAGE.glob("*.py")
+              if "LENGTH_RANGE" in names_in(p.read_text(encoding="utf-8"))}
+    assert naming == {"surface.py"}
+
+
 def unresolved_exports(module):
     """The entries of a module's ``__all__`` that are not attributes of
     it, which ``from module import *`` would fail on."""

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import pytest
@@ -386,6 +387,48 @@ def test_assemble_spin_rejects_bad_data():
     with pytest.raises(SpinSignError):
         # tree curve (id 0) must keep a positive crossing sign
         assemble_spin(spec, fn, {0: -1, 1: -1, 2: -1}, {0: -1, 1: 1, 2: 1})
+
+
+@pytest.mark.parametrize(
+    "eps, signs, message",
+    [
+        ({0: -1, 1: -1}, None, "boundary sign of curve 2 must be +-1, got None"),
+        ({0: True, 1: 1, 2: -1}, None, "boundary sign of curve 0 must be +-1, got True"),
+        ({0: "-1", 1: "-1", 2: "-1"}, None, "boundary sign of curve 0 must be +-1, got '-1'"),
+        ({0: -1, 1: -1, 2: -1}, {1: 1.5}, "crossing sign of curve 1 must be +-1, got 1.5"),
+        ({0: -1, 1: -1, 2: -1}, {9: -1}, "signs given for no curve 9"),
+    ],
+    ids=["missing-eps", "boolean-eps", "string-eps", "fractional-crossing-sign",
+         "unknown-curve"],
+)
+def test_assemble_spin_takes_only_signs_the_command_line_takes(eps, signs, message):
+    # a missing curve was a bare KeyError, True and "-1" were taken as
+    # signs, 1.5 was cut down to 1 and a key naming no curve was ignored
+    spec = genus2_spec()
+    fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.3 for i in range(3)})
+    with pytest.raises(SpinSignError, match=re.escape(message)):
+        assemble_spin(spec, fn, eps, signs)
+
+
+def test_float_signs_lift_as_integer_signs():
+    # the command line takes -1.0 as a sign, so the library does too
+    cx = build_complex(genus2_spec())
+    fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.3 for i in range(3)})
+    def entries(values):
+        return {e: m.entries() for e, m in values.items()}
+
+    want = assemble_spin(cx, fn, {0: -1, 1: -1, 2: -1}, {1: -1})
+    got = assemble_spin(cx, fn, {0: -1.0, 1: -1.0, 2: -1.0}, {1: -1.0})
+    assert entries(got.values) == entries(want.values)
+    l = PantsLengths(2, 2, 2)
+    assert entries(sl2_pants_cocycle(l, (1.0, 1, -1.0))) == entries(
+        sl2_pants_cocycle(l, (1, 1, -1)))
+
+
+@pytest.mark.parametrize("signs", [(True, 1, -1), (1, 1, "-1"), (1.5, 1, -1), (1, -1)])
+def test_pants_lift_takes_only_signs_the_command_line_takes(signs):
+    with pytest.raises(SpinSignError):
+        sl2_pants_cocycle(PantsLengths(2, 2, 2), signs)
 
 
 def test_face_minus_identity_counts_as_failure():

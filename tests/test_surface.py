@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -20,7 +21,8 @@ from fnhol.surface import (
     parse_word,
     validate_surface,
 )
-from fnhol.variation import variation_cocycle
+from fnhol.spin import assemble_spin
+from fnhol.variation import TangentVector, variation_cocycle
 from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix
 from conftest import (
     caterpillar,
@@ -133,15 +135,18 @@ def test_assemble_refuses_lengths_its_closed_forms_cannot_take(length):
     # a cocycle whose face residuals were nan
     spec = genus2_spec()
     fn = FNPoint({0: length, 1: 2.0, 2: 2.0}, {i: 0.3 for i in range(3)})
-    with pytest.raises(ValueError, match=f"length of curve 0: {length!r} makes exp"):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"length of curve 0: {length!r} outside [1e-06, 50.0]")):
         assemble_cocycle(spec, fn)
 
 
 def test_assemble_refuses_lengths_that_overflow_together():
-    # each length is accepted on its own, but cosh((1400 + 50)/2) is not finite
+    # cosh((1400 + 50)/2) is not finite, but 1400 is refused on its own,
+    # outside the accepted range, before any pants is assembled
     spec = genus2_spec()
     fn = FNPoint({0: 1400.0, 1: 50.0, 2: 2.0}, {i: 0.3 for i in range(3)})
-    with pytest.raises(ValueError, match="lengths of curves 0, 1, 2: the cocycle of pants 0"):
+    with pytest.raises(ValueError,
+                       match=re.escape("length of curve 0: 1400.0 outside [1e-06, 50.0]")):
         assemble_cocycle(spec, fn)
 
 
@@ -150,6 +155,28 @@ def test_assemble_takes_every_corner_of_the_document_length_range():
     for lengths in itertools.product((1e-6, 50.0), repeat=3):
         fn = FNPoint(dict(enumerate(lengths)), {i: 0.3 for i in range(3)})
         assert all(m.is_finite() for m in assemble_cocycle(spec, fn).values.values())
+
+
+@pytest.mark.parametrize("entry", ["assemble_cocycle", "variation_cocycle", "wp_matrix",
+                                   "assemble_spin"])
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, 1e-15, 1e-7, 9.99e-7, 50.000001,
+                                    60.0, 100.0, 1e4, math.inf])
+def test_every_entry_point_refuses_a_length_outside_the_range(entry, length):
+    # one rule for every entry point, with the message the command line
+    # prints; at 1e-15, 1e-7 and 60 the cocycle was wrong (face residuals
+    # 0.79, 1.1e-8, 7.6e-4), and at 100 its face residual raised
+    spec = genus2_spec()
+    fn = FNPoint({0: 2.0, 1: length, 2: 2.0}, {i: 0.3 for i in range(3)})
+    calls = {
+        "assemble_cocycle": lambda: assemble_cocycle(spec, fn),
+        "variation_cocycle": lambda: variation_cocycle(build_complex(spec), fn,
+                                                       TangentVector({0: 1.0})),
+        "wp_matrix": lambda: wp_matrix(spec, fn),
+        "assemble_spin": lambda: assemble_spin(build_complex(spec), fn, {i: -1 for i in range(3)}),
+    }
+    message = f"length of curve 1: {length!r} outside [1e-06, 50.0]"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        calls[entry]()
 
 
 def _entries(cocycle):

@@ -27,10 +27,13 @@ Document schema::
 
 Curve and pants ids are JSON integers or strings, and no two ids of
 one kind may share a string form (cell names and JSON keys are built
-from it).  ``spin`` is optional.  Lengths and twists pass the rules of
+from it).  Lengths and twists pass the rules of
 :func:`fnhol.surface.assemble_cocycle`: lengths lie in [1e-6, 50], and
 exp(-twist/2) and exp(twist/2) are finite nonzero doubles (about
-|twist| <= 1419.56).
+|twist| <= 1419.56).  ``spin`` is optional, and every command, not only
+``spin``, refuses one that breaks the sign rules of ``assemble_spin`` in
+:mod:`fnhol.surface`: each sign +-1, eps on every curve multiplying to
+-1 around every pants, and crossing signs +1 on the spanning tree.
 
 A parsed document is immutable; its cell complex, assembled cocycle and
 read-back coordinates are computed on first use and shared by every
@@ -53,13 +56,17 @@ from .surface import (
     Curve,
     FNPoint,
     SurfaceSpec,
+    _check_crossing_signs,
+    _check_eps,
     _check_length,
     _crossing_entry,
+    _pants_curves,
     assemble_cocycle,
     build_complex,
     extract_fn,
     holonomy,
     parse_word,
+    spanning_tree_curves,
     validate_surface,
 )
 
@@ -99,22 +106,6 @@ def _fail(path, msg):
     raise DocumentError(f"{path}: {msg}")
 
 
-def _require(obj, key, kind, path):
-    if not isinstance(obj, dict) or key not in obj:
-        _fail(path, f"missing field {key!r}")
-    val = obj[key]
-    if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            _fail(f"{path}.{key}", f"expected a number, got {val!r}")
-        return float(val)
-    if isinstance(val, bool) and kind is int:
-        _fail(f"{path}.{key}", f"expected int, got {val!r}")
-    if not isinstance(val, kind):
-        name = kind.__name__ if isinstance(kind, type) else "value"
-        _fail(f"{path}.{key}", f"expected {name}, got {val!r}")
-    return val
-
-
 def _id(val, path):
     """A pants or curve id: a JSON integer or string, never a boolean."""
     if isinstance(val, bool) or not isinstance(val, (int, str)):
@@ -122,29 +113,31 @@ def _id(val, path):
     return val
 
 
-def _checked(check, val, path):
-    """``val`` if the library's ``check`` passes it; its ValueError as a DocumentError."""
+def _require(obj, key, kind, path):
+    """``obj[key]`` of ``kind``: float (any JSON number, as a float), int,
+    list, dict or :func:`_id`; DocumentError at the path of what is not."""
+    if not isinstance(obj, dict):
+        _fail(path, f"expected an object, got {obj!r}")
+    if key not in obj:
+        _fail(path, f"missing field {key!r}")
+    val, path = obj[key], f"{path}.{key}"
+    if kind is _id:
+        return _id(val, path)
+    if kind is float:
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            _fail(path, f"expected a number, got {val!r}")
+        return float(val)
+    if isinstance(val, bool) and kind is int or not isinstance(val, kind):
+        _fail(path, f"expected {kind.__name__}, got {val!r}")
+    return val
+
+
+def _checked(check, *args):
+    """``check(*args)``, a library rule naming its field last; ValueError as DocumentError."""
     try:
-        check(val, path)
+        return check(*args)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    return val
-
-
-def _sign(val, path):
-    """A spin sign: +1 or -1, never a boolean."""
-    if isinstance(val, bool) or val not in (-1, 1):
-        _fail(path, f"expected +-1, got {val!r}")
-    return val
-
-
-def _curve_key(raw_id, curves_by_str, path):
-    """Resolve a curve reference (a JSON object key is always a string)
-    by its string form, which validation made unique per curve."""
-    cid = curves_by_str.get(str(raw_id))
-    if cid is None:
-        _fail(path, f"unknown curve {raw_id!r}")
-    return cid
 
 
 def parse_document(text):
@@ -166,33 +159,34 @@ def parse_document(text):
     curves = []
     for i, item in enumerate(curves_raw):
         path = f"curves[{i}]"
-        cid = _id(_require(item, "id", (int, str), path), f"{path}.id")
+        cid = _require(item, "id", _id, path)
         sides = []
         for side in ("left", "right"):
             rec = _require(item, side, dict, path)
-            pid = _require(rec, "pants", (int, str), f"{path}.{side}")
-            _id(pid, f"{path}.{side}.pants")
-            k = _require(rec, "k", int, f"{path}.{side}")
-            sides.append((pid, k))
+            sides.append((_require(rec, "pants", _id, f"{path}.{side}"),
+                          _require(rec, "k", int, f"{path}.{side}")))
         curves.append(Curve(cid, sides[0], sides[1]))
     spec = SurfaceSpec(genus, tuple(pants), tuple(curves))
     problems = validate_surface(spec)
     if problems:
         _fail("document", "; ".join(problems))
 
+    # JSON keys are strings: a curve is named by its string form, unique by validation
     curve_ids = spec.curve_ids()
     curves_by_str = {str(c): c for c in curve_ids}
     lengths, twists = {}, {}
     for i, item in enumerate(fn_raw):
         path = f"fn[{i}]"
-        ref = _require(item, "curve", (int, str), path)
-        cid = _curve_key(_id(ref, f"{path}.curve"), curves_by_str, path)
+        ref = _require(item, "curve", _id, path)
+        cid = curves_by_str.get(str(ref))
+        if cid is None:
+            _fail(path, f"unknown curve {ref!r}")
         l = _checked(_check_length, _require(item, "length", float, path), f"{path}.length")
         if cid in lengths:
             _fail(path, f"duplicate coordinates for curve {cid!r}")
         lengths[cid] = l
-        twists[cid] = _checked(_crossing_entry, _require(item, "twist", float, path),
-                               f"{path}.twist")
+        twists[cid] = twist = _require(item, "twist", float, path)
+        _checked(_crossing_entry, twist, f"{path}.twist")
     missing = [c for c in curve_ids if c not in lengths]
     if missing:
         _fail("fn", f"no coordinates for curves {missing!r}")
@@ -203,18 +197,16 @@ def parse_document(text):
         block = raw["spin"]
         if not isinstance(block, dict):
             _fail("spin", "expected an object")
-        eps = {}
-        for key, val in _require(block, "eps", dict, "spin").items():
-            cid = _curve_key(key, curves_by_str, "spin.eps")
-            eps[cid] = _sign(val, f"spin.eps.{key}")
-        if set(eps) != set(curve_ids):
-            _fail("spin.eps", "must assign a sign to every curve")
-        signs = {c: 1 for c in curve_ids}
-        if "crossing_signs" in block:
-            for key, val in _require(block, "crossing_signs", dict, "spin").items():
-                cid = _curve_key(key, curves_by_str, "spin.crossing_signs")
-                signs[cid] = _sign(val, f"spin.crossing_signs.{key}")
-        spin = {"eps": eps, "crossing_signs": signs}
+
+        def by_curve(field):
+            # a key naming no curve is kept as it is, for the rule to name it
+            return {curves_by_str.get(key, key): val
+                    for key, val in _require(block, field, dict, "spin").items()}
+
+        eps = _checked(_check_eps, by_curve("eps"), _pants_curves(spec), "spin.eps")
+        signs = by_curve("crossing_signs") if "crossing_signs" in block else None
+        spin = {"eps": eps, "crossing_signs": _checked(_check_crossing_signs, signs, spec,
+                                                       "spin.crossing_signs")}
     return SurfaceDocument(spec, fn, spin)
 
 
@@ -247,7 +239,7 @@ def _spin_list(spec):
     from . import spin
 
     eps_list, classes = spin.enumerate_spin(spec)
-    tree = [str(c) for c in spin.spanning_tree_curves(spec)]
+    tree = [str(c) for c in spanning_tree_curves(spec)]
     order = sorted(spec.curve_ids(), key=str)
     names = [str(c) for c in order]
     tokens = [{1: f"{n}:+1", -1: f"{n}:-1"} for n in names]

@@ -35,7 +35,6 @@ __all__ = [
     "PANTS_EDGES",
     "PANTS_VERTICES",
     "PANTS_FACES",
-    "GAMMA_WORDS",
 ]
 
 
@@ -98,23 +97,6 @@ PANTS_FACES = {
         ("b11", 1),
         ("seam1", 1),
     ),
-}
-
-# Loops gamma_k around the three boundary circles, based at v00.
-# gamma2 * gamma1 * gamma0 is trivial in the fundamental group.
-GAMMA_WORDS = {
-    0: (("b00", 1), ("b01", 1)),
-    1: (
-        ("seam0", 1),
-        ("b20", -1),
-        ("seam2", 1),
-        ("b11", 1),
-        ("b10", 1),
-        ("seam2", -1),
-        ("b20", 1),
-        ("seam0", -1),
-    ),
-    2: (("seam0", 1), ("b21", 1), ("b20", 1), ("seam0", -1)),
 }
 
 

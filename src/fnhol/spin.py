@@ -35,7 +35,8 @@ import itertools
 
 from .mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
 from . import pants as pants_mod
-from .surface import CellComplex, SurfaceCocycle, _cocycle_at, holonomy, spanning_tree_curves
+from .surface import (CellComplex, SpinSignError, SurfaceCocycle, _check_crossing_signs,
+                      _check_eps, _cocycle_at, holonomy, spanning_tree_curves)
 
 __all__ = [
     "SpinSignError",
@@ -43,25 +44,10 @@ __all__ = [
     "sl2_pants_cocycle",
     "assemble_spin",
     "enumerate_spin",
-    "spanning_tree_curves",
     "rot2",
 ]
 
 _FACE_TOL = 1e-8
-
-
-class SpinSignError(ValueError):
-    """Sign data violates the per-pants constraint or the tree-curve
-    normalization."""
-
-
-def _check_sign(value, name):
-    """``value`` if it is a number equal to +1 or -1 and not a bool, the
-    command line's rule (so -1.0 passes); SpinSignError naming ``name``
-    if not."""
-    if isinstance(value, bool) or value not in (-1, 1):
-        raise SpinSignError(f"{name} must be +-1, got {value!r}")
-    return value
 
 
 def _check_pants_lift(seams, hexagon_products):
@@ -77,8 +63,8 @@ def _check_pants_lift(seams, hexagon_products):
 
 def sl2_pants_cocycle(lengths, signs):
     """The unique determinant-one lift of the normalized pants cocycle
-    with the given boundary trace signs (eps_0, eps_1, eps_2), each +-1
-    and multiplying to -1 (SpinSignError if not).
+    with the given boundary trace signs (eps_0, eps_1, eps_2), which pass
+    :func:`fnhol.surface._check_eps` as curves 0, 1, 2 of one pants.
 
     Returns edge id -> Mat2: :func:`fnhol.pants.pants_cocycle` with
     b{k}1 negated where eps_k = -1.  Both hexagon words evaluate to +I;
@@ -86,11 +72,9 @@ def sl2_pants_cocycle(lengths, signs):
     boundary holonomy b{k}0 b{k}1 has trace of sign eps_k.
     AssertionError ("found 0") when that candidate fails the lift test,
     as happens for very short boundaries."""
-    eps = tuple(_check_sign(e, f"boundary sign {k}") for k, e in enumerate(signs))
-    if len(eps) != 3 or eps[0] * eps[1] * eps[2] != -1:
-        raise SpinSignError(f"boundary signs {eps} must be three and multiply to -1")
+    eps = _check_eps(dict(enumerate(signs)), {0: (0, 1, 2)}, "eps")
     values = pants_mod.pants_cocycle(lengths)
-    for k, e in enumerate(eps):
+    for k, e in eps.items():
         if e < 0:
             values[f"b{k}1"] = -values[f"b{k}1"]
     _check_pants_lift(
@@ -134,21 +118,12 @@ class SpinSurfaceCocycle(SurfaceCocycle):
         return self.face_products()[fid].dist(Mat2.identity())
 
 
-def _pants_sign_constraint(complex_, eps):
-    """Check eps: curve id -> +-1 multiplies to -1 around every pants
-    (a curve glued to one pants twice contributes +1)."""
-    return all(
-        eps[c0] * eps[c1] * eps[c2] == -1
-        for c0, c1, c2 in (cells.curves for cells in complex_.pants.values())
-    )
-
-
 def assemble_spin(spec, fn, eps, crossing_signs=None):
     """Assemble the determinant-one cocycle with boundary signs ``eps``
     (curve id -> +-1) and crossing-edge signs (curve id -> +-1,
-    defaulting to +1, required to be +1 on the spanning tree).  A sign
-    is a number equal to +1 or -1 and not a bool, as on the command
-    line; SpinSignError names the curve of any other value or key.
+    defaulting to +1, required to be +1 on the spanning tree), checked by
+    the command line's rules (:func:`fnhol.surface._check_eps` and
+    ``_check_crossing_signs``; SpinSignError naming the field).
 
     ``spec`` is a decomposition, assembled at fn; a cell complex, which
     reuses the cocycle of the last point asked of it while that cocycle
@@ -164,7 +139,10 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     a pants has no lift, as happens for very short boundaries, and
     SpinSignError when the largest face residual of the lift is above
     1e-8 or nan."""
-    out = _lift(_cocycle_at(spec, fn), eps, crossing_signs)
+    base = _cocycle_at(spec, fn)
+    pants = {pid: cells.curves for pid, cells in base.complex.pants.items()}
+    out = _lift(base, _check_eps(eps, pants, "eps"),
+                _check_crossing_signs(crossing_signs, base.complex.spec, "crossing_signs"))
     residual = out.max_face_residual()
     if not residual <= _FACE_TOL:
         raise SpinSignError(f"face word failed to lift to +I (residual {residual:g})")
@@ -172,23 +150,11 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
 
 
 def _lift(base, eps, crossing_signs):
-    """The lift of :func:`assemble_spin` over ``base``, checked pants by
-    pants but not for its face residuals; the command line reports those
-    against its own tolerance."""
+    """The lift of :func:`assemble_spin` over ``base`` for checked sign
+    data (a crossing sign on every curve), checked pants by pants but
+    not for its face residuals; the command line reports those against
+    its own tolerance."""
     complex_ = base.complex
-    crossing_signs = crossing_signs or {}
-    unknown = (eps.keys() | crossing_signs.keys()) - complex_.curves.keys()
-    if unknown:
-        raise SpinSignError(f"signs given for no curve {', '.join(sorted(map(str, unknown)))}")
-    eps = {c: _check_sign(eps.get(c), f"boundary sign of curve {c}") for c in complex_.curves}
-    if not _pants_sign_constraint(complex_, eps):
-        raise SpinSignError("boundary signs must multiply to -1 around every pants")
-    crossing_signs = {c: _check_sign(crossing_signs.get(c, 1), f"crossing sign of curve {c}")
-                      for c in complex_.curves}
-    for cid in spanning_tree_curves(complex_.spec):
-        if crossing_signs[cid] != 1:
-            raise SpinSignError(f"crossing sign on tree curve {cid} must be +1")
-
     flipped = [
         arc1
         for cells in complex_.pants.values()

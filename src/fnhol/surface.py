@@ -43,6 +43,7 @@ __all__ = [
     "parse_word",
     "check_word",
     "NonStandardCocycleError",
+    "SpinSignError",
 ]
 
 # The accepted curve lengths, the one rule of the library and the command
@@ -54,6 +55,11 @@ LENGTH_RANGE = (1e-6, 50.0)
 class NonStandardCocycleError(ValueError):
     """The cocycle does not have the normalized shape this operation
     reads its data from."""
+
+
+class SpinSignError(ValueError):
+    """Spin sign data outside the accepted domain (:func:`_check_eps`,
+    :func:`_check_crossing_signs`), or a lift that fails its check."""
 
 
 class Curve(namedtuple("Curve", "id left right")):
@@ -162,6 +168,15 @@ _PANTS_EDGES_BY_K = tuple((f"b{k}0", f"b{k}1", f"seam{k}") for k in range(3))
 _CURVE_CELLS = ("x0", "x1", "sq0", "sq1")
 
 
+def _pants_curves(spec):
+    """Pants id -> the ids of the curves glued at its boundaries 0, 1, 2."""
+    sides = {pid: [None, None, None] for pid in spec.pants}
+    for c in spec.curves:
+        for p, k in (c.left, c.right):
+            sides[p][k] = c.id
+    return {pid: tuple(curves) for pid, curves in sides.items()}
+
+
 def _cell_names(kind, xid, local):
     """Local cell name -> ``{kind}{xid}.{name}``, its id in the complex for
     pants ("p") and curve ("c") cells; only the complex calls this."""
@@ -195,10 +210,7 @@ class CellComplex:
         # make every complex a reference cycle that outlives its last
         # user until the cyclic garbage collector runs
         self._last_cocycle = None
-        sides = {pid: [None, None, None] for pid in spec.pants}
-        for c in spec.curves:
-            for (p, k) in (c.left, c.right):
-                sides[p][k] = c.id
+        sides = _pants_curves(spec)
         for pid in spec.pants:
             name = _cell_names("p", pid, _PANTS_CELLS)
             self.vertices += (name[v] for v in PANTS_VERTICES)
@@ -207,7 +219,7 @@ class CellComplex:
             for f, cycle in PANTS_FACES.items():
                 self.faces[name[f]] = tuple((name[e], s) for e, s in cycle)
             self.pants[pid] = PantsCells(
-                tuple(sides[pid]),
+                sides[pid],
                 tuple(tuple(name[e] for e in by_k) for by_k in _PANTS_EDGES_BY_K),
                 (name["hex+"], name["hex-"]),
             )
@@ -344,11 +356,12 @@ def pants_boundary_lengths(complex_, fn, pid):
 
 
 def _check_length(length, name):
-    """ValueError, naming the length by ``name``, unless it lies in
-    :data:`LENGTH_RANGE` (nan does not)."""
+    """``length`` if it lies in :data:`LENGTH_RANGE` (nan does not);
+    ValueError, naming the length by ``name``, if not."""
     lo, hi = LENGTH_RANGE
     if not lo <= length <= hi:
         raise ValueError(f"{name}: {length!r} outside [{lo}, {hi}]")
+    return length
 
 
 def _crossing_entry(twist, name):
@@ -363,6 +376,52 @@ def _crossing_entry(twist, name):
         raise ValueError(f"{name}: {twist!r} makes exp(-twist/2) or its inverse "
                          "zero or not finite")
     return t
+
+
+# The accepted spin sign data, one rule for the library and the command line:
+# each sign a number equal to +1 or -1 and not a bool (so -1.0 passes)
+def _check_sign(value, name):
+    """SpinSignError, naming the sign by ``name``, unless it is +-1."""
+    if isinstance(value, bool) or value not in (-1, 1):
+        raise SpinSignError(f"{name}: expected +-1, got {value!r}")
+
+
+def _check_signs(signs, curves, name):
+    """SpinSignError naming the field ``name`` unless each key is in ``curves`` with a sign."""
+    for key, value in signs.items():
+        if key not in curves:
+            raise SpinSignError(f"{name}: unknown curve {key!r}")
+        _check_sign(value, f"{name}.{key}")
+
+
+def _check_eps(eps, pants_curves, name):
+    """``eps`` (curve id -> boundary sign) if it holds a sign for each curve
+    of ``pants_curves`` (pants id -> its three curve ids) and nothing else,
+    multiplying to -1 around every pants (a curve glued to one pants twice
+    contributes +1); SpinSignError naming the field ``name`` if not."""
+    curves = {c for sides in pants_curves.values() for c in sides}
+    _check_signs(eps, curves, name)
+    if len(eps) != len(curves):
+        raise SpinSignError(f"{name}: must assign a sign to every curve")
+    for c0, c1, c2 in pants_curves.values():
+        if eps[c0] * eps[c1] * eps[c2] != -1:
+            raise SpinSignError(f"{name}: boundary signs must multiply to -1 around every pants")
+    return eps
+
+
+def _check_crossing_signs(signs, spec, name):
+    """The crossing sign of every curve of ``spec``: ``signs`` (curve id ->
+    sign, or None), +1 where it holds none.  SpinSignError naming the field
+    ``name`` unless each key names a curve and holds a sign, and every curve
+    of :func:`spanning_tree_curves` keeps +1."""
+    out = dict.fromkeys(spec.curve_ids(), 1)
+    if signs:
+        _check_signs(signs, out, name)
+        out.update(signs)
+        for cid in spanning_tree_curves(spec):
+            if out[cid] != 1:
+                raise SpinSignError(f"{name}: crossing sign on tree curve {cid} must be +1")
+    return out
 
 
 def assemble_cocycle(spec, fn):

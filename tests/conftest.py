@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fnhol.mat2 import Mat2
-from fnhol.surface import Curve, FNPoint, SurfaceSpec, build_complex
+from fnhol.surface import Curve, FNPoint, SurfaceSpec, build_complex, validate_surface
 from fnhol.variation import TangentVector
 
 
@@ -79,6 +79,22 @@ def comb(g):
     curves = tuple(Curve(i, a, b) for i, (a, b) in enumerate(glued))
     assert len(curves) == 3 * g - 3
     return SurfaceSpec(g, tuple(range(2 * g - 2)), curves)
+
+
+def random_gluing(rng, g):
+    """A genus-g decomposition from the configuration model: the 6g-6
+    boundaries (pants, k) of 2g-2 pants paired uniformly at random, and
+    drawn again until :func:`validate_surface` finds no problem (only a
+    disconnected gluing fails).  Self-glued pants, double curves between
+    two pants and every boundary index occur."""
+    pants = tuple(range(2 * g - 2))
+    sides = [(p, k) for p in pants for k in range(3)]
+    while True:
+        rng.shuffle(sides)
+        curves = tuple(Curve(i, sides[2 * i], sides[2 * i + 1]) for i in range(3 * g - 3))
+        spec = SurfaceSpec(g, pants, curves)
+        if not validate_surface(spec):
+            return spec
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from fnhol.cli import (
 )
 from fnhol.mat2 import Mat2
 from fnhol.spin import SpinSurfaceCocycle
-from conftest import comb
+from conftest import comb, random_fn, random_gluing, rng_for
 
 
 def genus2_doc(spin=True):
@@ -364,6 +364,140 @@ def test_parse_rejects_malformed_spin_signs(tmp_path, capsys, field, value, mess
     code, err = _exit_code(tmp_path, capsys, raw)
     assert code == 2
     assert err == f"fnhol: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        (("curves", 0, "id"), 0.5, "curves[0].id: expected int or str, got 0.5"),
+        (("curves", 0, "left", "pants"), 0.5,
+         "curves[0].left.pants: expected int or str, got 0.5"),
+        (("fn", 0, "curve"), 0.5, "fn[0].curve: expected int or str, got 0.5"),
+        (("fn", 0), 5, "fn[0]: expected an object, got 5"),
+        (("curves", 0), [1], "curves[0]: expected an object, got [1]"),
+    ],
+    ids=["float-curve-id", "float-pants-reference", "float-fn-curve", "number-fn-entry",
+         "list-curve-entry"],
+)
+def test_parse_reads_every_id_and_every_entry_by_one_rule(tmp_path, capsys, where, value,
+                                                           message):
+    # a float id read "expected value" everywhere but in pants, and an
+    # entry that is not an object read as one missing its first field
+    raw = genus2_doc(spin=False)
+    *parents, last = where
+    target = raw
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    assert _exit_code(tmp_path, capsys, raw) == (2, f"fnhol: {message}\n")
+
+
+# the six commands as README.md gives them
+README_COMMANDS = (["verify"], ["holonomy", "--word", "p0.b00 p0.b01"], ["fn"], ["wp"],
+                   ["spin"], ["spin", "--list"])
+
+
+def _runs(tmp_path, capsys, raw, commands=README_COMMANDS):
+    """(exit code, stderr) of each command on the document ``raw``."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(raw))
+    out = []
+    for command, *flags in commands:
+        out.append((main([command, "--input", str(path), *flags]), capsys.readouterr().err))
+    return out
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("eps", {"0": 1, "1": 1, "2": 1},
+         "spin.eps: boundary signs must multiply to -1 around every pants"),
+        ("crossing_signs", {"0": -1},
+         "spin.crossing_signs: crossing sign on tree curve 0 must be +1"),
+    ],
+    ids=["pants-product", "tree-curve"],
+)
+def test_every_command_refuses_the_sign_data_a_lift_refuses(tmp_path, capsys, field, value,
+                                                             message):
+    # verify, holonomy, fn, wp and spin --list took these and exited 0;
+    # only spin refused them, when it lifted
+    raw = genus2_doc()
+    raw["spin"][field] = value
+    assert _runs(tmp_path, capsys, raw) == [(2, f"fnhol: {message}\n")] * 6
+
+
+@pytest.mark.parametrize(
+    "eps, signs",
+    [
+        ({0: 1, 1: 1, 2: 1}, None),
+        ({0: -1, 1: -1, 2: -1}, {0: -1}),
+        ({0: -1, 1: -1, 2: True}, None),
+        ({0: -1, 1: -1}, None),
+        ({0: -1, 1: -1, 2: -1, "9": -1}, None),
+        ({0: -1, 1: -1, 2: -1}, {1: 1.5}),
+    ],
+    ids=["pants-product", "tree-curve", "boolean-eps", "missing-eps", "unknown-curve",
+         "fractional-crossing-sign"],
+)
+def test_refused_signs_read_as_the_library_refuses_them(eps, signs):
+    # the document and the library apply one rule, and their messages
+    # differ only in the name before the colon
+    raw = genus2_doc()
+    raw["spin"] = {"eps": {str(c): e for c, e in eps.items()}}
+    if signs is not None:
+        raw["spin"]["crossing_signs"] = {str(c): s for c, s in signs.items()}
+    with pytest.raises(DocumentError) as from_doc:
+        parse_document(json.dumps(raw))
+    doc = parse_document(json.dumps(genus2_doc(spin=False)))
+    with pytest.raises(fnhol.spin.SpinSignError) as from_library:
+        fnhol.spin.assemble_spin(doc.spec, doc.fn, eps, signs)
+    assert fnhol.spin.SpinSignError is fnhol.surface.SpinSignError
+    doc_name, _, doc_rest = str(from_doc.value).partition(": ")
+    library_name, _, library_rest = str(from_library.value).partition(": ")
+    assert doc_name == f"spin.{library_name}" and doc_rest == library_rest
+
+
+def _document(spec, fn, eps, signs):
+    """The JSON document of a decomposition, a point and a spin block."""
+    return {
+        "genus": spec.genus,
+        "pants": list(spec.pants),
+        "curves": [
+            {"id": c.id, "left": {"pants": c.left[0], "k": c.left[1]},
+             "right": {"pants": c.right[0], "k": c.right[1]}}
+            for c in spec.curves
+        ],
+        "fn": [{"curve": c, "length": fn.lengths[c], "twist": fn.twists[c]}
+               for c in spec.curve_ids()],
+        "spin": {"eps": {str(c): e for c, e in eps.items()},
+                 "crossing_signs": {str(c): s for c, s in signs.items()}},
+    }
+
+
+def test_random_gluings_run_and_a_flipped_boundary_sign_is_refused(tmp_path, capsys):
+    # 49 seeded gluings from the configuration model, g = 2..8, with
+    # lengths on [0.5, 5], twists on [-10, 10] and a spin block from the
+    # enumeration; flipping the boundary sign of a curve between two
+    # different pants breaks the product around both
+    rng = rng_for("random-gluings")
+    message = "fnhol: spin.eps: boundary signs must multiply to -1 around every pants\n"
+    shapes = set()
+    for i in range(49):
+        spec = random_gluing(rng, 2 + i % 7)
+        between = [frozenset((c.left[0], c.right[0])) for c in spec.curves]
+        if any(len(p) == 1 for p in between):
+            shapes.add("self-glued")
+        if any(len(p) == 2 and between.count(p) > 1 for p in between):
+            shapes.add("double")
+        eps_list, classes = fnhol.spin.enumerate_spin(spec)
+        eps, signs = rng.choice(eps_list), rng.choice(classes)
+        raw = _document(spec, random_fn(rng, spec), eps, signs)
+        runs = _runs(tmp_path, capsys, raw, (["verify"], ["fn"], ["wp"], ["spin"]))
+        assert runs == [(0, "")] * 4, (i, spec)
+        flip = rng.choice([c.id for c in spec.curves if c.left[0] != c.right[0]])
+        raw["spin"]["eps"][str(flip)] = -eps[flip]
+        assert _runs(tmp_path, capsys, raw) == [(2, message)] * 6, (i, spec)
+    assert shapes == {"self-glued", "double"}
 
 
 def test_accepted_twists_give_finite_crossing_entries():

@@ -84,6 +84,38 @@ def test_only_surface_names_the_length_range():
     assert naming == {"surface.py"}
 
 
+def string_literals(source):
+    """The text of every string literal in a module's code, each literal
+    part of an f-string on its own; docstrings are left out."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings]
+
+
+# the texts of the spin sign rules; "on tree curve", because "tree curves"
+# heads the tree line of spin --list
+SIGN_RULE_TEXTS = ("expected +-1", "multiply to -1", "on tree curve")
+
+
+def test_only_surface_holds_the_spin_sign_rules():
+    # sign data are one domain, which the command line and the lifts
+    # apply through surface's checks rather than rules of their own
+    source = '"""expected +-1"""\ndef f(v):\n    raise E(f"{v}: expected +-1, got {v!r}")\n'
+    assert string_literals(source) == [": expected +-1, got "]
+    for text in SIGN_RULE_TEXTS:
+        holding = {p.name for p in PACKAGE.glob("*.py")
+                   if any(text in s for s in string_literals(p.read_text(encoding="utf-8")))}
+        assert holding == {"surface.py"}, text
+
+
 def unresolved_exports(module):
     """The entries of a module's ``__all__`` that are not attributes of
     it, which ``from module import *`` would fail on."""

@@ -10,7 +10,6 @@ from fnhol.mat2 import (
     walk,
 )
 from fnhol.pants import (
-    GAMMA_WORDS,
     NotFuchsianError,
     PANTS_EDGES,
     PANTS_FACES,
@@ -24,6 +23,24 @@ from fnhol.pants import (
     standardize,
 )
 from conftest import random_mat2, rng_for
+
+
+# Loops gamma_k around the three boundary circles, based at v00.
+# gamma2 * gamma1 * gamma0 is trivial in the fundamental group.
+GAMMA_WORDS = {
+    0: (("b00", 1), ("b01", 1)),
+    1: (
+        ("seam0", 1),
+        ("b20", -1),
+        ("seam2", 1),
+        ("b11", 1),
+        ("b10", 1),
+        ("seam2", -1),
+        ("b20", 1),
+        ("seam0", -1),
+    ),
+    2: (("seam0", 1), ("b21", 1), ("b20", 1), ("seam0", -1)),
+}
 
 
 def random_lengths(rng, lo=0.1, hi=10.0):

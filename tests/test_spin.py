@@ -16,11 +16,10 @@ from fnhol.spin import (
     enumerate_spin,
     rot2,
     sl2_pants_cocycle,
-    spanning_tree_curves,
 )
 import fnhol.spin
 import fnhol.surface
-from fnhol.surface import Curve, SurfaceSpec
+from fnhol.surface import Curve, SurfaceSpec, spanning_tree_curves
 from conftest import (
     caterpillar,
     comb,
@@ -392,11 +391,11 @@ def test_assemble_spin_rejects_bad_data():
 @pytest.mark.parametrize(
     "eps, signs, message",
     [
-        ({0: -1, 1: -1}, None, "boundary sign of curve 2 must be +-1, got None"),
-        ({0: True, 1: 1, 2: -1}, None, "boundary sign of curve 0 must be +-1, got True"),
-        ({0: "-1", 1: "-1", 2: "-1"}, None, "boundary sign of curve 0 must be +-1, got '-1'"),
-        ({0: -1, 1: -1, 2: -1}, {1: 1.5}, "crossing sign of curve 1 must be +-1, got 1.5"),
-        ({0: -1, 1: -1, 2: -1}, {9: -1}, "signs given for no curve 9"),
+        ({0: -1, 1: -1}, None, "eps: must assign a sign to every curve"),
+        ({0: True, 1: 1, 2: -1}, None, "eps.0: expected +-1, got True"),
+        ({0: "-1", 1: "-1", 2: "-1"}, None, "eps.0: expected +-1, got '-1'"),
+        ({0: -1, 1: -1, 2: -1}, {1: 1.5}, "crossing_signs.1: expected +-1, got 1.5"),
+        ({0: -1, 1: -1, 2: -1}, {9: -1}, "crossing_signs: unknown curve 9"),
     ],
     ids=["missing-eps", "boolean-eps", "string-eps", "fractional-crossing-sign",
          "unknown-curve"],
@@ -633,13 +632,13 @@ def test_enumeration_matches_brute_force_in_order():
 
 def test_enumeration_never_tests_every_sign_vector(monkeypatch):
     calls = []
-    constraint = fnhol.spin._pants_sign_constraint
+    constraint = fnhol.spin._check_eps
 
-    def counted(pants_sides, eps):
+    def counted(eps, pants_curves, name):
         calls.append(1)
-        return constraint(pants_sides, eps)
+        return constraint(eps, pants_curves, name)
 
-    monkeypatch.setattr(fnhol.spin, "_pants_sign_constraint", counted)
+    monkeypatch.setattr(fnhol.spin, "_check_eps", counted)
     rng = rng_for("spin-count")
     for g in (6, 12):
         spec = _relabel(caterpillar(g), rng)

@@ -21,17 +21,14 @@ _EXPORTS = {
         "Mat2",
         "TracelessMat2",
         "ad_action",
-        "nearest_point_on_imaginary_axis",
         "translation_length",
     ),
     "pants": (
         "PantsLengths",
         "bc_magnitude",
         "bc_magnitude_minus_one",
-        "gauge_transform",
         "pants_cocycle",
         "seam_matrix",
-        "standardize",
     ),
     "surface": (
         "CellComplex",
@@ -48,17 +45,12 @@ _EXPORTS = {
     "variation": (
         "TangentVector",
         "VariationCocycle",
-        "check_cocycle_condition",
-        "coboundary",
-        "fd_variation",
         "grad_log_bc",
         "variation_cocycle",
     ),
     "wp": (
         "diagonal_chain",
         "killing_form",
-        "pair_on_face",
-        "wolpert_reference",
         "wp_matrix",
         "wp_pairing",
     ),

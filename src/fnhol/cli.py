@@ -146,6 +146,9 @@ def parse_document(text):
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        # the decoder recurses once per level of nesting
+        raise DocumentError("document: nested too deeply") from None
     if not isinstance(raw, dict):
         _fail("document", "expected a JSON object")
 
@@ -383,6 +386,13 @@ def main(argv=None):
     # imported here: only the command line needs it, not importers
     import argparse
 
+    def tolerance(text):
+        # nan or a negative bound would fail every verdict, a false FAIL
+        value = float(text)
+        if not value >= 0.0:
+            raise ValueError(text)
+        return value
+
     parser = argparse.ArgumentParser(
         prog="fnhol",
         description="holonomy cocycles of pants-decomposed surfaces: "
@@ -393,7 +403,7 @@ def main(argv=None):
     )
     parser.add_argument("--input", required=True, help="surface document (JSON)")
     parser.add_argument("--word", help="edge word for the holonomy command")
-    parser.add_argument("--tolerance", type=float, default=1e-8)
+    parser.add_argument("--tolerance", type=tolerance, default=1e-8)
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument(
         "--list", action="store_true", help="spin: enumerate structures"
@@ -403,7 +413,7 @@ def main(argv=None):
     try:
         with open(args.input, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"fnhol: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     try:

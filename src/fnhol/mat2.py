@@ -1,5 +1,4 @@
-"""Unimodular 2x2 matrices, the word walk, and upper half-plane
-utilities.
+"""Unimodular 2x2 matrices, the word walk, and translation lengths.
 
 Conventions used throughout the package:
 
@@ -10,7 +9,6 @@ Conventions used throughout the package:
   (:class:`ProjMat2`).
 * ``TracelessMat2(x, y, z)`` is ``(x y; z -x)``, a tangent direction in
   the 2x2 traceless matrices.
-* Matrices act on the upper half-plane by ``z -> (az+b)/(cz+d)``.
 
 The product path (``@``, :func:`walk`, ``inv``, :func:`ad_action`)
 converts no scalar and calls no ``math`` function, so it runs unchanged
@@ -28,11 +26,6 @@ HYPERBOLIC_MARGIN = 1e-12
 
 class NonHyperbolicError(ValueError):
     """The element does not translate along an axis (|trace| <= 2)."""
-
-
-class AxisLocationError(ValueError):
-    """The requested axis data is degenerate (axis through infinity or
-    meeting the imaginary axis)."""
 
 
 class Mat2:
@@ -225,12 +218,6 @@ class TracelessMat2:
         """y * (0 1; 1 0)."""
         return TracelessMat2(0.0, y, y)
 
-    @staticmethod
-    def from_entries(a, b, c, d):
-        """Project a 2x2 matrix onto its traceless part."""
-        x = 0.5 * (a - d)
-        return TracelessMat2(x, b, c)
-
     def __add__(self, other):
         return TracelessMat2(self.x + other.x, self.y + other.y, self.z + other.z)
 
@@ -239,9 +226,6 @@ class TracelessMat2:
 
     def __neg__(self):
         return TracelessMat2(-self.x, -self.y, -self.z)
-
-    def scale(self, t):
-        return TracelessMat2(t * self.x, t * self.y, t * self.z)
 
     def norm(self):
         return _max_or_nan((abs(self.x), abs(self.y), abs(self.z)))
@@ -267,21 +251,6 @@ def ad_action(m, t):
     r = c * x + d * z
     s = c * y - d * x
     return TracelessMat2(p * d - q * c, -p * b + q * a, r * d - s * c)
-
-
-def nearest_point_on_imaginary_axis(conj):
-    """Height R of the point R*i on the imaginary axis closest to the
-    axis of conj @ diag(lam, 1/lam) @ conj^-1, which does not depend on lam.
-
-    Requires the two axes to be disjoint, i.e. ab/cd > 0; then
-    R = sqrt(ab/cd)."""
-    scale = conj.norm()
-    if abs(conj.c) <= 1e-12 * scale or abs(conj.d) <= 1e-12 * scale:
-        raise AxisLocationError("axis passes through infinity (c or d vanishes)")
-    ratio = (conj.a * conj.b) / (conj.c * conj.d)
-    if ratio <= 0.0:
-        raise AxisLocationError("axis meets the imaginary axis (ab/cd <= 0)")
-    return math.sqrt(ratio)
 
 
 def translation_length(m):

@@ -269,12 +269,6 @@ class FNPoint:
         self.lengths = dict(lengths)
         self.twists = dict(twists)
 
-    def shifted(self, tangent, h):
-        """The point fn + h * tangent, for finite differencing."""
-        lengths = {c: l + h * tangent.dl.get(c, 0.0) for c, l in self.lengths.items()}
-        twists = {c: t + h * tangent.dtau.get(c, 0.0) for c, t in self.twists.items()}
-        return FNPoint(lengths, twists)
-
     def __repr__(self):
         return f"FNPoint({self.lengths!r}, {self.twists!r})"
 
@@ -316,8 +310,7 @@ class SurfaceCocycle:
         before T brings it back, and walked from an arc it does not.
         When ``prefixes`` is a list, it receives the running products of
         that walk as entry tuples (:func:`fnhol.mat2.walk`); the pairing
-        kernel and the cocycle-condition check read their transports
-        from them."""
+        kernel reads its transports from them."""
         cycle = self.complex.faces[fid]
         for start in range(len(cycle)):
             if prefixes is not None:

@@ -14,38 +14,21 @@ edges.  The closed forms are:
 * crossing edges:    (1/2) diag(1,-1) dtau,
 * seams:  (1/2) sqrt(f/(f-1)) (0 1; 1 0) dlog f  with f = |b_k c_k|.
 
-The seam coefficient is the derivative of the closed-form seam matrix;
-a central-difference evaluation of the same logarithmic derivative is
-provided as an independent check.
+The seam coefficient is the derivative of the closed-form seam matrix.
 """
 
 import math
 
-from .mat2 import Mat2, TracelessMat2, _max_or_nan, ad_action
+from .mat2 import TracelessMat2, ad_action
 from .pants import bc_magnitude, bc_magnitude_minus_one
-from .surface import (
-    CellComplex,
-    _cocycle_at,
-    assemble_cocycle,
-    build_complex,
-    pants_boundary_lengths,
-)
+from .surface import _cocycle_at, pants_boundary_lengths
 
 __all__ = [
     "TangentVector",
     "VariationCocycle",
     "grad_log_bc",
     "variation_cocycle",
-    "fd_variation",
-    "coboundary",
-    "check_cocycle_condition",
-    "SignLiftError",
 ]
-
-
-class SignLiftError(ValueError):
-    """Representatives of nearby projective classes could not be aligned
-    by continuity."""
 
 
 class TangentVector:
@@ -83,14 +66,6 @@ class VariationCocycle:
         if sign > 0:
             return z
         return -ad_action(self.base.values[eid].inv(), z)
-
-    def combined(self, other, s, t):
-        zero = TracelessMat2.zero()
-        values = {
-            e: self.values.get(e, zero).scale(s) + other.values.get(e, zero).scale(t)
-            for e in {**self.values, **other.values}
-        }
-        return VariationCocycle(self.base, values)
 
 
 def grad_log_bc(lengths, k):
@@ -169,73 +144,3 @@ def _variation_values(base, tangent):
             for eid in cells.crossings:
                 values[eid] = cross
     return values
-
-
-def _aligned_rep(target, base_rep):
-    """The sign of ``target`` nearest to ``base_rep``."""
-    d_plus = target.dist(base_rep)
-    d_minus = (-target).dist(base_rep)
-    best = target if d_plus <= d_minus else -target
-    if min(d_plus, d_minus) > 0.25 * max(1.0, base_rep.norm()):
-        raise SignLiftError("projective representatives are too far apart to align")
-    return best
-
-
-def fd_variation(spec, fn, tangent, h=1e-5):
-    """Central-difference variation cocycle:
-    (rho_{+h}(e) rho(e)^-1 - rho_{-h}(e) rho(e)^-1) / (2h), with the
-    sign lifts of the displaced cocycles aligned edge by edge to the
-    base representative, projected onto the traceless part."""
-    complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
-    base = assemble_cocycle(complex_, fn)
-    plus = assemble_cocycle(complex_, fn.shifted(tangent, h))
-    minus = assemble_cocycle(complex_, fn.shifted(tangent, -h))
-    values = {}
-    for eid in complex_.edges:
-        rep = base.values[eid]
-        p = _aligned_rep(plus.values[eid], rep)
-        m = _aligned_rep(minus.values[eid], rep)
-        diff = Mat2(
-            (p.a - m.a) / (2.0 * h),
-            (p.b - m.b) / (2.0 * h),
-            (p.c - m.c) / (2.0 * h),
-            (p.d - m.d) / (2.0 * h),
-            check=False,
-        )
-        z = diff @ rep.inv()
-        values[eid] = TracelessMat2.from_entries(*z.entries())
-    return VariationCocycle(base, values)
-
-
-def coboundary(cocycle, vertex_cochain):
-    """The variation cocycle of an infinitesimal gauge move:
-    (dw)(e) = Ad(rho(e)) w(v1) - w(v0) for an edge from v0 to v1.
-    Vertices missing from ``vertex_cochain`` count as zero."""
-    zero = TracelessMat2.zero()
-    values = {}
-    for eid, edge in cocycle.complex.edges.items():
-        w0 = vertex_cochain.get(edge.start, zero)
-        w1 = vertex_cochain.get(edge.end, zero)
-        values[eid] = ad_action(cocycle.values[eid], w1) - w0
-    return VariationCocycle(cocycle, values)
-
-
-def check_cocycle_condition(cocycle, variation):
-    """Largest face residual of the twisted cocycle condition, nan if
-    any entry of a face sum is nan.
-
-    Each face is summed along the rotation of its cycle that the
-    cocycle's face walk chose, with that walk's prefix products as the
-    transports.  Where the face word closes up, the sum from another
-    rotation is this one moved by Ad of a prefix product, so the two
-    vanish together."""
-    entries = []
-    for fid, cycle in cocycle.complex.faces.items():
-        prefixes = []
-        start, _ = cocycle.face_walk(fid, prefixes)
-        rotated = cycle[start:] + cycle[:start]
-        total = variation.value(*rotated[0])
-        for step, prefix in zip(rotated[1:], prefixes):
-            total = total + ad_action(Mat2(*prefix, check=False), variation.value(*step))
-        entries += (abs(total.x), abs(total.y), abs(total.z))
-    return _max_or_nan(entries)

@@ -18,11 +18,7 @@ Orientation bookkeeping: boundary arcs ``b{k}1`` enter the diagonal
 chains with reversed orientation throughout (one global convention for
 all faces), which is what localizes the pairing on the annuli: the two
 squares of curve i contribute exactly (dtau_i ^ dl_i) and each pants'
-hexagons plus its two bigon corrections contribute zero.
-
-The bigon corrections are the self-terms +b10 x b10 - b11 x b11 along
-one boundary circle of each pants; their pairings cancel exactly and
-they are kept as explicit terms rather than omitted.
+hexagons contribute zero.
 
 The terms of a chain, their signs and which positions of the cycle they
 pair, depend only on the exponents with which the cycle runs its
@@ -38,9 +34,10 @@ visiting only the edges it carries, into its values per face id at the
 positions of that face's cycle, and the pairing of two transported
 cocycles is a contraction over the faces they share, one face at a
 time.  Values that are exactly zero are left out; every sum is a
-``math.fsum``, which is correctly rounded in any order, and
-:func:`pair_on_face` transports along the same left-to-right products,
-so the result is the same to the bit as the face-by-face sum.
+``math.fsum``, which is correctly rounded in any order, and the
+transports are the same left-to-right products, so a face's part is the
+same to the bit as :func:`pair_chain` against the face's
+:func:`diagonal_chain` at the walk's rotation.
 
 :func:`wp_matrix` transports each coordinate direction once through
 one kernel.  A direction carries values on a few faces only, so it
@@ -62,12 +59,9 @@ __all__ = [
     "DiagonalTerm",
     "FaceChain",
     "diagonal_chain",
-    "pants_bigon_chain",
     "pair_chain",
-    "pair_on_face",
     "PairingKernel",
     "wp_pairing",
-    "wolpert_reference",
     "wp_matrix",
     "block_form_deviation",
 ]
@@ -165,22 +159,6 @@ def diagonal_chain(complex_, fid, start=0):
     )
 
 
-def pants_bigon_chain(complex_, pid):
-    """The two bigon correction terms of a pants, along its boundary
-    circle 1: +b10 x b10 and -b11 x b11.  Their contributions are
-    (1/8) dl1 dl1 with opposite signs and cancel exactly."""
-    b10, b11, _ = complex_.pants[pid].edges[1]
-    path = ((b10, 1),)
-    return FaceChain(
-        f"p{pid}.bigons",
-        complex_.edges[b10].start,
-        (
-            DiagonalTerm(1, (b10, 1), (b10, 1), (), ()),
-            DiagonalTerm(-1, (b11, 1), (b11, 1), path, path),
-        ),
-    )
-
-
 def _transported(cocycle, variation, oriented_edge, path):
     """The variation value on the oriented edge, moved to the basepoint
     along ``path`` (which runs basepoint -> start-of-edge)."""
@@ -193,7 +171,7 @@ def _transported(cocycle, variation, oriented_edge, path):
 
 # The raw cup-product sum reproduces wedge products in the averaged
 # convention (a^b = (a@b - b@a)/2); this factor converts to the
-# determinant convention used by wolpert_reference, under which the
+# determinant convention of the twist-length formula, under which the
 # pairing of the dtau_i and dl_i directions is exactly 1.
 PAIRING_NORMALIZATION = 2.0
 
@@ -206,10 +184,6 @@ def pair_chain(cocycle, z1, z2, chain):
         b = _transported(cocycle, z2, term.second, term.path_second)
         total.append(term.sign * killing_form(a, b))
     return PAIRING_NORMALIZATION * math.fsum(total)
-
-
-def pair_on_face(cocycle, z1, z2, fid, start=0):
-    return pair_chain(cocycle, z1, z2, diagonal_chain(cocycle.complex, fid, start))
 
 
 def _face_part(terms, values1, values2):
@@ -319,26 +293,14 @@ def wp_pairing(cocycle, z1, z2):
     """The Weil-Petersson pairing of two variation cocycles: the sum of
     all face contributions, correctly rounded.
 
-    The face chains already assemble into a diagonal cycle, so the bigon
-    corrections of :func:`pants_bigon_chain` are not part of the sum
-    (their two terms cancel identically on variation cocycles).  Both
-    variations must be taken at the cocycle's point (ValueError if not),
+    The face chains already assemble into a diagonal cycle, so no
+    correction terms enter the sum.  Both variations must be taken at the cocycle's point (ValueError if not),
     since their values on reversed edges are read through their own
     base."""
     for z in (z1, z2):
         _cocycle_at(cocycle, z.base.fn)
     kernel = _kernel(cocycle)
     return kernel.pair(kernel.transport(z1), kernel.transport(z2))
-
-
-def wolpert_reference(u, v):
-    """sum_i (dtau_i(u) dl_i(v) - dl_i(u) dtau_i(v)), the twist-length
-    expression the pairing must reproduce."""
-    curves = set(u.dl) | set(u.dtau) | set(v.dl) | set(v.dtau)
-    return math.fsum(
-        u.dtau.get(c, 0.0) * v.dl.get(c, 0.0) - u.dl.get(c, 0.0) * v.dtau.get(c, 0.0)
-        for c in curves
-    )
 
 
 def wp_matrix(spec, fn):

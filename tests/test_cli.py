@@ -603,6 +603,40 @@ def test_spin_command_without_block(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(b'{"genus": "\xff"}', "fnhol: cannot read "),
+     (b"[" * 200000 + b"]" * 200000, "fnhol: document: nested too deeply\n")],
+    ids=["not-utf-8", "nested-too-deeply"],
+)
+def test_a_malformed_file_is_bad_input(tmp_path, capsys, content, message):
+    # not a traceback and exit 1, the code of a failed verification
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    for command, *flags in README_COMMANDS:
+        assert main([command, "--input", str(path), *flags]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1, err
+
+
+def test_tolerance_refuses_nan_and_negative_values(tmp_path, capsys):
+    # either would fail every verdict on a correct document
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(genus2_doc()))
+    # "-inf" reads as an option unless it is joined to its flag
+    for value, option in (("nan", ["--tolerance", "nan"]), ("-1", ["--tolerance", "-1"]),
+                          ("-inf", ["--tolerance=-inf"])):
+        for command, *flags in README_COMMANDS:
+            with pytest.raises(SystemExit) as refused:
+                main([command, "--input", str(path), *flags, *option])
+            assert refused.value.code == 2, (value, command)
+            assert f"invalid tolerance value: {value!r}" in capsys.readouterr().err
+    for command in ("verify", "fn", "wp", "spin"):
+        assert main([command, "--input", str(path), "--tolerance", "inf"]) == 0, command
+        assert main([command, "--input", str(path), "--tolerance", "0"]) in (0, 1), command
+    capsys.readouterr()
+
+
 def _comb_doc(g):
     spec = comb(g)
     return {

@@ -6,17 +6,16 @@ import numpy as np
 import pytest
 
 from fnhol.mat2 import (
-    AxisLocationError,
     Mat2,
     NonHyperbolicError,
     ProjMat2,
     TracelessMat2,
     ad_action,
-    nearest_point_on_imaginary_axis,
     translation_length,
     walk,
 )
 from conftest import random_mat2, rng_for
+from oracles import AxisLocationError, from_entries, nearest_point_on_imaginary_axis
 
 
 def test_det_check():
@@ -133,7 +132,7 @@ def test_ad_action_is_conjugation():
 
 
 def test_traceless_projection():
-    t = TracelessMat2.from_entries(3.0, 1.0, -2.0, 1.0)
+    t = from_entries(3.0, 1.0, -2.0, 1.0)
     assert t.x == 1.0 and t.y == 1.0 and t.z == -2.0
 
 

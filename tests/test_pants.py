@@ -5,24 +5,26 @@ import pytest
 from fnhol.mat2 import (
     Mat2,
     _max_or_nan,
-    nearest_point_on_imaginary_axis,
     translation_length,
     walk,
 )
 from fnhol.pants import (
-    NotFuchsianError,
     PANTS_EDGES,
     PANTS_FACES,
     PANTS_VERTICES,
     PantsLengths,
     bc_magnitude,
     bc_magnitude_minus_one,
-    gauge_transform,
     pants_cocycle,
     seam_matrix,
-    standardize,
 )
 from conftest import random_mat2, rng_for
+from oracles import (
+    NotFuchsianError,
+    gauge_transform,
+    nearest_point_on_imaginary_axis,
+    standardize,
+)
 
 
 # Loops gamma_k around the three boundary circles, based at v00.

@@ -14,22 +14,13 @@ from fnhol.surface import (
     build_complex,
     validate_surface,
 )
-from fnhol.variation import (
-    TangentVector,
-    VariationCocycle,
-    coboundary,
-    fd_variation,
-    variation_cocycle,
-)
+from fnhol.variation import TangentVector, VariationCocycle, variation_cocycle
 from fnhol.wp import (
     PairingKernel,
     block_form_deviation,
     diagonal_chain,
     killing_form,
     pair_chain,
-    pair_on_face,
-    pants_bigon_chain,
-    wolpert_reference,
     wp_matrix,
     wp_pairing,
 )
@@ -42,6 +33,14 @@ from conftest import (
     random_fn,
     random_tangent,
     rng_for,
+)
+from oracles import (
+    coboundary,
+    fd_variation,
+    linear_combination,
+    pair_on_face,
+    pants_bigon_chain,
+    wolpert_reference,
 )
 
 
@@ -220,8 +219,8 @@ def test_wp_gauge_invariance():
     }
     dw = coboundary(base, w)
     reference = wp_pairing(base, zu, zv)
-    assert abs(wp_pairing(base, zu.combined(dw, 1.0, 1.0), zv) - reference) <= 1e-8
-    assert abs(wp_pairing(base, zu, zv.combined(dw, 1.0, 1.0)) - reference) <= 1e-8
+    assert abs(wp_pairing(base, linear_combination(zu, dw, 1.0, 1.0), zv) - reference) <= 1e-8
+    assert abs(wp_pairing(base, zu, linear_combination(zv, dw, 1.0, 1.0)) - reference) <= 1e-8
 
 
 def test_basepoint_independence():
@@ -327,10 +326,10 @@ def test_kernel_equals_face_by_face_sum_exactly(spec_fn, monkeypatch):
             vx: TracelessMat2(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
             for vx in cx.vertices
         }
-        dense = zu.combined(coboundary(base, w), 1.0, 1.0)
+        dense = linear_combination(zu, coboundary(base, w), 1.0, 1.0)
         # every slot tiny but nonzero: a tolerance in place of the exact
         # zero test would drop them all
-        tiny = zu.combined(zu, 1e-200, 0.0)
+        tiny = linear_combination(zu, zu, 1e-200, 0.0)
         for a, b in ((zu, zv), (dense, zv), (zv, dense), (tiny, zv)):
             assert wp_pairing(base, a, b) == _face_by_face(base, a, b)
     # sparse coordinate directions, where most slots are exactly zero

@@ -126,7 +126,10 @@ def _require(obj, key, kind, path):
     if kind is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             _fail(path, f"expected a number, got {val!r}")
-        return float(val)
+        try:
+            return float(val)
+        except OverflowError as exc:  # a JSON integer beyond every double
+            _fail(path, str(exc))
     if isinstance(val, bool) and kind is int or not isinstance(val, kind):
         _fail(path, f"expected {kind.__name__}, got {val!r}")
     return val
@@ -429,10 +432,9 @@ def main(argv=None):
         print(f"fnhol: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
-        # the spin lift's per-pants check misses on rounding for short
-        # curves: a verdict on the document, not bad input or a crash
-        if args.command != "spin":
-            raise
+        # only the spin lift's per-pants check raises this; it misses on
+        # rounding for short curves: a verdict on the document, not bad
+        # input or a crash
         print(f"fnhol: spin: {exc} (ill-conditioned for this document)", file=sys.stderr)
         return 1
     _emit(report, args.format, sys.stdout)

@@ -51,9 +51,7 @@ class Mat2:
 
     @staticmethod
     def diagonal(h):
-        """diag(h, 1/h) for h != 0."""
-        if h == 0:
-            raise ValueError("diagonal entry must be nonzero")
+        """diag(h, 1/h); ZeroDivisionError for h == 0."""
         zero = type(h)(0)
         return Mat2(h, zero, zero, 1 / h, check=False)
 
@@ -143,8 +141,9 @@ def walk(values, word, prefixes=None):
     locals; when ``prefixes`` is a list, the running product after each
     step is appended to it as an entry tuple (a, b, c, d), so its k-th
     item holds the product of the first k+1 values.  The word is not
-    checked for composability: face cycles were checked when the complex
-    was built, and user words are checked where they come in."""
+    checked for composability: a face cycle closes up by the way the
+    complex is built, and a user's word is checked where it comes in
+    (:func:`fnhol.surface.holonomy`)."""
     a, b, c, d = 1, 0, 0, 1
     for eid, sign in word:
         m = values[eid]
@@ -181,8 +180,6 @@ class ProjMat2:
 
     def __init__(self, m):
         scale = m.norm()
-        if scale == 0.0:
-            raise ValueError("zero matrix has no projective class")
         self.rep = m
         for x in m.entries():
             if abs(x) > 1e-12 * scale:
@@ -259,5 +256,6 @@ def translation_length(m):
     t = abs(m.trace())
     if t <= 2.0 + HYPERBOLIC_MARGIN:
         raise NonHyperbolicError(f"|trace| = {t!r} is not above 2")
-    lam = 0.5 * (t + math.sqrt(t * t - 4.0))
+    # t * t overflows above about 1.3e154, where lambda is t to double precision
+    lam = t if t > 1e154 else 0.5 * (t + math.sqrt(t * t - 4.0))
     return 2.0 * math.log(lam)

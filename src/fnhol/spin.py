@@ -35,8 +35,8 @@ import itertools
 
 from .mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
 from . import pants as pants_mod
-from .surface import (CellComplex, SpinSignError, SurfaceCocycle, _check_crossing_signs,
-                      _check_eps, _cocycle_at, holonomy, spanning_tree_curves)
+from .surface import (SpinSignError, SurfaceCocycle, _check_crossing_signs, _check_eps,
+                      _cocycle_at, holonomy, spanning_tree_curves)
 
 __all__ = [
     "SpinSignError",
@@ -228,16 +228,16 @@ def _solve_pants_signs(curve_ids, spec):
 
 
 def enumerate_spin(spec):
-    """All boundary-sign assignments satisfying every pants constraint,
-    and the crossing-sign classes (one per choice of sign on the g
-    curves outside the spanning tree; tree curves are held at +1).
+    """All boundary-sign assignments of the decomposition ``spec`` (a
+    :class:`~fnhol.surface.SurfaceSpec`; it needs no cell complex)
+    satisfying every pants constraint, and the crossing-sign classes
+    (one per choice of sign on the g curves outside the spanning tree;
+    tree curves are held at +1).
 
     Returns (eps assignments, crossing-sign classes), each a list of
     dicts over the curve ids sorted by str, in itertools.product order
     of the signs (1, -1).  Every pair combines into a valid lift, so
     there are len(eps) * 2^g lifts in normal form."""
-    if isinstance(spec, CellComplex):
-        spec = spec.spec
     curve_ids = sorted((c.id for c in spec.curves), key=str)
     eps_assignments = _solve_pants_signs(curve_ids, spec)
 

@@ -187,7 +187,12 @@ class CellComplex:
     """The cell structure of the decomposed surface and every cell name;
     it depends on the decomposition alone, and a cocycle is the complex
     plus values.  ``faces`` maps a face id to its cycle, the word
-    ((edge id, +1/-1), ...) around it counterclockwise.  ``pants``
+    ((edge id, +1/-1), ...) around it counterclockwise.  Each is a pants
+    hexagon (:data:`fnhol.pants.PANTS_FACES`) or a curve square with the
+    complex's names filled in, so on any valid decomposition every cycle
+    closes up and the faces use every edge once with each sign: a
+    property of this code, not of its input, which the tests hold and
+    building a complex does not check.  ``pants``
     (pants id -> ``PantsCells``) and ``curves`` (curve id ->
     ``CurveCells``), in spec order, hold the ids cocycles are written
     and read through.  ``pairing_layout`` is the pairing kernel's part
@@ -235,21 +240,6 @@ class CellComplex:
             self.curves[c.id] = CurveCells(
                 (x0, x1), (sq0, sq1), (jl,) if jl == jr else (jl, jr), ((l0, 1), (l1, 1))
             )
-        self._check_faces()
-
-    def _check_faces(self):
-        # every face word must close up, checked as a word read on to its
-        # first edge again, and every edge must be used once with each
-        # sign across all faces; walks along face cycles rely on this and
-        # check nothing per step
-        use = {e: [0, 0] for e in self.edges}
-        for cycle in self.faces.values():
-            check_word(self, cycle + cycle[:1])
-            for eid, sign in cycle:
-                use[eid][sign < 0] += 1
-        for eid, (plus, minus) in use.items():
-            if plus != 1 or minus != 1:
-                raise AssertionError(f"edge {eid} used {plus}+/{minus}- times")
 
 
 def build_complex(spec):
@@ -482,9 +472,14 @@ def holonomy(cocycle, word):
     the determinant-one matrix whose trace sign counts for a spin lift.
 
     ``word`` is a sequence of (edge id, +1/-1); reversed edges
-    contribute inverses.  The empty word gives the identity."""
+    contribute inverses.  The empty word gives the identity.  ValueError
+    when the word is not composable, or when its product overflows a
+    double (an entry or the determinant is not finite)."""
     check_word(cocycle.complex, word)
-    return walk(cocycle.values, word).renormalized()
+    product = walk(cocycle.values, word)
+    if not math.isfinite(product.det()):
+        raise ValueError("word: its product overflows a double")
+    return product.renormalized()
 
 
 def check_word(complex_, word):

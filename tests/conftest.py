@@ -4,7 +4,8 @@ import random
 import pytest
 
 from fnhol.mat2 import Mat2
-from fnhol.surface import Curve, FNPoint, SurfaceSpec, build_complex, validate_surface
+from fnhol.surface import (Curve, FNPoint, SurfaceSpec, build_complex, check_word,
+                           validate_surface)
 from fnhol.variation import TangentVector
 
 
@@ -95,6 +96,22 @@ def random_gluing(rng, g):
         spec = SurfaceSpec(g, pants, curves)
         if not validate_surface(spec):
             return spec
+
+
+def check_face_tables(cx):
+    """The invariant of a cell complex's face tables, which every walk
+    along a face cycle relies on and checks nothing for: every face word
+    closes up, checked as a word read on to its first edge again
+    (ValueError from ``check_word`` if not), and across all faces every
+    edge is used once with each sign (AssertionError if not)."""
+    use = {e: [0, 0] for e in cx.edges}
+    for cycle in cx.faces.values():
+        check_word(cx, cycle + cycle[:1])
+        for eid, sign in cycle:
+            use[eid][sign < 0] += 1
+    for eid, (plus, minus) in use.items():
+        if plus != 1 or minus != 1:
+            raise AssertionError(f"edge {eid} used {plus}+/{minus}- times")
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,25 @@ def genus2_doc(spin=True):
     return doc
 
 
+_DROP = object()
+
+
+def _edited(*edits, spin=True):
+    """README's document (``genus2_doc``) with each (where, value) edit
+    made: ``where`` is a path of keys and indices, and ``_DROP`` deletes
+    the entry there."""
+    raw = genus2_doc(spin)
+    for (*parents, last), value in edits:
+        target = raw
+        for key in parents:
+            target = target[key]
+        if value is _DROP:
+            del target[last]
+        else:
+            target[last] = value
+    return raw
+
+
 def test_parse_minimal_document():
     doc = parse_document(json.dumps(genus2_doc(spin=False)))
     assert doc.spec.genus == 2
@@ -383,12 +402,7 @@ def test_parse_reads_every_id_and_every_entry_by_one_rule(tmp_path, capsys, wher
                                                            message):
     # a float id read "expected value" everywhere but in pants, and an
     # entry that is not an object read as one missing its first field
-    raw = genus2_doc(spin=False)
-    *parents, last = where
-    target = raw
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    raw = _edited((where, value), spin=False)
     assert _exit_code(tmp_path, capsys, raw) == (2, f"fnhol: {message}\n")
 
 
@@ -635,6 +649,148 @@ def test_tolerance_refuses_nan_and_negative_values(tmp_path, capsys):
         assert main([command, "--input", str(path), "--tolerance", "inf"]) == 0, command
         assert main([command, "--input", str(path), "--tolerance", "0"]) in (0, 1), command
     capsys.readouterr()
+
+
+_README_TEXT = json.dumps(genus2_doc())
+_LONG_LOOP = _edited((("fn", 0, "length"), 50.0))
+_DISCONNECTED = {
+    "genus": 3,
+    "pants": [0, 1, 2, 3],
+    "curves": [{"id": 3 * (p // 2) + k, "left": {"pants": p, "k": k},
+                "right": {"pants": p + 1, "k": k}} for p in (0, 2) for k in range(3)],
+    "fn": [{"curve": i, "length": 2.0, "twist": 0.3} for i in range(6)],
+}
+
+# Documents every command refuses as bad input, each with the command it
+# is given to and the one line it prints to stderr (``<path>`` stands for
+# the file); every refusal of the parse, of validate_surface and of the
+# commands has a row.  tests/test_imports.py runs them as well.
+REFUSED_DOCUMENTS = {
+    "not-json": ("{not json", ["verify"],
+                 "line 1, column 2: Expecting property name enclosed in double quotes"),
+    "not-utf-8": (b'{"genus": "\xff"}', ["verify"],
+                  "cannot read <path>: 'utf-8' codec can't decode byte 0xff in position 11: "
+                  "invalid start byte"),
+    "nested-too-deeply": (b"[" * 200000 + b"]" * 200000, ["verify"],
+                          "document: nested too deeply"),
+    "not-an-object": ("[]", ["verify"], "document: expected a JSON object"),
+    "missing-field": (_edited((("fn",), _DROP)), ["verify"], "document: missing field 'fn'"),
+    "genus-as-string": (_edited((("genus",), "2")), ["verify"],
+                        "document.genus: expected int, got '2'"),
+    "entry-not-an-object": (_edited((("fn", 0), 5)), ["verify"],
+                            "fn[0]: expected an object, got 5"),
+    "float-id": (_edited((("pants",), [0.5, 1])), ["verify"],
+                 "pants[0]: expected int or str, got 0.5"),
+    "length-as-string": (_edited((("fn", 0, "length"), "2.0")), ["verify"],
+                         "fn[0].length: expected a number, got '2.0'"),
+    # an integer no double holds: float() raised OverflowError, exit 1
+    "integer-beyond-doubles": (_README_TEXT.replace('"length": 2.0', '"length": 1' + "0" * 400),
+                               ["verify"], "fn[0].length: int too large to convert to float"),
+    "length-outside-the-range": (_edited((("fn", 0, "length"), 0.0)), ["verify"],
+                                 "fn[0].length: 0.0 outside [1e-06, 50.0]"),
+    "twist-overflows": (_edited((("fn", 0, "twist"), -1420.0)), ["verify"],
+                        "fn[0].twist: -1420.0 makes exp(-twist/2) or its inverse zero or not "
+                        "finite"),
+    "unknown-curve": (_edited((("fn", 0, "curve"), 9)), ["verify"], "fn[0]: unknown curve 9"),
+    "duplicate-coordinates": (_edited((("fn", 1, "curve"), 0)), ["verify"],
+                              "fn[1]: duplicate coordinates for curve 0"),
+    "missing-coordinates": (_edited((("fn", 2), _DROP)), ["verify"],
+                            "fn: no coordinates for curves [2]"),
+    "genus-1": (_edited((("genus",), 1)), ["verify"], "document: genus 1 must be at least 2"),
+    "pants-ids-not-distinct": (_edited((("pants",), [0, 0])), ["verify"],
+                               "document: pants ids are not distinct; curve 0 refers to unknown "
+                               "pants 1; curve 1 refers to unknown pants 1; curve 2 refers to "
+                               "unknown pants 1"),
+    "curve-ids-not-distinct": (_edited((("curves", 1, "id"), 0)), ["verify"],
+                               "document: curve ids are not distinct"),
+    "pants-ids-with-one-string-form": (
+        _edited((("pants",), [1, "1"]),
+                *[(("curves", i, side, "pants"), p) for i in range(3)
+                  for side, p in (("left", 1), ("right", "1"))]),
+        ["verify"], "document: pants ids 1 and '1' have the same string form"),
+    "counts-of-another-genus": (_edited((("genus",), 3)), ["verify"],
+                                "document: expected 4 pants, got 2; expected 6 curves, got 3"),
+    "boundary-glued-to-itself": (_edited((("curves", 0, "right"), {"pants": 0, "k": 0})),
+                                 ["verify"],
+                                 "document: curve 0 glues a boundary to itself; boundary (0, 0) "
+                                 "used by curves 0 and 0; boundary (1, 0) is not glued to any "
+                                 "curve"),
+    "unknown-pants": (_edited((("curves", 0, "right", "pants"), 7)), ["verify"],
+                      "document: curve 0 refers to unknown pants 7; boundary (1, 0) is not glued "
+                      "to any curve"),
+    "boundary-index": (_edited((("curves", 0, "right", "k"), 3)), ["verify"],
+                       "document: curve 0 uses boundary index 3 outside 0..2; boundary (1, 0) is "
+                       "not glued to any curve"),
+    "boundary-used-twice": (_edited((("curves", 2, "right"), {"pants": 1, "k": 1})), ["verify"],
+                            "document: boundary (1, 1) used by curves 1 and 2; boundary (1, 2) is "
+                            "not glued to any curve"),
+    "not-connected": (_DISCONNECTED, ["verify"], "document: gluing graph is not connected"),
+    "spin-not-an-object": (_edited((("spin",), [1])), ["verify"], "spin: expected an object"),
+    "sign-not-a-sign": (_edited((("spin", "eps", "2"), True)), ["verify"],
+                        "spin.eps.2: expected +-1, got True"),
+    "sign-of-no-curve": (_edited((("spin", "eps", "9"), -1)), ["verify"],
+                         "spin.eps: unknown curve '9'"),
+    "sign-missing": (_edited((("spin", "eps", "2"), _DROP)), ["verify"],
+                     "spin.eps: must assign a sign to every curve"),
+    "pants-sign-product": (_edited((("spin", "eps"), {"0": 1, "1": 1, "2": 1})), ["verify"],
+                           "spin.eps: boundary signs must multiply to -1 around every pants"),
+    "tree-crossing-sign": (_edited((("spin", "crossing_signs"), {"0": -1})), ["verify"],
+                           "spin.crossing_signs: crossing sign on tree curve 0 must be +1"),
+    "holonomy-without-word": (genus2_doc(), ["holonomy"], "holonomy requires --word"),
+    "unknown-edge": (genus2_doc(), ["holonomy", "--word", "p0.nope"], "unknown edge 'p0.nope'"),
+    "word-not-composable": (genus2_doc(), ["holonomy", "--word", "p0.b00 p0.b00"],
+                            "word is not composable at p0.b00: p0.v01 != p0.v00"),
+    # the product's entries pass e^725: the report read nan, and its JSON NaN
+    "word-overflows": (_LONG_LOOP, ["holonomy", "--word", " ".join(["p0.b00 p0.b01"] * 29)],
+                       "word: its product overflows a double"),
+    "spin-without-block": (genus2_doc(spin=False), ["spin"],
+                           "document has no spin block (or use --list)"),
+}
+
+
+def write_document(path, content):
+    """Write a document given as bytes, text or a JSON value."""
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return path
+
+
+@pytest.mark.parametrize("content, argv, message", list(REFUSED_DOCUMENTS.values()),
+                         ids=list(REFUSED_DOCUMENTS))
+def test_a_refused_document_exits_2_with_one_line(tmp_path, capsys, content, argv, message):
+    path = write_document(tmp_path / "doc.json", content)
+    message = message.replace("<path>", str(path))
+    for fmt in ("text", "json"):
+        assert main([argv[0], "--input", str(path), *argv[1:], "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"fnhol: {message}\n")
+
+
+FACE_WORD = "p0.seam1~ p0.b11~ p0.seam2~ p0.b21~ p0.seam0~ p0.b01~"
+
+
+def test_a_face_word_is_not_hyperbolic(tmp_path, capsys):
+    # the reversed hex- word multiplies to -I: the report writes +I, the
+    # canonical sign, with no translation length
+    path = write_document(tmp_path / "doc.json", genus2_doc())
+    assert main(["holonomy", "--input", str(path), "--word", FACE_WORD]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("matrix [[1, ") and lines[1].endswith(", 1]]")
+    assert lines[2:] == ["|trace| 2", "translation length n/a (not hyperbolic)"]
+    assert main(["holonomy", "--input", str(path), "--word", FACE_WORD, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["translation_length"] is None
+
+
+def test_a_long_word_keeps_a_finite_length(tmp_path, capsys):
+    # 28 turns around a curve of length 50: |trace| is e^700, whose square
+    # overflows, and the report read inf (JSON Infinity); 29 overflow the
+    # product itself and are refused
+    path = write_document(tmp_path / "doc.json", _LONG_LOOP)
+    word = " ".join(["p0.b00 p0.b01"] * 28)
+    assert main(["holonomy", "--input", str(path), "--word", word, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert report["translation_length"] == pytest.approx(1400.0, rel=1e-12)
 
 
 def _comb_doc(g):

@@ -281,36 +281,110 @@ def readme_block(heading, lang):
     return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
 
 
-def defined_functions():
-    """(file, line where its code starts) -> qualified name, such as
-    ``mat2.Mat2.inv``, of every function the package defines; a
-    decorated function's code starts at its first decorator."""
+def _runs_code(stmt):
+    """Whether a statement runs code of its own: a docstring or other
+    bare string does not, and neither does ``try:``, whose body and
+    handlers are statements of their own."""
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+        return not isinstance(stmt.value.value, str)
+    return not isinstance(stmt, ast.Try)
+
+
+def statements_in(source, path, module):
+    """(path, first line, last line) -> qualified name, such as
+    ``mat2.Mat2.inv``, of the function whose body holds the statement,
+    for every statement in a function body of a module's source.  A
+    simple statement spans all its lines; a compound one only its
+    header, up to its first inner statement, which counts on its own; a
+    nested ``def`` spans its decorators and its ``def`` line, and its
+    body belongs to the nested function.  Running a statement emits a
+    line event for at least one of its lines, and only running it does."""
     found = {}
 
-    def visit(node, path, prefix):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                found[str(path), first] = f"{prefix}{child.name}"
-                visit(child, path, f"{prefix}{child.name}.")
-            elif isinstance(child, ast.ClassDef):
-                visit(child, path, f"{prefix}{child.name}.")
-            else:
-                visit(child, path, prefix)
+    def visit(node, name):
+        for stmt in node.body:
+            if isinstance(stmt, ast.ClassDef):
+                visit(stmt, f"{name}.{stmt.name}")
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit_body(stmt.body, f"{name}.{stmt.name}")
 
-    for path in PACKAGE.glob("*.py"):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path.resolve(), f"{path.stem}.")
+    def visit_body(body, name):
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
+                found[path, first, stmt.lineno] = name
+                visit_body(stmt.body, f"{name}.{stmt.name}")
+                continue
+            inner = [getattr(stmt, field, []) for field in ("body", "orelse", "finalbody")]
+            inner += [handler.body for handler in getattr(stmt, "handlers", [])]
+            inner = [b for b in inner if b]
+            if _runs_code(stmt):
+                last = stmt.body[0].lineno - 1 if inner else stmt.end_lineno
+                found[path, stmt.lineno, max(stmt.lineno, last)] = name
+            for b in inner:
+                visit_body(b, name)
+
+    visit(ast.parse(source), module)
     return found
+
+
+def defined_statements():
+    """:func:`statements_in` over every module of the package, by real path."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        found.update(statements_in(path.read_text(encoding="utf-8"), str(path.resolve()),
+                                   path.stem))
+    return found
+
+
+def test_the_statement_table_reads_bodies_and_headers():
+    source = (
+        "import os\n"
+        "class C:\n"
+        "    def f(self, x):\n"
+        "        \"\"\"doc\"\"\"\n"
+        "        if (x and\n"
+        "                x > 1):\n"
+        "            return [x,\n"
+        "                    x]\n"
+        "        try:\n"
+        "            @staticmethod\n"
+        "            def g():\n"
+        "                return 1\n"
+        "        except ValueError:\n"
+        "            raise\n"
+        "        return None\n"
+        "def h():\n"
+        "    for x in ():\n"
+        "        pass\n"
+        "    else:\n"
+        "        x = 0\n"
+    )
+    found = statements_in(source, "demo.py", "demo")
+    assert {(first, last): name for (_, first, last), name in found.items()} == {
+        (5, 6): "demo.C.f",
+        (7, 8): "demo.C.f",
+        (10, 11): "demo.C.f",
+        (12, 12): "demo.C.f.g",
+        (14, 14): "demo.C.f",
+        (15, 15): "demo.C.f",
+        (17, 17): "demo.h",
+        (18, 18): "demo.h",
+        (20, 20): "demo.h",
+    }
 
 
 _PINNED = "a per-layer metric of BENCHMARK.json names it"
 _PINNED_ONLY = "only a function a per-layer metric names calls it"
 _READ_BY_TESTS = "a value-type method that tests read"
-# The functions of the package that the commands and the library example
-# below never enter, each with the reason it ships; every __repr__ is
-# left out as well.  A reference computation that tests compare the
-# package against belongs in tests/oracles.py, not here.
-NOT_ENTERED = {
+_VALUE_BRANCH = ("a branch of a value-type method that tests read, as does wp._transported, "
+                 "which only a function a per-layer metric names calls")
+# The code of the package that the corpus below never runs, each with the
+# reason it ships: a function none of whose statements runs, by name, or
+# one statement of a function that runs, as "function: its first line".
+# Every __repr__ is left out as well.  A reference computation that tests
+# compare the package against belongs in tests/oracles.py, not here.
+NOT_RUN = {
     "mat2.Mat2.__matmul__": _PINNED,
     "wp.diagonal_chain": _PINNED,
     "wp.pair_chain": _PINNED,
@@ -325,47 +399,128 @@ NOT_ENTERED = {
     "pants.PantsLengths.__iter__": _READ_BY_TESTS,
     "mat2.TracelessMat2.zero": "VariationCocycle.value returns it on an edge the variation "
                                "leaves out, which the pairing never reads",
+    # the pairing kernel asks a variation only for the reversal of an edge
+    # it carries
+    "variation.VariationCocycle.value: return TracelessMat2.zero()": _VALUE_BRANCH,
+    "variation.VariationCocycle.value: return z": _VALUE_BRANCH,
 }
 
 
+def not_run(statements, ran):
+    """What of ``statements`` (from :func:`defined_statements`) no line
+    in ``ran``, a set of (file, line), belongs to, named as in NOT_RUN."""
+    by_function = {}
+    for (path, first, last), name in statements.items():
+        hit = any((path, line) in ran for line in range(first, last + 1))
+        by_function.setdefault(name, []).append((hit, path, first))
+    never = set()
+    for name, stmts in by_function.items():
+        if not any(hit for hit, _, _ in stmts):
+            never.add(name)
+            continue
+        for hit, path, first in stmts:
+            if not hit:
+                line = pathlib.Path(path).read_text(encoding="utf-8").splitlines()[first - 1]
+                never.add(f"{name}: {line.strip()}")
+    return {name for name in never if ".__repr__" not in name}
+
+
+def test_the_check_names_a_function_or_its_statement(tmp_path):
+    path = tmp_path / "demo.py"
+    path.write_text("def f(x):\n    if x:\n        return 1\n    return 2\n"
+                    "def g():\n    return 3\n"
+                    "class C:\n    def __repr__(self):\n        return 'C'\n")
+    statements = statements_in(path.read_text(), str(path), "demo")
+    assert not_run(statements, {(str(path), 2), (str(path), 4)}) == {"demo.f: return 1",
+                                                                     "demo.g"}
+
+
 def test_the_commands_and_the_library_example_enter_every_function(tmp_path, capsys):
-    # the package ships the pipeline: README's six commands in text and
-    # JSON, a refused document, an assignment to a parsed document, the
-    # package's dir() and README's library example enter every function
-    # it defines, save those listed above
+    # the package ships the statements it runs: every statement in a
+    # function body of src/fnhol runs under the corpus below, save those
+    # listed above.  The corpus: README's six commands in text and JSON
+    # and its library example; every document and every hand-built value
+    # the tests refuse; a document per genus 2..8 on a random gluing
+    # through every command; a face word's holonomy; short curves that
+    # leave no lift to +I (the outcome is not asserted here); an
+    # assignment to a parsed document; the package's dir() and a name it
+    # does not have.  Line events come from sys.settrace, in the package's
+    # frames only, so that the corpus runs at speed outside them, on every
+    # supported Python
     import fnhol.cli
+    from fnhol.spin import enumerate_spin
+    from conftest import random_fn, random_gluing, rng_for
+    from test_cli import (FACE_WORD, README_COMMANDS, REFUSED_DOCUMENTS, _document, _handle_doc,
+                          write_document)
+    from test_surface import LIBRARY_REFUSALS
 
     doc = tmp_path / "surface.json"
     doc.write_text(readme_block("## Command line", "json"))
-    refused = tmp_path / "refused.json"
-    refused.write_text(json.dumps({**json.loads(doc.read_text()), "genus": "2"}))
     lines = readme_block("## Command line", "sh").splitlines()
     commands = [argv[1:] for argv in (shlex.split(l, comments=True) for l in lines) if argv]
     assert len(commands) == 6
-    # a pattern the cache already holds would not enter the function
+    rng = rng_for("statements")
+    gluings = []
+    for genus in range(2, 9):
+        spec = random_gluing(rng, genus)
+        eps_list, classes = enumerate_spin(spec)
+        raw = _document(spec, random_fn(rng, spec), rng.choice(eps_list), rng.choice(classes))
+        pid, k = spec.curves[0].left
+        gluings.append((raw, f"p{pid}.b{k}0 p{pid}.b{k}1"))
+    # one curve at 1e-3 still lifts to +I; all three leave no lift
+    short = _handle_doc(1e-3)
+    for item in short["fn"]:
+        item["length"] = 1e-3
+    # a pattern the cache already holds would not run the function
     importlib.import_module("fnhol.wp")._chain_shape.cache_clear()
-    entered = set()
+    files = {str(p.resolve()) for p in PACKAGE.glob("*.py")}
+    in_package = {}
+    ran = set()
 
-    def record(frame, event, _):
-        if event == "call":
-            entered.add(frame.f_code)
+    def lines_of(frame, event, _):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines_of
 
-    sys.setprofile(record)
+    def calls(frame, event, _):
+        name = frame.f_code.co_filename
+        inside = in_package.get(name)
+        if inside is None:
+            inside = in_package[name] = os.path.realpath(name) in files
+        return lines_of if inside else None
+
+    def run(path, command, *flags):
+        return fnhol.cli.main([command, "--input", str(path), *flags])
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
     try:
         for flags in (["--format", "text"], ["--format", "json", "--tolerance", "1e-8"]):
             for argv in commands:
                 argv = [str(doc) if a == "surface.json" else a for a in argv]
                 assert fnhol.cli.main(argv + flags) == 0, argv
-        assert fnhol.cli.main(["verify", "--input", str(refused)]) == 2
+        for content, argv, _ in REFUSED_DOCUMENTS.values():
+            assert run(write_document(tmp_path / "refused.json", content), *argv) == 2, argv
+        with pytest.raises(SystemExit):
+            run(doc, "verify", "--tolerance", "nan")
+        for call, error, _ in LIBRARY_REFUSALS.values():
+            with pytest.raises(error):
+                call()
+        for raw, word in gluings:
+            path = write_document(tmp_path / "gluing.json", raw)
+            for command, *flags in README_COMMANDS:
+                flags = ["--word", word] if command == "holonomy" else flags
+                assert run(path, command, *flags) == 0, (raw["genus"], command)
+        assert run(doc, "holonomy", "--word", FACE_WORD) == 0
+        run(write_document(tmp_path / "short.json", short), "spin")
         parsed = fnhol.cli.parse_document(doc.read_text())
         with pytest.raises(AttributeError):
             parsed.spin = None
         dir(fnhol)
+        assert not hasattr(fnhol, "no_such_name")
         exec(compile(readme_block("## Library example", "python"), "README", "exec"), {})
     finally:
-        sys.setprofile(None)
+        sys.settrace(previous)
     capsys.readouterr()
-    started = {(os.path.realpath(code.co_filename), code.co_firstlineno) for code in entered}
-    never = {name for key, name in defined_functions().items()
-             if key not in started and not name.endswith(".__repr__")}
-    assert never == set(NOT_ENTERED)
+    ran = {(os.path.realpath(name), line) for name, line in ran}
+    assert not_run(defined_statements(), ran) == set(NOT_RUN)

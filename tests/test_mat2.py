@@ -24,6 +24,13 @@ def test_det_check():
         Mat2(2.0, 0.0, 0.0, 0.6)
 
 
+@pytest.mark.parametrize("zero", [0.0, Fraction(0), Decimal(0)], ids=["float", "Fraction", "Decimal"])
+def test_diagonal_of_zero_divides_by_zero(zero):
+    # 1 / h refuses a zero of each scalar type; no check of its own
+    with pytest.raises(ZeroDivisionError):
+        Mat2.diagonal(zero)
+
+
 def test_proj_sign_insensitive():
     m = Mat2(0.0, -2.0, 0.5, 3.0)
     assert ProjMat2(m).rep.entries() == ProjMat2(-m).rep.entries()

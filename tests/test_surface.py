@@ -5,7 +5,9 @@ import re
 import pytest
 
 import fnhol.surface
+from fnhol.cli import DocumentError, SurfaceDocument, run_command
 from fnhol.mat2 import Mat2, NonHyperbolicError, translation_length
+from fnhol.pants import PantsLengths
 from fnhol.surface import (
     Curve,
     CurveCells,
@@ -21,15 +23,18 @@ from fnhol.surface import (
     parse_word,
     validate_surface,
 )
-from fnhol.spin import assemble_spin
+from fnhol.spin import SpinSignError, assemble_spin, rot2
 from fnhol.variation import TangentVector, variation_cocycle
 from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix
 from conftest import (
     caterpillar,
+    check_face_tables,
+    comb,
     genus2_spec,
     genus3_spec,
     handle_spec,
     random_fn,
+    random_gluing,
     random_tangent,
     rng_for,
 )
@@ -386,9 +391,93 @@ def test_face_check_rejects_broken_cycles():
     for error, word in broken:
         cx.faces["c0.sq0"] = word
         with pytest.raises(error):
-            cx._check_faces()
+            check_face_tables(cx)
     cx.faces["c0.sq0"] = cycle
-    cx._check_faces()
+    check_face_tables(cx)
+
+
+def test_every_complex_has_closed_face_tables():
+    # the faces come from two templates, the pants hexagons and the curve
+    # squares, so building a complex checks nothing: self-glued pants,
+    # double curves and every boundary index of the random gluings included
+    specs = [shape(g) for shape in (caterpillar, comb) for g in range(2, 9)]
+    rng = rng_for("face-tables")
+    specs += [random_gluing(rng, 2 + i % 7) for i in range(49)]
+    for spec in specs:
+        check_face_tables(build_complex(spec))
+
+
+def _readme_fn():
+    return FNPoint({0: 2.0, 1: 1.4, 2: 3.0}, {0: 0.5, 1: -0.3, 2: 7.3})
+
+
+def _readme_cocycle(values=None):
+    """The cocycle of README's library example; with ``values``, a
+    hand-built cocycle at its point that holds these edge values."""
+    c = assemble_cocycle(genus2_spec(), _readme_fn())
+    return SurfaceCocycle(c.complex, {**c.values, **values}, c.fn) if values else c
+
+
+def _lift_with_a_stretched_crossing():
+    # T on c0.x1 off by 1e-6: both hexagons of each pants still lift,
+    # and the squares of curve 0 miss +I by about 1e-6
+    m = _readme_cocycle().values["c0.x1"]
+    s = 1.0 + 1e-6
+    base = _readme_cocycle({"c0.x1": Mat2(m.a, m.b / s, m.c * s, m.d, check=False)})
+    return assemble_spin(base, base.fn, {0: -1, 1: -1, 2: -1})
+
+
+def _rot2_of_a_face():
+    lift = assemble_spin(genus2_spec(), _readme_fn(), {0: -1, 1: -1, 2: -1})
+    return rot2(lift, lift.complex.faces["p0.hex+"])
+
+
+# What the library refuses of values a caller builds by hand from its
+# public types, as (call, exception, start of the message).  The
+# command line never builds these; tests/test_imports.py runs them too.
+LIBRARY_REFUSALS = {
+    "determinant-not-1": (lambda: Mat2(2.0, 0.0, 0.0, 0.6), ValueError,
+                          "determinant 1.2 is not 1"),
+    "renormalize-nonpositive-determinant": (
+        lambda: Mat2(1.0, 0.0, 0.0, -1.0, check=False).renormalized(), ValueError,
+        "cannot renormalize matrix with det -1.0"),
+    "pants-length-not-positive": (lambda: PantsLengths(1.0, 0.0, 1.0), ValueError,
+                                  "boundary length 0.0 must be positive"),
+    "invalid-surface": (lambda: build_complex(SurfaceSpec(1, (0,), ())), ValueError,
+                        "invalid surface: genus 1 must be at least 2"),
+    "coordinates-missing": (
+        lambda: assemble_cocycle(genus2_spec(), FNPoint(dict.fromkeys(range(3), 2.0), {0: 0.3})),
+        ValueError, "coordinates missing for curves ['1', '2']"),
+    "cocycle-at-another-point": (
+        lambda: variation_cocycle(_readme_cocycle(), FNPoint({0: 2.5, 1: 1.4, 2: 3.0},
+                                                             _readme_fn().twists),
+                                  TangentVector({0: 1.0})),
+        ValueError, "the cocycle was assembled at another point than fn"),
+    "spin-signs": (lambda: assemble_spin(genus2_spec(), _readme_fn(), {0: 1, 1: 1, 2: 1}),
+                   SpinSignError, "eps: boundary signs must multiply to -1 around every pants"),
+    "lift-off-plus-identity": (_lift_with_a_stretched_crossing, SpinSignError,
+                               "face word failed to lift to +I (residual "),
+    "crossing-not-antidiagonal": (lambda: extract_fn(_readme_cocycle({"c0.x0": Mat2.diagonal(2.0)})),
+                                  NonStandardCocycleError,
+                                  "crossing edge of curve 0 is not antidiagonal"),
+    "crossing-singular": (
+        lambda: extract_fn(_readme_cocycle({"c0.x0": Mat2(0.0, 0.0, 0.0, 0.0, check=False)})),
+        NonStandardCocycleError, "crossing edge of curve 0 is singular"),
+    "unknown-edge": (lambda: holonomy(_readme_cocycle(), (("p9.b00", 1),)), ValueError,
+                     "unknown edge 'p9.b00'"),
+    "face-not-hyperbolic": (_rot2_of_a_face, NonHyperbolicError, "loop holonomy trace "),
+    "unknown-command": (lambda: run_command(SurfaceDocument(genus2_spec(), _readme_fn(), None),
+                                            "nosuch"),
+                        DocumentError, "unknown command 'nosuch'"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(LIBRARY_REFUSALS.values()),
+                         ids=list(LIBRARY_REFUSALS))
+def test_the_library_refuses_hand_built_values_outside_its_domain(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
 
 
 def test_word_parse():

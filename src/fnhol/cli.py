@@ -152,6 +152,11 @@ def parse_document(text):
     except RecursionError:
         # the decoder recurses once per level of nesting
         raise DocumentError("document: nested too deeply") from None
+    except ValueError:
+        # an integer longer than Python converts from a string; the limit
+        # is left as it is for the whole interpreter
+        raise DocumentError(f"document: an integer has more than "
+                            f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(raw, dict):
         _fail("document", "expected a JSON object")
 
@@ -364,18 +369,13 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         worst = lifted.max_face_residual()
         lines = [f"max face residual against +I {_num(worst)}"]
         rots = {}
-        # a curve's loop is the boundary loop of the pants on its left
-        by_loop = {}
         for cid, cells in doc.complex.curves.items():
-            r = by_loop[cells.loop] = spin.rot2(lifted, cells.loop)
-            rots[str(cid)] = r
+            r = rots[str(cid)] = spin.rot2(lifted, cells.loop)
             lines.append(f"curve {cid}  rot {r}")
         pants_sums = {}
         for pid, cells in doc.complex.pants.items():
-            s = 0
-            for arc0, arc1, _ in cells.edges:
-                loop = ((arc0, 1), (arc1, 1))
-                s += by_loop[loop] if loop in by_loop else spin.rot2(lifted, loop)
+            # a curve's loop is one of these, and its trace is kept with the base
+            s = sum(spin.rot2(lifted, ((arc0, 1), (arc1, 1))) for arc0, arc1, _ in cells.edges)
             pants_sums[str(pid)] = s % 2
             lines.append(f"pants {pid}  rot sum mod 2 = {s % 2}")
         ok = worst <= tolerance and all(v == 1 for v in pants_sums.values())

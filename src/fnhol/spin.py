@@ -3,13 +3,19 @@ structures they classify.
 
 A lift assigns a genuine SL2 matrix to every edge so that each face
 word multiplies to +I (never -I); trace signs of lifted holonomies are
-then mod-2 rotation numbers of the corresponding loops, read off
-:func:`fnhol.surface.holonomy` like any other word.  A lift has the
+then mod-2 rotation numbers of the corresponding loops.  A lift has the
 matrices of the assembled normalized cocycle up to one sign per edge,
 so it is a :class:`~fnhol.surface.SurfaceCocycle` built as sign flips on
-that cocycle's values.  Negation is exact, so each lifted face product
-is the cocycle's own face product, walked once and shared by the
-cocycle and all its lifts, times -1 per flipped edge on the face.
+that cocycle's values: a sign vector over its base.  Negation is exact,
+so every lifted product along a word is the base's product times -1 per
+step along a flipped edge, bit for bit up to the signs of zero entries.
+The base therefore keeps, once for all its lifts, a table per face (the
+distance of its face product from +I, that of the negated product, and
+the product's norm), the negated values the lifts hold, and the trace of
+:func:`fnhol.surface.holonomy` of each loop a lift's :func:`rot2` is
+asked of.  A lift keeps one parity bit per face; its face residuals, its
+pants lift test and :func:`rot2` read the base's tables, and no lift
+walks a word for them.
 
 On one pair of pants the boundary trace signs eps_k always satisfy
 eps_0 eps_1 eps_2 = -1, and under that constraint there is at most one
@@ -50,13 +56,14 @@ __all__ = [
 _FACE_TOL = 1e-8
 
 
-def _check_pants_lift(seams, hexagon_products):
+def _check_pants_lift(seams, hexagons):
     """The lift test of one pants: every seam value has positive (1,1)
-    entry, and then both hexagon products are +I; AssertionError
-    ("found 0") if not."""
+    entry, and then both hexagon products, each given as (its distance
+    from +I, its norm), are +I to within 1e-8 times max(1, norm);
+    AssertionError ("found 0") if not, a nan included."""
     if not (
         all(seam.a > 0.0 for seam in seams)
-        and all(m.close_to(Mat2.identity(), _FACE_TOL) for m in hexagon_products)
+        and all(dist <= _FACE_TOL * max(1.0, norm) for dist, norm in hexagons)
     ):
         raise AssertionError("expected a unique sign assignment, found 0")
 
@@ -77,9 +84,11 @@ def sl2_pants_cocycle(lengths, signs):
     for k, e in eps.items():
         if e < 0:
             values[f"b{k}1"] = -values[f"b{k}1"]
+    identity = Mat2.identity()
+    hexagons = (walk(values, word) for word in pants_mod.PANTS_FACES.values())
     _check_pants_lift(
         (values[f"seam{k}"] for k in range(3)),
-        (walk(values, word) for word in pants_mod.PANTS_FACES.values()),
+        ((m.dist(identity), m.norm()) for m in hexagons),
     )
     return values
 
@@ -90,32 +99,42 @@ class SpinSurfaceCocycle(SurfaceCocycle):
     ``flipped``.  It keeps ``base``, so while a lift is in use, a lift
     at the same point from the same complex reuses its base.
 
-    Negation is exact, so the product along a face word is the base's
-    face product times -1 per flipped edge on the face, up to the signs
-    of zero entries; :meth:`face_products` holds these, read off the
-    base without walking a word."""
+    It keeps one parity bit per face, the number of flipped edges on the
+    face mod 2, and its :meth:`face_residual` reads the base's face table
+    at that bit; the base builds the table, from its face products, when
+    its first lift is made.  The flipped values are the base's negated
+    values, each negated once for all lifts.  :meth:`face_products`,
+    which nothing in the package asks of a lift, walks the lift's own
+    face words."""
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "_flipped", "_parity")
 
     def __init__(self, base, flipped):
+        if base._face_table is None:
+            identity = Mat2.identity()
+            base._face_table = {
+                fid: (m.dist(identity), (-m).dist(identity), m.norm())
+                for fid, m in base.face_products().items()
+            }
+            base._negated = {}
+            base._traces = {}
         self.base = base
-        flipped = frozenset(flipped)
-        super().__init__(
-            base.complex,
-            {eid: -m if eid in flipped else m for eid, m in base.values.items()},
-            base.fn,
-        )
-        faces = self.complex.faces
-        self._face_products = {}
-        for fid, m in base.face_products().items():
-            odd = False
-            for eid, _ in faces[fid]:
-                odd ^= eid in flipped
-            self._face_products[fid] = -m if odd else m
+        self._flipped = flipped = frozenset(flipped)
+        super().__init__(base.complex, base.values, base.fn)
+        values, negated = self.values, base._negated
+        for eid in flipped:
+            values[eid] = negated[eid] if eid in negated else negated.setdefault(eid, -values[eid])
+        self._parity = parity = {}
+        for fid, cycle in self.complex.faces.items():
+            odd = 0
+            for eid, _ in cycle:
+                if eid in flipped:
+                    odd ^= 1
+            parity[fid] = odd
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
-        return self.face_products()[fid].dist(Mat2.identity())
+        return self.base._face_table[fid][self._parity[fid]]
 
 
 def assemble_spin(spec, fn, eps, crossing_signs=None):
@@ -142,7 +161,8 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     base = _cocycle_at(spec, fn)
     pants = {pid: cells.curves for pid, cells in base.complex.pants.items()}
     out = _lift(base, _check_eps(eps, pants, "eps"),
-                _check_crossing_signs(crossing_signs, base.complex.spec, "crossing_signs"))
+                _check_crossing_signs(crossing_signs, base.complex.spec, "crossing_signs",
+                                     base.complex.tree))
     residual = out.max_face_residual()
     if not residual <= _FACE_TOL:
         raise SpinSignError(f"face word failed to lift to +I (residual {residual:g})")
@@ -168,11 +188,11 @@ def _lift(base, eps, crossing_signs):
         if crossing_signs[cid] * eps[cid] > 0:
             flipped.append(x1)
     out = SpinSurfaceCocycle(base, flipped)
-    products = out.face_products()
+    table, parity = base._face_table, out._parity
     for cells in complex_.pants.values():
         _check_pants_lift(
             (base.values[seam] for _, _, seam in cells.edges),
-            (products[f] for f in cells.hexagons),
+            ((table[f][parity[f]], table[f][2]) for f in cells.hexagons),
         )
     return out
 
@@ -253,8 +273,20 @@ def enumerate_spin(spec):
 
 def rot2(spin_cocycle, loop):
     """Mod-2 rotation number of a loop with hyperbolic holonomy:
-    0 when the lifted trace is positive, 1 when negative."""
-    tr = holonomy(spin_cocycle, loop).trace()
+    0 when the lifted trace is positive, 1 when negative.
+
+    ``loop`` is a sequence of (edge id, +1/-1) tuples.  The trace of
+    ``holonomy(base, loop)`` is taken once per base and word and kept
+    with the base, keyed by the tuple of the loop's steps; the lift's
+    trace is that times -1 per step of the loop along a flipped edge,
+    which is the trace of ``holonomy(spin_cocycle, loop)``."""
+    base, flipped = spin_cocycle.base, spin_cocycle._flipped
+    word = tuple(loop)
+    traces = base._traces
+    tr = traces[word] if word in traces else traces.setdefault(word, holonomy(base, word).trace())
+    for eid, _ in word:
+        if eid in flipped:
+            tr = -tr
     if abs(tr) <= 2.0 + HYPERBOLIC_MARGIN:
         raise NonHyperbolicError(f"loop holonomy trace {tr!r} is not hyperbolic")
     return 0 if tr > 0.0 else 1

@@ -85,10 +85,17 @@ def validate_surface(spec):
     """Check the pairing, connectivity and genus bookkeeping of a
     decomposition; returns the list of problems (empty when there are
     none) instead of raising."""
+    return _problems_and_tree(spec)[0]
+
+
+def _problems_and_tree(spec):
+    """(the problems of :func:`validate_surface`, the curves of
+    :func:`spanning_tree_curves`, or None when a problem is found before
+    the tree is sought)."""
     problems = []
     if spec.genus < 2:
         problems.append(f"genus {spec.genus} must be at least 2")
-        return problems
+        return problems, None
     if len(set(spec.pants)) != len(spec.pants):
         problems.append("pants ids are not distinct")
     if len(set(c.id for c in spec.curves)) != len(spec.curves):
@@ -126,9 +133,12 @@ def validate_surface(spec):
             if (pid, k) not in seen:
                 problems.append(f"boundary ({pid}, {k}) is not glued to any curve")
 
-    if not problems and len(spanning_tree_curves(spec)) != len(spec.pants) - 1:
+    if problems:
+        return problems, None
+    tree = spanning_tree_curves(spec)
+    if len(tree) != len(spec.pants) - 1:
         problems.append("gluing graph is not connected")
-    return problems
+    return problems, tree
 
 
 def spanning_tree_curves(spec):
@@ -195,14 +205,18 @@ class CellComplex:
     building a complex does not check.  ``pants``
     (pants id -> ``PantsCells``) and ``curves`` (curve id ->
     ``CurveCells``), in spec order, hold the ids cocycles are written
-    and read through.  ``pairing_layout`` is the pairing kernel's part
+    and read through; ``tree`` holds the curves of
+    :func:`spanning_tree_curves`, found when the complex's decomposition
+    was validated, whose crossing signs every spin lift keeps at +1.
+    ``pairing_layout`` is the pairing kernel's part
     (:mod:`fnhol.wp`), a dict keyed by (face id, rotation), empty until
     the first kernel over the complex fills it.  The complex also
     remembers the standard cocycle of the last point a library entry
     point asked of it (:func:`_cocycle_at`)."""
 
-    def __init__(self, spec):
+    def __init__(self, spec, tree):
         self.spec = spec
+        self.tree = tree
         self.vertices = []
         self.edges = {}
         self.faces = {}
@@ -243,11 +257,12 @@ class CellComplex:
 
 
 def build_complex(spec):
-    """Build the cell complex of a valid decomposition."""
-    problems = validate_surface(spec)
+    """Build the cell complex of a valid decomposition; it keeps the
+    spanning tree its validation found."""
+    problems, tree = _problems_and_tree(spec)
     if problems:
         raise ValueError(f"invalid surface: {'; '.join(problems)}")
-    return CellComplex(spec)
+    return CellComplex(spec, tree)
 
 
 class FNPoint:
@@ -272,12 +287,15 @@ class SurfaceCocycle:
     along a face word is taken by :meth:`face_walk`; the face products
     are walked once, on first use, and kept with it, and lifts of the
     cocycle (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) read
-    theirs off them.  So are the largest face residual, the seam data
-    that variations over it (:mod:`fnhol.variation`) read at ``fn`` and
-    the pairing kernel over it (:mod:`fnhol.wp`)."""
+    their residuals off them.  So are the largest face residual, the seam
+    data that variations over it (:mod:`fnhol.variation`) read at ``fn``,
+    the pairing kernel over it (:mod:`fnhol.wp`), and what its lifts
+    share (:mod:`fnhol.spin`): the face table, the negated values and the
+    loop traces, each filled on first use."""
 
     __slots__ = ("complex", "values", "fn", "_face_products", "_max_residual",
-                 "_seam_data", "_pairing_kernel", "__weakref__")
+                 "_seam_data", "_pairing_kernel", "_face_table", "_negated", "_traces",
+                 "__weakref__")
 
     def __init__(self, complex_, values, fn):
         self.complex = complex_
@@ -287,6 +305,9 @@ class SurfaceCocycle:
         self._max_residual = None
         self._seam_data = None
         self._pairing_kernel = None
+        self._face_table = None
+        self._negated = None
+        self._traces = None
 
     def face_walk(self, fid, prefixes=None):
         """(start, product): the product along the face word, not
@@ -392,16 +413,17 @@ def _check_eps(eps, pants_curves, name):
     return eps
 
 
-def _check_crossing_signs(signs, spec, name):
+def _check_crossing_signs(signs, spec, name, tree=None):
     """The crossing sign of every curve of ``spec``: ``signs`` (curve id ->
     sign, or None), +1 where it holds none.  SpinSignError naming the field
     ``name`` unless each key names a curve and holds a sign, and every curve
-    of :func:`spanning_tree_curves` keeps +1."""
+    of ``tree``, by default :func:`spanning_tree_curves` of ``spec``, keeps
+    +1."""
     out = dict.fromkeys(spec.curve_ids(), 1)
     if signs:
         _check_signs(signs, out, name)
         out.update(signs)
-        for cid in spanning_tree_curves(spec):
+        for cid in spanning_tree_curves(spec) if tree is None else tree:
             if out[cid] != 1:
                 raise SpinSignError(f"{name}: crossing sign on tree curve {cid} must be +1")
     return out

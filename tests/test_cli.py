@@ -686,6 +686,11 @@ REFUSED_DOCUMENTS = {
     # an integer no double holds: float() raised OverflowError, exit 1
     "integer-beyond-doubles": (_README_TEXT.replace('"length": 2.0', '"length": 1' + "0" * 400),
                                ["verify"], "fn[0].length: int too large to convert to float"),
+    # beyond Python's digit limit json.loads raised a plain ValueError that
+    # named no field and advised sys.set_int_max_str_digits()
+    "integer-beyond-the-digit-limit": (
+        _README_TEXT.replace('"length": 2.0', '"length": 1' + "0" * 5000),
+        ["verify"], "document: an integer has more than 4300 digits"),
     "length-outside-the-range": (_edited((("fn", 0, "length"), 0.0)), ["verify"],
                                  "fn[0].length: 0.0 outside [1e-06, 50.0]"),
     "twist-overflows": (_edited((("fn", 0, "twist"), -1420.0)), ["verify"],

@@ -6,9 +6,10 @@ import weakref
 
 import pytest
 
-from fnhol.mat2 import Mat2, NonHyperbolicError, walk
+from fnhol.mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
 from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix
-from fnhol.surface import FNPoint, SurfaceCocycle, assemble_cocycle, build_complex, holonomy
+from fnhol.surface import (FNPoint, SurfaceCocycle, assemble_cocycle, build_complex, check_word,
+                           holonomy)
 from fnhol.spin import (
     SpinSignError,
     SpinSurfaceCocycle,
@@ -503,6 +504,17 @@ def test_rot_numbers():
         rot2(lifted, ())
 
 
+# a loop of genus2_spec() that crosses curve 1 once and returns through curve 2
+CROSSING_WORD = (
+    ("c1.x0", 1),
+    ("p1.b10", 1),
+    ("p1.seam2", -1),
+    ("c2.x0", -1),
+    ("p0.seam2", 1),
+    ("p0.b10", -1),
+)
+
+
 def test_crossing_sign_flip_changes_lift_not_reduction():
     spec = genus2_spec()
     cx = build_complex(spec)
@@ -514,15 +526,106 @@ def test_crossing_sign_flip_changes_lift_not_reduction():
     assert all(m.proj_dist(b.values[e]) <= 1e-14 for e, m in a.values.items())
     # and the flipped lift changes the rotation number of a loop that
     # crosses curve 1 exactly once (returning through curve 2)
-    word = (
-        ("c1.x0", 1),
-        ("p1.b10", 1),
-        ("p1.seam2", -1),
-        ("c2.x0", -1),
-        ("p0.seam2", 1),
-        ("p0.b10", -1),
-    )
-    assert rot2(a, word) != rot2(b, word)
+    assert rot2(a, CROSSING_WORD) != rot2(b, CROSSING_WORD)
+
+
+def _walked_rot2(lifted, word):
+    """rot2 from the lift's own values: the word checked and walked, the
+    product renormalized, and the sign of its trace; the error as
+    (type, message) when that raises."""
+    try:
+        check_word(lifted.complex, word)
+        tr = walk(lifted.values, word).renormalized().trace()
+        if abs(tr) <= 2.0 + HYPERBOLIC_MARGIN:
+            raise NonHyperbolicError(f"loop holonomy trace {tr!r} is not hyperbolic")
+        return 0 if tr > 0.0 else 1
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _rot2_or_error(lifted, word):
+    try:
+        return rot2(lifted, word)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_READ_OFF_SPECS = {f"{shape.__name__}{g}": (shape, g)
+                   for shape in (caterpillar, comb) for g in range(2, 5)}
+_READ_OFF_SPECS["genus2"] = (lambda g: genus2_spec(), 2)
+
+
+@pytest.mark.parametrize("shape, genus", list(_READ_OFF_SPECS.values()), ids=list(_READ_OFF_SPECS))
+def test_a_lift_reads_its_own_words_off_the_base(shape, genus):
+    # rot2, read off the base's kept trace with the lift's parity on the
+    # word, is the trace sign of the lift's own walked word, and a face
+    # residual, read off the base's table with the lift's parity on the
+    # face, is the distance of the lift's own walked face from +I; for
+    # every eps and a stride of classes, on boundary loops, their
+    # doubles and the crossing word (refused alike where it is no word)
+    spec = shape(genus)
+    cx = build_complex(spec)
+    fn = random_fn(rng_for(f"spin-read-off-{genus}-{spec.curves[0].left}"), spec)
+    base = assemble_cocycle(cx, fn)
+    loops = [((arc0, 1), (arc1, 1)) for cells in cx.pants.values()
+             for arc0, arc1, _ in cells.edges]
+    words = loops + [loop + loop for loop in loops] + [CROSSING_WORD]
+    eps_list, classes = enumerate_spin(spec)
+    for eps in eps_list:
+        for signs in classes[:: max(1, len(classes) // 4)]:
+            lifted = assemble_spin(base, fn, eps, signs)
+            for word in words:
+                assert _rot2_or_error(lifted, word) == _walked_rot2(lifted, word), word
+            walked = {}
+            for fid in cx.faces:
+                walked[fid] = lifted.face_walk(fid)[1].dist(Mat2.identity())
+                assert lifted.face_residual(fid) == walked[fid], fid
+            assert lifted.max_face_residual() == max(walked.values())
+
+
+def test_lifts_of_one_base_walk_each_loop_once(monkeypatch):
+    # eight lifts from one complex at one point, each asked rot2 of every
+    # pants boundary loop: each loop and each face word is walked once,
+    # for the base, and the lifts walk nothing
+    spec = caterpillar(4)
+    cx = build_complex(spec)
+    rng = rng_for("spin-walk-once")
+    fn = random_fn(rng, spec)
+    eps_list, classes = enumerate_spin(spec)
+    walked = []
+    walk_ = fnhol.surface.walk
+
+    def counted(values, word, prefixes=None):
+        walked.append(tuple(word))
+        return walk_(values, word, prefixes)
+
+    monkeypatch.setattr(fnhol.surface, "walk", counted)
+    loops = [((arc0, 1), (arc1, 1)) for cells in cx.pants.values()
+             for arc0, arc1, _ in cells.edges]
+    lifts = []
+    for _ in range(8):
+        lifts.append(assemble_spin(cx, fn, rng.choice(eps_list), rng.choice(classes)))
+        rots = [rot2(lifts[-1], loop) for loop in loops]
+        assert sum(rots) % 2 == len(cx.pants) % 2  # one odd sum per pants
+    assert len({lifted.base for lifted in lifts}) == 1
+    assert sorted(walked) == sorted(loops + list(cx.faces.values()))
+
+
+def test_lifts_read_the_spanning_tree_off_the_complex(monkeypatch):
+    # the complex keeps the tree its validation found, so no lift seeks it
+    spec = caterpillar(4)
+    cx = build_complex(spec)
+    assert cx.tree == spanning_tree_curves(spec)
+    fn = random_fn(rng_for("spin-tree"), spec)
+    eps_list, classes = enumerate_spin(spec)
+    calls = []
+    monkeypatch.setattr(fnhol.surface, "spanning_tree_curves", calls.append)
+    lifts = [assemble_spin(cx, fn, eps_list[-1], signs) for signs in classes]
+    assert not calls
+    monkeypatch.undo()
+    with pytest.raises(SpinSignError, match="tree curve"):
+        assemble_spin(cx, fn, eps_list[-1], {cx.tree[0]: -1})
+    assert len(lifts) == 2**spec.genus
 
 
 def test_holonomy_on_a_lift_checks_the_word():

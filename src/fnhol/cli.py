@@ -31,7 +31,7 @@ from it).  Lengths and twists pass the rules of
 :func:`fnhol.surface.assemble_cocycle`: lengths lie in [1e-6, 50], and
 exp(-twist/2) and exp(twist/2) are finite nonzero doubles (about
 |twist| <= 1419.56).  ``spin`` is optional, and every command, not only
-``spin``, refuses one that breaks the sign rules of ``assemble_spin`` in
+``spin``, refuses one that breaks the sign rules of a spin lift in
 :mod:`fnhol.surface`: each sign +-1, eps on every curve multiplying to
 -1 around every pants, and crossing signs +1 on the spanning tree.
 
@@ -66,7 +66,6 @@ from .surface import (
     extract_fn,
     holonomy,
     parse_word,
-    spanning_tree_curves,
     validate_surface,
 )
 
@@ -246,13 +245,15 @@ def _verdict(command, fields, lines, ok):
 def _spin_list(spec):
     """The ``spin --list`` report: every boundary-sign assignment and
     crossing-sign class; it needs no cell complex.  Each curve id is
-    formatted once, not once per listed assignment."""
+    formatted once, not once per listed assignment.  The tree curves are
+    those every class holds at +1: the last class, in product order,
+    holds every other curve at -1."""
     from . import spin
 
     eps_list, classes = spin.enumerate_spin(spec)
-    tree = [str(c) for c in spanning_tree_curves(spec)]
     order = sorted(spec.curve_ids(), key=str)
     names = [str(c) for c in order]
+    tree = [n for n, c in zip(names, order) if classes[-1][c] == 1]
     tokens = [{1: f"{n}:+1", -1: f"{n}:-1"} for n in names]
     lines = [
         f"boundary-sign assignments {len(eps_list)}",
@@ -365,7 +366,8 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
 
         # the verdict below judges the lift's residual, nan included,
         # against the tolerance asked for
-        lifted = spin._lift(doc.cocycle, doc.spin["eps"], doc.spin["crossing_signs"])
+        lifted = spin.SpinSurfaceCocycle(doc.cocycle, doc.spin["eps"],
+                                         doc.spin["crossing_signs"])
         worst = lifted.max_face_residual()
         lines = [f"max face residual against +I {_num(worst)}"]
         rots = {}

@@ -18,8 +18,6 @@ on entries such as ``fractions.Fraction``.
 import math
 
 DET_TOL = 1e-12
-# default relative tolerance for matrix comparisons
-CMP_TOL = 1e-9
 # margin above |trace| = 2 before an element counts as hyperbolic
 HYPERBOLIC_MARGIN = 1e-12
 
@@ -120,9 +118,6 @@ class Mat2:
                 abs(self.d + other.d),
             )),
         )
-
-    def close_to(self, other, tol=CMP_TOL):
-        return self.dist(other) <= tol * max(1.0, self.norm(), other.norm())
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)

@@ -6,16 +6,18 @@ word multiplies to +I (never -I); trace signs of lifted holonomies are
 then mod-2 rotation numbers of the corresponding loops.  A lift has the
 matrices of the assembled normalized cocycle up to one sign per edge,
 so it is a :class:`~fnhol.surface.SurfaceCocycle` built as sign flips on
-that cocycle's values: a sign vector over its base.  Negation is exact,
-so every lifted product along a word is the base's product times -1 per
-step along a flipped edge, bit for bit up to the signs of zero entries.
-The base therefore keeps, once for all its lifts, a table per face (the
-distance of its face product from +I, that of the negated product, and
-the product's norm), the negated values the lifts hold, and the trace of
-:func:`fnhol.surface.holonomy` of each loop a lift's :func:`rot2` is
-asked of.  A lift keeps one parity bit per face; its face residuals, its
-pants lift test and :func:`rot2` read the base's tables, and no lift
-walks a word for them.
+that cocycle's values: a sign vector over its base, made only by
+:class:`SpinSurfaceCocycle` from boundary and crossing signs.  Negation
+is exact, so every lifted product along a word is the base's product
+times -1 per step along a flipped edge, bit for bit up to the signs of
+zero entries.  The flip rule puts an odd number of flipped edges on
+every ``hex-`` face and an even number on every other face, whatever
+the signs, so every lift of a base has the same face residuals and
+passes or fails the pants lift test alike.  The base therefore keeps,
+once for all its lifts, one residual per face, built and tested when
+its first lift is made, the negated values the lifts hold, and the
+trace of :func:`fnhol.surface.holonomy` of each loop a lift's
+:func:`rot2` is asked of; no lift walks a word for them.
 
 On one pair of pants the boundary trace signs eps_k always satisfy
 eps_0 eps_1 eps_2 = -1, and under that constraint there is at most one
@@ -23,8 +25,8 @@ lift whose seam and b{k}0 arc values have positive (1,1) entry: the
 positivity rules fix every seam and b{k}0 sign to +1, the signs the
 assembled cocycle stores, b{k}1 is eps_k times b{k}0, and the one
 candidate is checked against both hexagon words.  That check is one
-rule, applied by :func:`assemble_spin` to every pants of a surface and
-by :func:`sl2_pants_cocycle`, the one-pants candidate kept as a
+rule, applied to every pants of a surface by the first lift of a base
+and by :func:`sl2_pants_cocycle`, the one-pants candidate kept as a
 reference: :func:`fnhol.pants.pants_cocycle` with b{k}1 negated where
 eps_k = -1.
 
@@ -93,107 +95,92 @@ def sl2_pants_cocycle(lengths, signs):
     return values
 
 
+def _lift_residuals(base):
+    """Face id -> its residual in every lift of ``base``: the distance
+    from +I of the base's face product, negated on ``hex-`` faces.
+    AssertionError ("found 0") when a pants fails the lift test."""
+    identity = Mat2.identity()
+    products = base.face_products()
+    odd = {cells.hexagons[1] for cells in base.complex.pants.values()}
+    residuals = {fid: (-m if fid in odd else m).dist(identity) for fid, m in products.items()}
+    for cells in base.complex.pants.values():
+        _check_pants_lift(
+            (base.values[seam] for _, _, seam in cells.edges),
+            ((residuals[f], products[f].norm()) for f in cells.hexagons),
+        )
+    return residuals
+
+
 class SpinSurfaceCocycle(SurfaceCocycle):
-    """A determinant-one cocycle lifting the normalized cocycle ``base``,
-    at the base's point: the base values, negated on the edges in
-    ``flipped``.  It keeps ``base``, so while a lift is in use, a lift
-    at the same point from the same complex reuses its base.
+    """The determinant-one lift of the normalized cocycle ``base`` with
+    boundary signs ``eps`` and crossing signs ``crossing_signs`` (curve
+    id -> +-1; crossing signs default to +1 and must be +1 on the
+    complex's spanning tree), at the base's point: the one way a lift is
+    made.  SpinSignError naming the field unless the signs pass
+    :func:`fnhol.surface._check_eps` and ``_check_crossing_signs``.
 
-    It keeps one parity bit per face, the number of flipped edges on the
-    face mod 2, and its :meth:`face_residual` reads the base's face table
-    at that bit; the base builds the table, from its face products, when
-    its first lift is made.  The flipped values are the base's negated
-    values, each negated once for all lifts.  :meth:`face_products`,
-    which nothing in the package asks of a lift, walks the lift's own
-    face words."""
+    The lift negates the base values on b{k}1 where eps_k = -1, on x0
+    where s_i = +1 and on x1 where s_i eps_i = +1 (the base crossing
+    value is -(0, -1/T_i; T_i, 0)), through the base's negated values.
+    It keeps ``base``, so lifts at one point from one complex share it
+    while one of them is held.  The first lift of a base builds
+    :func:`_lift_residuals`, which :meth:`face_residual` reads, or raises
+    its "found 0"; no residual is judged here (:func:`assemble_spin`
+    judges them).  :meth:`face_products`, which nothing in the package
+    asks of a lift, walks the lift's own face words."""
 
-    __slots__ = ("base", "_flipped", "_parity")
+    __slots__ = ("base", "_flipped")
 
-    def __init__(self, base, flipped):
+    def __init__(self, base, eps, crossing_signs=None):
+        complex_ = base.complex
+        eps = _check_eps(eps, {pid: cells.curves for pid, cells in complex_.pants.items()},
+                         "eps")
+        signs = _check_crossing_signs(crossing_signs, complex_.spec, "crossing_signs",
+                                      complex_.tree)
         if base._face_table is None:
-            identity = Mat2.identity()
-            base._face_table = {
-                fid: (m.dist(identity), (-m).dist(identity), m.norm())
-                for fid, m in base.face_products().items()
-            }
+            base._face_table = _lift_residuals(base)
             base._negated = {}
             base._traces = {}
+        flipped = {
+            arc1
+            for cells in complex_.pants.values()
+            for c, (_, arc1, _) in zip(cells.curves, cells.edges)
+            if eps[c] < 0
+        }
+        for cid, cells in complex_.curves.items():
+            x0, x1 = cells.crossings
+            if signs[cid] > 0:
+                flipped.add(x0)
+            if signs[cid] * eps[cid] > 0:
+                flipped.add(x1)
         self.base = base
-        self._flipped = flipped = frozenset(flipped)
-        super().__init__(base.complex, base.values, base.fn)
+        self._flipped = flipped
+        super().__init__(complex_, base.values, base.fn)
         values, negated = self.values, base._negated
         for eid in flipped:
             values[eid] = negated[eid] if eid in negated else negated.setdefault(eid, -values[eid])
-        self._parity = parity = {}
-        for fid, cycle in self.complex.faces.items():
-            odd = 0
-            for eid, _ in cycle:
-                if eid in flipped:
-                    odd ^= 1
-            parity[fid] = odd
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
-        return self.base._face_table[fid][self._parity[fid]]
+        return self.base._face_table[fid]
 
 
 def assemble_spin(spec, fn, eps, crossing_signs=None):
-    """Assemble the determinant-one cocycle with boundary signs ``eps``
-    (curve id -> +-1) and crossing-edge signs (curve id -> +-1,
-    defaulting to +1, required to be +1 on the spanning tree), checked by
-    the command line's rules (:func:`fnhol.surface._check_eps` and
-    ``_check_crossing_signs``; SpinSignError naming the field).
+    """The :class:`SpinSurfaceCocycle` with boundary signs ``eps`` and
+    crossing signs ``crossing_signs`` over the base cocycle at fn, with
+    the constructor's errors, and SpinSignError when its largest face
+    residual is above 1e-8 or nan.
 
     ``spec`` is a decomposition, assembled at fn; a cell complex, which
     reuses the cocycle of the last point asked of it while that cocycle
     is in use and has fn's lengths and twists, so lifts at one point
     from one complex share one base as long as one of them is held; or
     a cocycle at fn, which is then the base and is not assembled again
-    (a cocycle at another point raises ValueError).
-    The lift negates the base values on b{k}1 where eps_k = -1, on x0
-    where s_i = +1 and on x1 where s_i eps_i = +1: the base crossing
-    value is -(0, -1/T_i; T_i, 0), and the lift's are
-    s_i (0, -1/T_i; T_i, 0) on side 0 and eps_i times that on side 1.
-    AssertionError ("found 0"), as from :func:`sl2_pants_cocycle`, when
-    a pants has no lift, as happens for very short boundaries, and
-    SpinSignError when the largest face residual of the lift is above
-    1e-8 or nan."""
-    base = _cocycle_at(spec, fn)
-    pants = {pid: cells.curves for pid, cells in base.complex.pants.items()}
-    out = _lift(base, _check_eps(eps, pants, "eps"),
-                _check_crossing_signs(crossing_signs, base.complex.spec, "crossing_signs",
-                                     base.complex.tree))
+    (a cocycle at another point raises ValueError)."""
+    out = SpinSurfaceCocycle(_cocycle_at(spec, fn), eps, crossing_signs)
     residual = out.max_face_residual()
     if not residual <= _FACE_TOL:
         raise SpinSignError(f"face word failed to lift to +I (residual {residual:g})")
-    return out
-
-
-def _lift(base, eps, crossing_signs):
-    """The lift of :func:`assemble_spin` over ``base`` for checked sign
-    data (a crossing sign on every curve), checked pants by pants but
-    not for its face residuals; the command line reports those against
-    its own tolerance."""
-    complex_ = base.complex
-    flipped = [
-        arc1
-        for cells in complex_.pants.values()
-        for c, (_, arc1, _) in zip(cells.curves, cells.edges)
-        if eps[c] < 0
-    ]
-    for cid, cells in complex_.curves.items():
-        x0, x1 = cells.crossings
-        if crossing_signs[cid] > 0:
-            flipped.append(x0)
-        if crossing_signs[cid] * eps[cid] > 0:
-            flipped.append(x1)
-    out = SpinSurfaceCocycle(base, flipped)
-    table, parity = base._face_table, out._parity
-    for cells in complex_.pants.values():
-        _check_pants_lift(
-            (base.values[seam] for _, _, seam in cells.edges),
-            ((table[f][parity[f]], table[f][2]) for f in cells.hexagons),
-        )
     return out
 
 
@@ -275,7 +262,8 @@ def rot2(spin_cocycle, loop):
     """Mod-2 rotation number of a loop with hyperbolic holonomy:
     0 when the lifted trace is positive, 1 when negative.
 
-    ``loop`` is a sequence of (edge id, +1/-1) tuples.  The trace of
+    ``loop`` is a sequence of (edge id, +1/-1) steps, tuples or lists,
+    as :func:`fnhol.surface.holonomy` takes it.  The trace of
     ``holonomy(base, loop)`` is taken once per base and word and kept
     with the base, keyed by the tuple of the loop's steps; the lift's
     trace is that times -1 per step of the loop along a flipped edge,
@@ -283,7 +271,14 @@ def rot2(spin_cocycle, loop):
     base, flipped = spin_cocycle.base, spin_cocycle._flipped
     word = tuple(loop)
     traces = base._traces
-    tr = traces[word] if word in traces else traces.setdefault(word, holonomy(base, word).trace())
+    try:
+        tr = traces.get(word)
+    except TypeError:
+        # a step that cannot be hashed, such as a list: key it as a tuple
+        word = tuple(map(tuple, word))
+        tr = traces.get(word)
+    if tr is None:
+        tr = traces[word] = holonomy(base, word).trace()
     for eid, _ in word:
         if eid in flipped:
             tr = -tr

@@ -285,13 +285,14 @@ class SurfaceCocycle:
 
     The values are fixed once the cocycle is constructed.  Every product
     along a face word is taken by :meth:`face_walk`; the face products
-    are walked once, on first use, and kept with it, and lifts of the
-    cocycle (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) read
-    their residuals off them.  So are the largest face residual, the seam
-    data that variations over it (:mod:`fnhol.variation`) read at ``fn``,
-    the pairing kernel over it (:mod:`fnhol.wp`), and what its lifts
-    share (:mod:`fnhol.spin`): the face table, the negated values and the
-    loop traces, each filled on first use."""
+    are walked once, on first use, and kept with it.  So are the largest
+    face residual, the seam data that variations over it
+    (:mod:`fnhol.variation`) read at ``fn``, the pairing kernel over it
+    (:mod:`fnhol.wp`), and what its lifts
+    (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) share: one
+    residual per face, read off the face products and kept once every
+    pants passes the lift test, the negated values and the loop traces,
+    each filled when the first lift is made."""
 
     __slots__ = ("complex", "values", "fn", "_face_products", "_max_residual",
                  "_seam_data", "_pairing_kernel", "_face_table", "_negated", "_traces",

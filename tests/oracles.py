@@ -10,7 +10,8 @@ the pipeline:
   cochain and the twisted cocycle-condition check;
 * the pairing of one face chain at a time, the bigon correction chain of
   a pants and Wolpert's twist-length expression;
-* the nearest point of a hyperbolic axis on the imaginary axis.
+* the nearest point of a hyperbolic axis on the imaginary axis;
+* a relative comparison of two matrices.
 
 The tests import them from here; the package does not ship them.
 """
@@ -22,6 +23,16 @@ from fnhol.pants import PANTS_EDGES, PANTS_VERTICES, PantsLengths
 from fnhol.surface import CellComplex, FNPoint, assemble_cocycle, build_complex
 from fnhol.variation import VariationCocycle
 from fnhol.wp import DiagonalTerm, FaceChain, diagonal_chain, pair_chain
+
+
+# default relative tolerance for matrix comparisons
+CMP_TOL = 1e-9
+
+
+def close_to(m, other, tol=CMP_TOL):
+    """Whether Mat2 ``m`` is within ``tol`` times the larger of 1 and the
+    two norms of ``other``, entry by entry; a nan entry is never close."""
+    return m.dist(other) <= tol * max(1.0, m.norm(), other.norm())
 
 
 class AxisLocationError(ValueError):

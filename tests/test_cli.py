@@ -170,6 +170,36 @@ def test_spin_list_builds_no_complex(monkeypatch):
     assert run_command(doc, "spin", list_spin=True) == expected
 
 
+def test_spin_list_seeks_the_spanning_tree_once(monkeypatch):
+    # the listing read the tree off spanning_tree_curves beside the
+    # enumeration, which seeks it too; it reads the tree off the classes,
+    # the curves every class holds at +1, and lists the same curves
+    rng = rng_for("spin-list-tree")
+    tree = fnhol.surface.spanning_tree_curves
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return tree(spec)
+
+    for genus in range(2, 8):
+        spec = random_gluing(rng, genus)
+        eps_list, classes = fnhol.spin.enumerate_spin(spec)
+        doc = parse_document(json.dumps(_document(spec, random_fn(rng, spec), eps_list[0],
+                                                  classes[0])))
+        want = [str(c) for c in tree(spec)]
+        calls.clear()
+        for module in (fnhol.surface, fnhol.spin, fnhol.cli):
+            if hasattr(module, "spanning_tree_curves"):
+                monkeypatch.setattr(module, "spanning_tree_curves", counted)
+        report, code = run_command(doc, "spin", list_spin=True)
+        monkeypatch.undo()
+        assert len(calls) == 1 and code == 0
+        assert report["tree_curves"] == want
+        assert f"tree curves {' '.join(want)}" in report["lines"]
+        assert all(all(s[int(c)] == 1 for c in want) for s in classes)
+
+
 def test_commands_that_do_not_pair_lay_out_nothing(monkeypatch):
     # the pairing kernel's layout is kept with the complex, made on first
     # use; verify, fn, holonomy and spin never pair, so never make it

@@ -390,7 +390,6 @@ NOT_RUN = {
     "wp.pair_chain": _PINNED,
     "wp._transported": _PINNED_ONLY,
     "spin.sl2_pants_cocycle": _PINNED,
-    "mat2.Mat2.close_to": _READ_BY_TESTS,
     "mat2.TracelessMat2.__add__": _READ_BY_TESTS,
     "mat2.TracelessMat2.__sub__": _READ_BY_TESTS,
     "mat2.TracelessMat2.norm": _READ_BY_TESTS,
@@ -442,15 +441,16 @@ def test_the_commands_and_the_library_example_enter_every_function(tmp_path, cap
     # listed above.  The corpus: README's six commands in text and JSON
     # and its library example; every document and every hand-built value
     # the tests refuse; a document per genus 2..8 on a random gluing
-    # through every command; a face word's holonomy; short curves that
+    # through every command; a face word's holonomy; a boundary loop's
+    # rotation number with its steps given as lists; short curves that
     # leave no lift to +I (the outcome is not asserted here); an
     # assignment to a parsed document; the package's dir() and a name it
     # does not have.  Line events come from sys.settrace, in the package's
     # frames only, so that the corpus runs at speed outside them, on every
     # supported Python
     import fnhol.cli
-    from fnhol.spin import enumerate_spin
-    from conftest import random_fn, random_gluing, rng_for
+    from fnhol.spin import assemble_spin, enumerate_spin, rot2
+    from conftest import genus2_spec, random_fn, random_gluing, rng_for
     from test_cli import (FACE_WORD, README_COMMANDS, REFUSED_DOCUMENTS, _document, _handle_doc,
                           write_document)
     from test_surface import LIBRARY_REFUSALS
@@ -513,6 +513,9 @@ def test_the_commands_and_the_library_example_enter_every_function(tmp_path, cap
                 flags = ["--word", word] if command == "holonomy" else flags
                 assert run(path, command, *flags) == 0, (raw["genus"], command)
         assert run(doc, "holonomy", "--word", FACE_WORD) == 0
+        spec = genus2_spec()
+        lift = assemble_spin(spec, random_fn(rng, spec), dict.fromkeys(range(3), -1))
+        assert rot2(lift, [["p0.b00", 1], ["p0.b01", 1]]) in (0, 1)
         run(write_document(tmp_path / "short.json", short), "spin")
         parsed = fnhol.cli.parse_document(doc.read_text())
         with pytest.raises(AttributeError):

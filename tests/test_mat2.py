@@ -15,7 +15,7 @@ from fnhol.mat2 import (
     walk,
 )
 from conftest import random_mat2, rng_for
-from oracles import AxisLocationError, from_entries, nearest_point_on_imaginary_axis
+from oracles import AxisLocationError, close_to, from_entries, nearest_point_on_imaginary_axis
 
 
 def test_det_check():
@@ -202,7 +202,7 @@ def test_distances_keep_a_nan_in_any_entry(position):
     for other in (Mat2.identity(), -Mat2.identity(), Mat2(2.0, 3.0, 1.0, 2.0)):
         assert math.isnan(m.dist(other)) and math.isnan(other.dist(m))
         assert math.isnan(m.proj_dist(other)) and math.isnan(other.proj_dist(m))
-    assert not m.close_to(Mat2.identity())
+    assert not close_to(m, Mat2.identity())
     if position < 3:
         t = [0.0, 0.0, 0.0]
         t[position] = nan

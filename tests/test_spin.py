@@ -28,6 +28,7 @@ from conftest import (
     genus3_spec,
     handle_spec,
     random_fn,
+    random_gluing,
     rng_for,
 )
 
@@ -555,12 +556,20 @@ _READ_OFF_SPECS = {f"{shape.__name__}{g}": (shape, g)
 _READ_OFF_SPECS["genus2"] = (lambda g: genus2_spec(), 2)
 
 
+def _read_off_gluing(g):
+    return random_gluing(rng_for(f"spin-read-off-gluing-{g}"), g)
+
+
+# self-glued curves sit in every position of a random gluing
+_READ_OFF_SPECS.update({f"random{g}": (_read_off_gluing, g) for g in range(2, 7)})
+
+
 @pytest.mark.parametrize("shape, genus", list(_READ_OFF_SPECS.values()), ids=list(_READ_OFF_SPECS))
 def test_a_lift_reads_its_own_words_off_the_base(shape, genus):
-    # rot2, read off the base's kept trace with the lift's parity on the
-    # word, is the trace sign of the lift's own walked word, and a face
-    # residual, read off the base's table with the lift's parity on the
-    # face, is the distance of the lift's own walked face from +I; for
+    # rot2, read off the base's kept trace with the lift's flipped edges
+    # on the word, is the trace sign of the lift's own walked word, and a
+    # face residual, read off the base's one residual per face, is the
+    # distance of the lift's own walked face from +I; for
     # every eps and a stride of classes, on boundary loops, their
     # doubles and the crossing word (refused alike where it is no word)
     spec = shape(genus)
@@ -586,7 +595,8 @@ def test_a_lift_reads_its_own_words_off_the_base(shape, genus):
 def test_lifts_of_one_base_walk_each_loop_once(monkeypatch):
     # eight lifts from one complex at one point, each asked rot2 of every
     # pants boundary loop: each loop and each face word is walked once,
-    # for the base, and the lifts walk nothing
+    # for the base, and the lifts walk nothing; the residual per face and
+    # the pants lift test are made once, for the base, too
     spec = caterpillar(4)
     cx = build_complex(spec)
     rng = rng_for("spin-walk-once")
@@ -600,6 +610,14 @@ def test_lifts_of_one_base_walk_each_loop_once(monkeypatch):
         return walk_(values, word, prefixes)
 
     monkeypatch.setattr(fnhol.surface, "walk", counted)
+    tested = []
+    pants_lift = fnhol.spin._check_pants_lift
+
+    def counted_test(seams, hexagons):
+        tested.append(1)
+        return pants_lift(seams, hexagons)
+
+    monkeypatch.setattr(fnhol.spin, "_check_pants_lift", counted_test)
     loops = [((arc0, 1), (arc1, 1)) for cells in cx.pants.values()
              for arc0, arc1, _ in cells.edges]
     lifts = []
@@ -609,6 +627,39 @@ def test_lifts_of_one_base_walk_each_loop_once(monkeypatch):
         assert sum(rots) % 2 == len(cx.pants) % 2  # one odd sum per pants
     assert len({lifted.base for lifted in lifts}) == 1
     assert sorted(walked) == sorted(loops + list(cx.faces.values()))
+    assert len(tested) == len(cx.pants)
+    assert lifts[0].base._face_table is lifts[-1].base._face_table
+
+
+def test_a_base_that_fails_the_pants_test_keeps_no_residuals():
+    # the short self-glued curve of the handle leaves no lift to +I: every
+    # lift of the base raises "found 0", and the base keeps no residuals
+    spec = handle_spec()
+    lengths = {c.id: 2.0 for c in spec.curves}
+    lengths[0] = 1e-6
+    fn = FNPoint(lengths, {c.id: 0.3 for c in spec.curves})
+    base = assemble_cocycle(spec, fn)
+    eps_list, classes = enumerate_spin(spec)
+    for eps in eps_list:
+        with pytest.raises(AssertionError, match="found 0"):
+            SpinSurfaceCocycle(base, eps, classes[-1])
+    assert base._face_table is None
+
+
+def test_rot2_takes_every_word_holonomy_takes():
+    # a step given as a list was an unhashable memo key (TypeError), while
+    # holonomy took the same word
+    cx = build_complex(genus2_spec())
+    fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.7 for i in range(3)})
+    lifted = assemble_spin(cx, fn, {0: -1, 1: -1, 2: -1})
+    as_lists = [["p0.b00", 1], ["p0.b01", 1]]
+    as_tuples = (("p0.b00", 1), ("p0.b01", 1))
+    assert holonomy(lifted, as_lists).entries() == holonomy(lifted, as_tuples).entries()
+    assert rot2(lifted, as_lists) == rot2(lifted, as_tuples) == 1
+    assert rot2(lifted, iter(as_lists + as_lists)) == 0
+    assert list(lifted.base._traces) == [as_tuples, as_tuples + as_tuples]
+    with pytest.raises(ValueError, match="unknown edge 'p9.b00'"):
+        rot2(lifted, [["p9.b00", 1]])
 
 
 def test_lifts_read_the_spanning_tree_off_the_complex(monkeypatch):

@@ -23,7 +23,7 @@ from fnhol.surface import (
     parse_word,
     validate_surface,
 )
-from fnhol.spin import SpinSignError, assemble_spin, rot2
+from fnhol.spin import SpinSignError, SpinSurfaceCocycle, assemble_spin, rot2
 from fnhol.variation import TangentVector, variation_cocycle
 from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     random_tangent,
     rng_for,
 )
+from oracles import close_to
 
 
 def test_validate_good_specs():
@@ -292,10 +293,8 @@ def test_both_sides_carry_equal_arc_values():
         (jl, kl), (jr, kr) = curve.left, curve.right
         expected = Mat2.diagonal(math.exp(0.25 * fn.lengths[curve.id]))
         for eps in (0, 1):
-            assert c.values[f"p{jl}.b{kl}{eps}"].close_to(
-                c.values[f"p{jr}.b{kr}{eps}"], 1e-14
-            )
-            assert c.values[f"p{jl}.b{kl}{eps}"].close_to(expected, 1e-14)
+            assert close_to(c.values[f"p{jl}.b{kl}{eps}"], c.values[f"p{jr}.b{kr}{eps}"], 1e-14)
+            assert close_to(c.values[f"p{jl}.b{kl}{eps}"], expected, 1e-14)
 
 
 def test_holonomy_words():
@@ -455,6 +454,12 @@ LIBRARY_REFUSALS = {
         ValueError, "the cocycle was assembled at another point than fn"),
     "spin-signs": (lambda: assemble_spin(genus2_spec(), _readme_fn(), {0: 1, 1: 1, 2: 1}),
                    SpinSignError, "eps: boundary signs must multiply to -1 around every pants"),
+    "lift-built-with-spin-signs": (
+        lambda: SpinSurfaceCocycle(_readme_cocycle(), {0: -1, 1: 1, 2: -1}), SpinSignError,
+        "eps: boundary signs must multiply to -1 around every pants"),
+    "lift-built-with-a-tree-crossing-sign": (
+        lambda: SpinSurfaceCocycle(_readme_cocycle(), {0: -1, 1: -1, 2: -1}, {0: -1}),
+        SpinSignError, "crossing_signs: crossing sign on tree curve 0 must be +1"),
     "lift-off-plus-identity": (_lift_with_a_stretched_crossing, SpinSignError,
                                "face word failed to lift to +I (residual "),
     "crossing-not-antidiagonal": (lambda: extract_fn(_readme_cocycle({"c0.x0": Mat2.diagonal(2.0)})),

@@ -40,7 +40,6 @@ _EXPORTS = {
         "build_complex",
         "extract_fn",
         "holonomy",
-        "validate_surface",
     ),
     "variation": (
         "TangentVector",

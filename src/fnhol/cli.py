@@ -37,7 +37,7 @@ exp(-twist/2) and exp(twist/2) are finite nonzero doubles (about
 
 A parsed document is immutable; its cell complex, assembled cocycle and
 read-back coordinates are computed on first use and shared by every
-command run on it.
+command run on it; the parse validates it once and keeps the tree found.
 
 Importing this module loads ``surface``, ``pants`` and ``mat2`` only.
 ``wp`` (which loads ``variation``) and ``spin`` are imported by the
@@ -52,22 +52,9 @@ from collections import namedtuple
 from functools import cached_property
 
 from .mat2 import NonHyperbolicError, ProjMat2, _max_or_nan, translation_length
-from .surface import (
-    Curve,
-    FNPoint,
-    SurfaceSpec,
-    _check_crossing_signs,
-    _check_eps,
-    _check_length,
-    _crossing_entry,
-    _pants_curves,
-    assemble_cocycle,
-    build_complex,
-    extract_fn,
-    holonomy,
-    parse_word,
-    validate_surface,
-)
+from .surface import (CellComplex, Curve, FNPoint, SurfaceSpec, _check_crossing_signs, _check_eps,
+                      _check_length, _crossing_entry, _pants_curves, _problems_and_tree,
+                      _valid_tree, assemble_cocycle, extract_fn, holonomy, parse_word)
 
 
 class DocumentError(ValueError):
@@ -88,8 +75,13 @@ class SurfaceDocument(namedtuple("SurfaceDocument", "spec fn spin")):
     __delattr__ = __setattr__
 
     @cached_property
+    def tree(self):
+        """The spanning tree :func:`parse_document` found, or, built by hand, found here."""
+        return _valid_tree(self.spec)
+
+    @cached_property
     def complex(self):
-        return build_complex(self.spec)
+        return CellComplex(self.spec, self.tree)
 
     @cached_property
     def cocycle(self):
@@ -177,7 +169,7 @@ def parse_document(text):
                           _require(rec, "k", int, f"{path}.{side}")))
         curves.append(Curve(cid, sides[0], sides[1]))
     spec = SurfaceSpec(genus, tuple(pants), tuple(curves))
-    problems = validate_surface(spec)
+    problems, tree = _problems_and_tree(spec)
     if problems:
         _fail("document", "; ".join(problems))
 
@@ -215,9 +207,11 @@ def parse_document(text):
 
         eps = _checked(_check_eps, by_curve("eps"), _pants_curves(spec), "spin.eps")
         signs = by_curve("crossing_signs") if "crossing_signs" in block else None
-        spin = {"eps": eps, "crossing_signs": _checked(_check_crossing_signs, signs, spec,
+        spin = {"eps": eps, "crossing_signs": _checked(_check_crossing_signs, signs, spec, tree,
                                                        "spin.crossing_signs")}
-    return SurfaceDocument(spec, fn, spin)
+    doc = SurfaceDocument(spec, fn, spin)
+    vars(doc)["tree"] = tree  # where its cached_property keeps it
+    return doc
 
 
 def _num(x):
@@ -377,7 +371,7 @@ def run_command(doc, command, word=None, tolerance=1e-8, list_spin=False):
         pants_sums = {}
         for pid, cells in doc.complex.pants.items():
             # a curve's loop is one of these, and its trace is kept with the base
-            s = sum(spin.rot2(lifted, ((arc0, 1), (arc1, 1))) for arc0, arc1, _ in cells.edges)
+            s = sum(spin.rot2(lifted, loop) for loop in cells.loops)
             pants_sums[str(pid)] = s % 2
             lines.append(f"pants {pid}  rot sum mod 2 = {s % 2}")
         ok = worst <= tolerance and all(v == 1 for v in pants_sums.values())

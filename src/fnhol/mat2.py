@@ -4,9 +4,9 @@ Conventions used throughout the package:
 
 * ``Mat2(a, b, c, d)`` is the matrix ``(a b; c d)`` with ``det = 1``.
   Cocycle values are sign-free representatives of their projective
-  classes; "projective" is only a comparison (:meth:`Mat2.proj_dist`)
-  and, when the command line writes a holonomy, a canonical sign
-  (:class:`ProjMat2`).
+  classes; "projective" is only a comparison (a face residual is the
+  distance to the nearer of +-I) and, when the command line writes a
+  holonomy, a canonical sign (:class:`ProjMat2`).
 * ``TracelessMat2(x, y, z)`` is ``(x y; z -x)``, a tangent direction in
   the 2x2 traceless matrices.
 
@@ -42,10 +42,6 @@ class Mat2:
             # not mix with floats (Decimal) compare too
             if err / max(1, self.norm()) > DET_TOL:
                 raise ValueError(f"determinant {self.det()!r} is not 1")
-
-    @staticmethod
-    def identity():
-        return Mat2(1.0, 0.0, 0.0, 1.0, check=False)
 
     @staticmethod
     def diagonal(h):
@@ -95,30 +91,6 @@ class Mat2:
         return (math.isfinite(self.a) and math.isfinite(self.b)
                 and math.isfinite(self.c) and math.isfinite(self.d))
 
-    def dist(self, other):
-        """Max-entry distance, nan if a compared entry is nan."""
-        return _max_or_nan((
-            abs(self.a - other.a),
-            abs(self.b - other.b),
-            abs(self.c - other.c),
-            abs(self.d - other.d),
-        ))
-
-    def proj_dist(self, other):
-        """Max-entry distance between the classes {+self, -self} and
-        {+other, -other}: the smaller of the distances to +other and to
-        -other.  With ``other`` the identity this is a face residual.  A
-        nan entry makes both distances nan, and so their ``min``."""
-        return min(
-            self.dist(other),
-            _max_or_nan((
-                abs(self.a + other.a),
-                abs(self.b + other.b),
-                abs(self.c + other.c),
-                abs(self.d + other.d),
-            )),
-        )
-
     def entries(self):
         return (self.a, self.b, self.c, self.d)
 
@@ -150,6 +122,14 @@ def walk(values, word, prefixes=None):
         if prefixes is not None:
             prefixes.append((a, b, c, d))
     return Mat2(a, b, c, d, check=False)
+
+
+def _identity_distances(a, b, c, d):
+    """Max-entry distances of (a b; c d) from +I and -I, both nan if an entry is."""
+    if a != a or b != b or c != c or d != d:
+        return math.nan, math.nan
+    off = max(abs(b), abs(c))
+    return max(abs(a - 1.0), off, abs(d - 1.0)), max(abs(a + 1.0), off, abs(d + 1.0))
 
 
 def _max_or_nan(values):

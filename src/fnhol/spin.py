@@ -14,10 +14,10 @@ zero entries.  The flip rule puts an odd number of flipped edges on
 every ``hex-`` face and an even number on every other face, whatever
 the signs, so every lift of a base has the same face residuals and
 passes or fails the pants lift test alike.  The base therefore keeps,
-once for all its lifts, one residual per face, built and tested when
-its first lift is made, the negated values the lifts hold, and the
-trace of :func:`fnhol.surface.holonomy` of each loop a lift's
-:func:`rot2` is asked of; no lift walks a word for them.
+once for all its lifts, one residual per face and their largest, built
+and tested when its first lift is made, the negated values the lifts
+hold, and the trace of each loop a lift's :func:`rot2` is asked of; no
+lift walks a word for them.
 
 On one pair of pants the boundary trace signs eps_k always satisfy
 eps_0 eps_1 eps_2 = -1, and under that constraint there is at most one
@@ -41,10 +41,10 @@ of the gluing graph be fixed to +1; the remaining g signs enumerate the
 
 import itertools
 
-from .mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
+from .mat2 import HYPERBOLIC_MARGIN, NonHyperbolicError, _identity_distances, _max_or_nan, walk
 from . import pants as pants_mod
 from .surface import (SpinSignError, SurfaceCocycle, _check_crossing_signs, _check_eps,
-                      _cocycle_at, holonomy, spanning_tree_curves)
+                      _cocycle_at, _renormalized_product, holonomy, spanning_tree_curves)
 
 __all__ = [
     "SpinSignError",
@@ -86,29 +86,29 @@ def sl2_pants_cocycle(lengths, signs):
     for k, e in eps.items():
         if e < 0:
             values[f"b{k}1"] = -values[f"b{k}1"]
-    identity = Mat2.identity()
     hexagons = (walk(values, word) for word in pants_mod.PANTS_FACES.values())
     _check_pants_lift(
         (values[f"seam{k}"] for k in range(3)),
-        ((m.dist(identity), m.norm()) for m in hexagons),
+        ((_identity_distances(m.a, m.b, m.c, m.d)[0], m.norm()) for m in hexagons),
     )
     return values
 
 
 def _lift_residuals(base):
-    """Face id -> its residual in every lift of ``base``: the distance
-    from +I of the base's face product, negated on ``hex-`` faces.
-    AssertionError ("found 0") when a pants fails the lift test."""
-    identity = Mat2.identity()
+    """(face id -> its residual in every lift of ``base``, their largest):
+    the distance from +I of the base's face product, from -I on ``hex-``
+    faces.  AssertionError ("found 0") when a pants fails the lift test."""
     products = base.face_products()
     odd = {cells.hexagons[1] for cells in base.complex.pants.values()}
-    residuals = {fid: (-m if fid in odd else m).dist(identity) for fid, m in products.items()}
+    # (distance from +I, from -I)[1] on the odd faces
+    residuals = {fid: _identity_distances(m.a, m.b, m.c, m.d)[fid in odd]
+                 for fid, m in products.items()}
     for cells in base.complex.pants.values():
         _check_pants_lift(
             (base.values[seam] for _, _, seam in cells.edges),
             ((residuals[f], products[f].norm()) for f in cells.hexagons),
         )
-    return residuals
+    return residuals, _max_or_nan(residuals.values())
 
 
 class SpinSurfaceCocycle(SurfaceCocycle):
@@ -124,7 +124,7 @@ class SpinSurfaceCocycle(SurfaceCocycle):
     value is -(0, -1/T_i; T_i, 0)), through the base's negated values.
     It keeps ``base``, so lifts at one point from one complex share it
     while one of them is held.  The first lift of a base builds
-    :func:`_lift_residuals`, which :meth:`face_residual` reads, or raises
+    :func:`_lift_residuals`, which the residual methods read, or raises
     its "found 0"; no residual is judged here (:func:`assemble_spin`
     judges them).  :meth:`face_products`, which nothing in the package
     asks of a lift, walks the lift's own face words."""
@@ -135,18 +135,14 @@ class SpinSurfaceCocycle(SurfaceCocycle):
         complex_ = base.complex
         eps = _check_eps(eps, {pid: cells.curves for pid, cells in complex_.pants.items()},
                          "eps")
-        signs = _check_crossing_signs(crossing_signs, complex_.spec, "crossing_signs",
-                                      complex_.tree)
+        signs = _check_crossing_signs(crossing_signs, complex_.spec, complex_.tree,
+                                      "crossing_signs")
         if base._face_table is None:
             base._face_table = _lift_residuals(base)
             base._negated = {}
             base._traces = {}
-        flipped = {
-            arc1
-            for cells in complex_.pants.values()
-            for c, (_, arc1, _) in zip(cells.curves, cells.edges)
-            if eps[c] < 0
-        }
+        flipped = {arc1 for cells in complex_.pants.values()
+                   for c, (_, arc1, _) in zip(cells.curves, cells.edges) if eps[c] < 0}
         for cid, cells in complex_.curves.items():
             x0, x1 = cells.crossings
             if signs[cid] > 0:
@@ -162,7 +158,11 @@ class SpinSurfaceCocycle(SurfaceCocycle):
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
-        return self.base._face_table[fid]
+        return self.base._face_table[0][fid]
+
+    def max_face_residual(self):
+        """The largest :meth:`face_residual`, nan if any is nan."""
+        return self.base._face_table[1]
 
 
 def assemble_spin(spec, fn, eps, crossing_signs=None):
@@ -265,9 +265,10 @@ def rot2(spin_cocycle, loop):
     ``loop`` is a sequence of (edge id, +1/-1) steps, tuples or lists,
     as :func:`fnhol.surface.holonomy` takes it.  The trace of
     ``holonomy(base, loop)`` is taken once per base and word and kept
-    with the base, keyed by the tuple of the loop's steps; the lift's
-    trace is that times -1 per step of the loop along a flipped edge,
-    which is the trace of ``holonomy(spin_cocycle, loop)``."""
+    with the base, keyed by the tuple of the loop's steps, from the base's
+    ``loop_product`` for a boundary loop; the lift's trace is that times
+    -1 per step of the loop along a flipped edge, which is the trace of
+    ``holonomy(spin_cocycle, loop)``."""
     base, flipped = spin_cocycle.base, spin_cocycle._flipped
     word = tuple(loop)
     traces = base._traces
@@ -278,7 +279,9 @@ def rot2(spin_cocycle, loop):
         word = tuple(map(tuple, word))
         tr = traces.get(word)
     if tr is None:
-        tr = traces[word] = holonomy(base, word).trace()
+        product = base.loop_product(word)
+        tr = traces[word] = (holonomy(base, word) if product is None
+                             else _renormalized_product(product)).trace()
     for eid, _ in word:
         if eid in flipped:
             tr = -tr

@@ -23,7 +23,7 @@ import math
 import weakref
 from collections import namedtuple
 
-from .mat2 import Mat2, _max_or_nan, translation_length, walk
+from .mat2 import Mat2, _identity_distances, _max_or_nan, translation_length, walk
 from . import pants as pants_mod
 from .pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
 
@@ -34,7 +34,6 @@ __all__ = [
     "CellComplex",
     "FNPoint",
     "SurfaceCocycle",
-    "validate_surface",
     "spanning_tree_curves",
     "build_complex",
     "assemble_cocycle",
@@ -81,17 +80,10 @@ class SurfaceSpec(namedtuple("SurfaceSpec", "genus pants curves")):
         return tuple(c.id for c in self.curves)
 
 
-def validate_surface(spec):
-    """Check the pairing, connectivity and genus bookkeeping of a
-    decomposition; returns the list of problems (empty when there are
-    none) instead of raising."""
-    return _problems_and_tree(spec)[0]
-
-
 def _problems_and_tree(spec):
-    """(the problems of :func:`validate_surface`, the curves of
-    :func:`spanning_tree_curves`, or None when a problem is found before
-    the tree is sought)."""
+    """(the problems with a decomposition's pairing, connectivity and
+    genus bookkeeping, the curves of :func:`spanning_tree_curves` or None
+    when a problem is found before the tree is sought)."""
     problems = []
     if spec.genus < 2:
         problems.append(f"genus {spec.genus} must be at least 2")
@@ -165,16 +157,21 @@ def spanning_tree_curves(spec):
 
 # kind is "seam" | "arc0" | "arc1" | "crossing"
 Edge = namedtuple("Edge", "start end kind")
-# per pants: the curves glued at its boundaries 0, 1, 2; per boundary k
-# the ids of arcs b{k}0, b{k}1 and seam k; its faces hex+ and hex-
-PantsCells = namedtuple("PantsCells", "curves edges hexagons")
-# per curve: the ids of its crossings x0, x1 and squares sq0, sq1, the
-# pants on its sides (one for a self-glued curve), and the loop word
-# around it along the arcs on its left side
+# per pants: the curves glued at its boundaries 0, 1, 2; per boundary k the
+# ids of arcs b{k}0, b{k}1 and seam k; hex+ and hex-; per boundary k its loop
+PantsCells = namedtuple("PantsCells", "curves edges hexagons loops")
+# per curve: the ids of its crossings x0, x1 and squares sq0, sq1, the pants
+# on its sides (one for a self-glued curve), and its left side's loop word
 CurveCells = namedtuple("CurveCells", "crossings squares pants loop")
 
+# A pants' local cell names (vertices, edges, then hex+ and hex-), whose
+# ids the complex stamps from one prefix, and its rows as positions there
 _PANTS_CELLS = PANTS_VERTICES + tuple(PANTS_EDGES) + tuple(PANTS_FACES)
+_AT = {name: i for i, name in enumerate(_PANTS_CELLS)}
+_PANTS_EDGE_ROWS = [(_AT[e], _AT[v0], _AT[v1], kind) for e, (v0, v1, kind) in PANTS_EDGES.items()]
+_PANTS_FACE_ROWS = [(_AT[f], [(_AT[e], s) for e, s in cycle]) for f, cycle in PANTS_FACES.items()]
 _PANTS_EDGES_BY_K = tuple((f"b{k}0", f"b{k}1", f"seam{k}") for k in range(3))
+_PANTS_ROWS_BY_K = [[_AT[e] for e in by_k] for by_k in _PANTS_EDGES_BY_K]
 _CURVE_CELLS = ("x0", "x1", "sq0", "sq1")
 
 
@@ -185,12 +182,6 @@ def _pants_curves(spec):
         for p, k in (c.left, c.right):
             sides[p][k] = c.id
     return {pid: tuple(curves) for pid, curves in sides.items()}
-
-
-def _cell_names(kind, xid, local):
-    """Local cell name -> ``{kind}{xid}.{name}``, its id in the complex for
-    pants ("p") and curve ("c") cells; only the complex calls this."""
-    return {name: f"{kind}{xid}.{name}" for name in local}
 
 
 class CellComplex:
@@ -205,9 +196,10 @@ class CellComplex:
     building a complex does not check.  ``pants``
     (pants id -> ``PantsCells``) and ``curves`` (curve id ->
     ``CurveCells``), in spec order, hold the ids cocycles are written
-    and read through; ``tree`` holds the curves of
-    :func:`spanning_tree_curves`, found when the complex's decomposition
-    was validated, whose crossing signs every spin lift keeps at +1.
+    and read through, stamped once from a prefix per pants and curve;
+    ``tree`` holds the curves of :func:`spanning_tree_curves`, found when
+    the decomposition was validated, whose crossing signs every spin lift
+    keeps at +1.
     ``pairing_layout`` is the pairing kernel's part
     (:mod:`fnhol.wp`), a dict keyed by (face id, rotation), empty until
     the first kernel over the complex fills it.  The complex also
@@ -217,10 +209,10 @@ class CellComplex:
     def __init__(self, spec, tree):
         self.spec = spec
         self.tree = tree
-        self.vertices = []
-        self.edges = {}
-        self.faces = {}
-        self.pants = {}
+        self.vertices = vertices = []
+        self.edges = edges = {}
+        self.faces = faces = {}
+        self.pants = pants = {}
         self.curves = {}
         self.pairing_layout = {}
         # (lengths, twists, weak reference to the cocycle): copies of
@@ -231,38 +223,44 @@ class CellComplex:
         self._last_cocycle = None
         sides = _pants_curves(spec)
         for pid in spec.pants:
-            name = _cell_names("p", pid, _PANTS_CELLS)
-            self.vertices += (name[v] for v in PANTS_VERTICES)
-            for e, (v0, v1, kind) in PANTS_EDGES.items():
-                self.edges[name[e]] = Edge(name[v0], name[v1], kind)
-            for f, cycle in PANTS_FACES.items():
-                self.faces[name[f]] = tuple((name[e], s) for e, s in cycle)
-            self.pants[pid] = PantsCells(
-                sides[pid],
-                tuple(tuple(name[e] for e in by_k) for by_k in _PANTS_EDGES_BY_K),
-                (name["hex+"], name["hex-"]),
-            )
+            prefix = f"p{pid}."
+            ids = [prefix + name for name in _PANTS_CELLS]
+            vertices += ids[:len(PANTS_VERTICES)]
+            for e, v0, v1, kind in _PANTS_EDGE_ROWS:
+                edges[ids[e]] = Edge(ids[v0], ids[v1], kind)
+            for f, cycle in _PANTS_FACE_ROWS:
+                faces[ids[f]] = tuple([(ids[e], s) for e, s in cycle])
+            by_k = tuple([(ids[a0], ids[a1], ids[seam]) for a0, a1, seam in _PANTS_ROWS_BY_K])
+            pants[pid] = PantsCells(sides[pid], by_k, tuple(ids[-2:]),
+                                    tuple([((a0, 1), (a1, 1)) for a0, a1, _ in by_k]))
         for c in spec.curves:
             (jl, kl), (jr, kr) = c.left, c.right
-            (l0, l1, _), (r0, r1, _) = self.pants[jl].edges[kl], self.pants[jr].edges[kr]
-            x0, x1, sq0, sq1 = _cell_names("c", c.id, _CURVE_CELLS).values()
+            (l0, l1, _), (r0, r1, _) = pants[jl].edges[kl], pants[jr].edges[kr]
+            prefix = f"c{c.id}."
+            x0, x1, sq0, sq1 = [prefix + name for name in _CURVE_CELLS]
             # crossing x{eps} joins the starts of arcs b{k}{eps} on the two sides
-            self.edges[x0] = Edge(self.edges[l0].start, self.edges[r0].start, "crossing")
-            self.edges[x1] = Edge(self.edges[l1].start, self.edges[r1].start, "crossing")
-            self.faces[sq0] = ((x0, 1), (r1, -1), (x1, -1), (l0, -1))
-            self.faces[sq1] = ((x1, 1), (r0, -1), (x0, -1), (l1, -1))
+            edges[x0] = Edge(edges[l0].start, edges[r0].start, "crossing")
+            edges[x1] = Edge(edges[l1].start, edges[r1].start, "crossing")
+            faces[sq0] = ((x0, 1), (r1, -1), (x1, -1), (l0, -1))
+            faces[sq1] = ((x1, 1), (r0, -1), (x0, -1), (l1, -1))
             self.curves[c.id] = CurveCells(
-                (x0, x1), (sq0, sq1), (jl,) if jl == jr else (jl, jr), ((l0, 1), (l1, 1))
+                (x0, x1), (sq0, sq1), (jl,) if jl == jr else (jl, jr), pants[jl].loops[kl]
             )
+
+
+def _valid_tree(spec):
+    """The spanning tree of a valid decomposition; ValueError naming every
+    problem of :func:`_problems_and_tree` if it is not valid."""
+    problems, tree = _problems_and_tree(spec)
+    if problems:
+        raise ValueError(f"invalid surface: {'; '.join(problems)}")
+    return tree
 
 
 def build_complex(spec):
     """Build the cell complex of a valid decomposition; it keeps the
     spanning tree its validation found."""
-    problems, tree = _problems_and_tree(spec)
-    if problems:
-        raise ValueError(f"invalid surface: {'; '.join(problems)}")
-    return CellComplex(spec, tree)
+    return CellComplex(spec, _valid_tree(spec))
 
 
 class FNPoint:
@@ -285,25 +283,28 @@ class SurfaceCocycle:
 
     The values are fixed once the cocycle is constructed.  Every product
     along a face word is taken by :meth:`face_walk`; the face products
-    are walked once, on first use, and kept with it.  So are the largest
+    are walked once, on first use, and kept with their residuals.  So
+    are each boundary loop's product (:meth:`loop_product`), the largest
     face residual, the seam data that variations over it
     (:mod:`fnhol.variation`) read at ``fn``, the pairing kernel over it
     (:mod:`fnhol.wp`), and what its lifts
     (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) share: one
-    residual per face, read off the face products and kept once every
-    pants passes the lift test, the negated values and the loop traces,
-    each filled when the first lift is made."""
+    residual per face and their largest, read off the face products and
+    kept once every pants passes the lift test, the negated values and
+    the loop traces, each filled when the first lift is made."""
 
-    __slots__ = ("complex", "values", "fn", "_face_products", "_max_residual",
-                 "_seam_data", "_pairing_kernel", "_face_table", "_negated", "_traces",
-                 "__weakref__")
+    __slots__ = ("complex", "values", "fn", "_face_products", "_face_residuals",
+                 "_max_residual", "_loops", "_seam_data", "_pairing_kernel", "_face_table",
+                 "_negated", "_traces", "__weakref__")
 
     def __init__(self, complex_, values, fn):
         self.complex = complex_
         self.values = dict(values)
         self.fn = fn
         self._face_products = None
+        self._face_residuals = None
         self._max_residual = None
+        self._loops = None
         self._seam_data = None
         self._pairing_kernel = None
         self._face_table = None
@@ -333,26 +334,46 @@ class SurfaceCocycle:
         return start, product
 
     def face_products(self):
-        """Face id -> the product of :meth:`face_walk`."""
+        """Face id -> the product of :meth:`face_walk`; the one walk per face
+        also keeps its residual (None where renormalizing raises, det <= 0)."""
         if self._face_products is None:
-            self._face_products = {
-                fid: self.face_walk(fid)[1] for fid in self.complex.faces
-            }
+            products, residuals = self._face_products, self._face_residuals = {}, {}
+            for fid in self.complex.faces:
+                m = products[fid] = self.face_walk(fid)[1]
+                det = m.det()
+                if det <= 0.0:
+                    residuals[fid] = None
+                    continue
+                s = 1.0 / math.sqrt(det)
+                residuals[fid] = min(_identity_distances(m.a * s, m.b * s, m.c * s, m.d * s))
         return self._face_products
 
     def face_residual(self, fid):
-        """Distance of the face word from +-I."""
-        hol = self.face_products()[fid].renormalized()
-        return hol.proj_dist(Mat2.identity())
+        """Distance of the renormalized face product from +-I (ValueError if det <= 0)."""
+        self.face_products()
+        residual = self._face_residuals[fid]
+        if residual is None:
+            self._face_products[fid].renormalized()  # raises "cannot renormalize ..."
+        return residual
 
     def max_face_residual(self):
         """The largest :meth:`face_residual`, nan if any is nan; evaluated
         on the first call and kept."""
         if self._max_residual is None:
-            self._max_residual = _max_or_nan(
-                self.face_residual(f) for f in self.complex.faces
-            )
+            self._max_residual = _max_or_nan(map(self.face_residual, self.complex.faces))
         return self._max_residual
+
+    def loop_product(self, word):
+        """The product along a pants boundary loop (``PantsCells.loops``),
+        walked on its first read and kept; None for any other word."""
+        loops = self._loops
+        if loops is None:
+            loops = self._loops = dict.fromkeys(
+                loop for cells in self.complex.pants.values() for loop in cells.loops)
+        product = loops.get(word)
+        if product is None and word in loops:
+            product = loops[word] = walk(self.values, word)
+        return product
 
 
 def pants_boundary_lengths(complex_, fn, pid):
@@ -414,17 +435,16 @@ def _check_eps(eps, pants_curves, name):
     return eps
 
 
-def _check_crossing_signs(signs, spec, name, tree=None):
+def _check_crossing_signs(signs, spec, tree, name):
     """The crossing sign of every curve of ``spec``: ``signs`` (curve id ->
     sign, or None), +1 where it holds none.  SpinSignError naming the field
     ``name`` unless each key names a curve and holds a sign, and every curve
-    of ``tree``, by default :func:`spanning_tree_curves` of ``spec``, keeps
-    +1."""
+    of ``tree``, the spanning tree of ``spec``'s validation, keeps +1."""
     out = dict.fromkeys(spec.curve_ids(), 1)
     if signs:
         _check_signs(signs, out, name)
         out.update(signs)
-        for cid in spanning_tree_curves(spec) if tree is None else tree:
+        for cid in tree:
             if out[cid] != 1:
                 raise SpinSignError(f"{name}: crossing sign on tree curve {cid} must be +1")
     return out
@@ -499,7 +519,11 @@ def holonomy(cocycle, word):
     when the word is not composable, or when its product overflows a
     double (an entry or the determinant is not finite)."""
     check_word(cocycle.complex, word)
-    product = walk(cocycle.values, word)
+    return _renormalized_product(walk(cocycle.values, word))
+
+
+def _renormalized_product(product):
+    """A walked word's product as :func:`holonomy` returns it, or ValueError."""
     if not math.isfinite(product.det()):
         raise ValueError("word: its product overflows a double")
     return product.renormalized()
@@ -527,7 +551,7 @@ def extract_fn(cocycle):
     lengths = {}
     twists = {}
     for cid, cells in cocycle.complex.curves.items():
-        lengths[cid] = translation_length(walk(cocycle.values, cells.loop).renormalized())
+        lengths[cid] = translation_length(cocycle.loop_product(cells.loop).renormalized())
         m = cocycle.values[cells.crossings[0]]
         scale = m.norm()
         if abs(m.a) > 1e-8 * scale or abs(m.d) > 1e-8 * scale:

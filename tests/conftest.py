@@ -4,8 +4,8 @@ import random
 import pytest
 
 from fnhol.mat2 import Mat2
-from fnhol.surface import (Curve, FNPoint, SurfaceSpec, build_complex, check_word,
-                           validate_surface)
+from fnhol.surface import (Curve, FNPoint, SurfaceSpec, _problems_and_tree, build_complex,
+                           check_word)
 from fnhol.variation import TangentVector
 
 
@@ -82,10 +82,16 @@ def comb(g):
     return SurfaceSpec(g, tuple(range(2 * g - 2)), curves)
 
 
+def problems_of(spec):
+    """The problems of a decomposition that build_complex names, [] when
+    it is valid."""
+    return _problems_and_tree(spec)[0]
+
+
 def random_gluing(rng, g):
     """A genus-g decomposition from the configuration model: the 6g-6
     boundaries (pants, k) of 2g-2 pants paired uniformly at random, and
-    drawn again until :func:`validate_surface` finds no problem (only a
+    drawn again until :func:`problems_of` finds none (only a
     disconnected gluing fails).  Self-glued pants, double curves between
     two pants and every boundary index occur."""
     pants = tuple(range(2 * g - 2))
@@ -94,7 +100,7 @@ def random_gluing(rng, g):
         rng.shuffle(sides)
         curves = tuple(Curve(i, sides[2 * i], sides[2 * i + 1]) for i in range(3 * g - 3))
         spec = SurfaceSpec(g, pants, curves)
-        if not validate_surface(spec):
+        if not problems_of(spec):
             return spec
 
 

@@ -11,16 +11,25 @@ the pipeline:
 * the pairing of one face chain at a time, the bigon correction chain of
   a pants and Wolpert's twist-length expression;
 * the nearest point of a hyperbolic axis on the imaginary axis;
-* a relative comparison of two matrices.
+* the identity, the distance of two matrices and of their projective
+  classes, and a relative comparison of two matrices;
+* the per-document work as the package did it before it stamped its
+  cell ids and kept one face pass and one boundary loop pass per
+  cocycle: a cell complex built from a dict of names per pants, a face
+  residual through a renormalized matrix, a lift's residual through the
+  negated product, and a loop's length and rotation number through
+  :func:`fnhol.surface.holonomy` and a fresh walk.
 
 The tests import them from here; the package does not ship them.
 """
 
 import math
 
-from fnhol.mat2 import Mat2, TracelessMat2, _max_or_nan, ad_action
-from fnhol.pants import PANTS_EDGES, PANTS_VERTICES, PantsLengths
-from fnhol.surface import CellComplex, FNPoint, assemble_cocycle, build_complex
+from fnhol.mat2 import (HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, TracelessMat2, _max_or_nan,
+                        ad_action, translation_length, walk)
+from fnhol.pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES, PantsLengths
+from fnhol.surface import (CellComplex, CurveCells, Edge, FNPoint, _pants_curves,
+                           assemble_cocycle, build_complex, holonomy)
 from fnhol.variation import VariationCocycle
 from fnhol.wp import DiagonalTerm, FaceChain, diagonal_chain, pair_chain
 
@@ -29,10 +38,28 @@ from fnhol.wp import DiagonalTerm, FaceChain, diagonal_chain, pair_chain
 CMP_TOL = 1e-9
 
 
+def identity():
+    return Mat2(1.0, 0.0, 0.0, 1.0, check=False)
+
+
+def dist(m, other):
+    """Max-entry distance of two Mat2, nan if a compared entry is nan."""
+    return _max_or_nan((abs(m.a - other.a), abs(m.b - other.b), abs(m.c - other.c),
+                        abs(m.d - other.d)))
+
+
+def proj_dist(m, other):
+    """Max-entry distance between the classes {+m, -m} and {+other,
+    -other}: the smaller of the distances to +other and to -other.  A nan
+    entry makes both distances nan, and so their ``min``."""
+    return min(dist(m, other), _max_or_nan((abs(m.a + other.a), abs(m.b + other.b),
+                                            abs(m.c + other.c), abs(m.d + other.d))))
+
+
 def close_to(m, other, tol=CMP_TOL):
     """Whether Mat2 ``m`` is within ``tol`` times the larger of 1 and the
     two norms of ``other``, entry by entry; a nan entry is never close."""
-    return m.dist(other) <= tol * max(1.0, m.norm(), other.norm())
+    return dist(m, other) <= tol * max(1.0, m.norm(), other.norm())
 
 
 class AxisLocationError(ValueError):
@@ -75,7 +102,7 @@ def gauge_transform(values, gauge):
     """Conjugate every edge value by the vertex function ``gauge``:
     an edge from v0 to v1 becomes gauge(v0)^-1 @ value @ gauge(v1).
     Vertices missing from ``gauge`` are treated as the identity."""
-    ident = Mat2.identity()
+    ident = identity()
     return {
         edge: gauge.get(v0, ident).inv() @ values[edge] @ gauge.get(v1, ident)
         for edge, (v0, v1, _) in PANTS_EDGES.items()
@@ -119,7 +146,7 @@ def standardize(values):
     holonomies at each circle, rescale the arcs to the symmetric
     diagonal value, then rescale each circle by the fourth root of
     a*b/(c*d) of its seam so the seams become normalized."""
-    ident = Mat2.identity()
+    ident = identity()
 
     # step 1: make both arcs at each boundary diagonal
     g1 = {}
@@ -187,8 +214,8 @@ def linear_combination(z1, z2, s, t):
 
 def _aligned_rep(target, base_rep):
     """The sign of ``target`` nearest to ``base_rep``."""
-    d_plus = target.dist(base_rep)
-    d_minus = (-target).dist(base_rep)
+    d_plus = dist(target, base_rep)
+    d_minus = dist(-target, base_rep)
     best = target if d_plus <= d_minus else -target
     if min(d_plus, d_minus) > 0.25 * max(1.0, base_rep.norm()):
         raise SignLiftError("projective representatives are too far apart to align")
@@ -283,3 +310,64 @@ def wolpert_reference(u, v):
         u.dtau.get(c, 0.0) * v.dl.get(c, 0.0) - u.dl.get(c, 0.0) * v.dtau.get(c, 0.0)
         for c in curves
     )
+
+
+def complex_cells(spec):
+    """(vertices, edges, faces, pants, curves) of the cell complex of a
+    valid ``spec``, each cell id formatted from a dict of the cell names
+    of its pants or curve; ``pants`` maps a pants id to (curves, edges,
+    hexagons) and ``curves`` a curve id to its ``CurveCells``."""
+    vertices, edges, faces, pants, curves = [], {}, {}, {}, {}
+    sides = _pants_curves(spec)
+    pants_cells = PANTS_VERTICES + tuple(PANTS_EDGES) + tuple(PANTS_FACES)
+    for pid in spec.pants:
+        name = {cell: f"p{pid}.{cell}" for cell in pants_cells}
+        vertices += (name[v] for v in PANTS_VERTICES)
+        for e, (v0, v1, kind) in PANTS_EDGES.items():
+            edges[name[e]] = Edge(name[v0], name[v1], kind)
+        for f, cycle in PANTS_FACES.items():
+            faces[name[f]] = tuple((name[e], s) for e, s in cycle)
+        pants[pid] = (sides[pid],
+                      tuple((name[f"b{k}0"], name[f"b{k}1"], name[f"seam{k}"]) for k in range(3)),
+                      (name["hex+"], name["hex-"]))
+    for c in spec.curves:
+        (jl, kl), (jr, kr) = c.left, c.right
+        (l0, l1, _), (r0, r1, _) = pants[jl][1][kl], pants[jr][1][kr]
+        x0, x1, sq0, sq1 = (f"c{c.id}.{cell}" for cell in ("x0", "x1", "sq0", "sq1"))
+        edges[x0] = Edge(edges[l0].start, edges[r0].start, "crossing")
+        edges[x1] = Edge(edges[l1].start, edges[r1].start, "crossing")
+        faces[sq0] = ((x0, 1), (r1, -1), (x1, -1), (l0, -1))
+        faces[sq1] = ((x1, 1), (r0, -1), (x0, -1), (l1, -1))
+        curves[c.id] = CurveCells((x0, x1), (sq0, sq1), (jl,) if jl == jr else (jl, jr),
+                                  ((l0, 1), (l1, 1)))
+    return vertices, edges, faces, pants, curves
+
+
+def face_residual(cocycle, fid):
+    """Distance from +-I of the face word, walked afresh and renormalized."""
+    return proj_dist(cocycle.face_walk(fid)[1].renormalized(), identity())
+
+
+def lift_residual(base, fid):
+    """A face's residual in every lift of ``base``: the distance from +I
+    of the base's face product, walked afresh, negated on ``hex-`` faces."""
+    m = base.face_walk(fid)[1]
+    return dist(-m if fid.endswith(".hex-") else m, identity())
+
+
+def loop_length(cocycle, loop):
+    """The translation length of a loop word, walked afresh."""
+    return translation_length(walk(cocycle.values, loop).renormalized())
+
+
+def rot2(spin_cocycle, loop):
+    """The mod-2 rotation number of a loop, from the trace of the base's
+    :func:`fnhol.surface.holonomy` of it with one sign per step along a
+    flipped edge."""
+    tr = holonomy(spin_cocycle.base, loop).trace()
+    for eid, _ in loop:
+        if eid in spin_cocycle._flipped:
+            tr = -tr
+    if abs(tr) <= 2.0 + HYPERBOLIC_MARGIN:
+        raise NonHyperbolicError(f"loop holonomy trace {tr!r} is not hyperbolic")
+    return 0 if tr > 0.0 else 1

@@ -35,10 +35,12 @@ from oracles import (
     coboundary,
     fd_variation,
     gauge_transform,
+    identity,
     linear_combination,
     nearest_point_on_imaginary_axis,
     pair_on_face,
     pants_bigon_chain,
+    proj_dist,
     standardize,
     wolpert_reference,
 )
@@ -55,13 +57,13 @@ def test_acceptance_1_pants_construction():
         c = pants_cocycle(l)
         # (a) both hexagon words are trivial
         assert all(
-            walk(c, word).renormalized().proj_dist(Mat2.identity()) <= 1e-9
+            proj_dist(walk(c, word).renormalized(), identity()) <= 1e-9
             for word in PANTS_FACES.values()
         )
         for k in range(3):
             # (b) seams square to the identity class
             a = c[f"seam{k}"]
-            assert (a @ a).proj_dist(Mat2.identity()) <= 1e-10
+            assert proj_dist(a @ a, identity()) <= 1e-10
             # (c) boundary words translate by the prescribed lengths
             length = translation_length(
                 walk(c, ((f"b{k}0", 1), (f"b{k}1", 1))).renormalized()
@@ -83,7 +85,7 @@ def test_acceptance_2_standardization_roundtrip():
         c = pants_cocycle(l)
         gauge = {v: random_mat2(rng) for v in PANTS_VERTICES}
         _, recovered, _ = standardize(gauge_transform(c, gauge))
-        assert all(recovered[e].proj_dist(c[e]) <= 1e-8 for e in PANTS_EDGES)
+        assert all(proj_dist(recovered[e], c[e]) <= 1e-8 for e in PANTS_EDGES)
     _report(2, "gauge + standardize recovers the cocycle, 200 trials")
 
 

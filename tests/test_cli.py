@@ -163,10 +163,10 @@ def test_spin_list_builds_no_complex(monkeypatch):
     doc = parse_document(json.dumps(genus2_doc()))
     expected = run_command(doc, "spin", list_spin=True)
 
-    def refused(spec):
+    def refused(self, spec, tree):
         raise AssertionError("spin --list never reads the cell complex")
 
-    monkeypatch.setattr(fnhol.cli, "build_complex", refused)
+    monkeypatch.setattr(fnhol.surface.CellComplex, "__init__", refused)
     assert run_command(doc, "spin", list_spin=True) == expected
 
 
@@ -290,27 +290,60 @@ def test_spin_on_a_short_curve_is_a_one_line_verdict(tmp_path, capsys):
 
 
 def test_each_document_is_built_once(monkeypatch):
+    # over parse, verify, fn, holonomy, wp and spin: one validation, which
+    # seeks the spanning tree once; one complex, cocycle and read-back;
+    # outside the pairing kernel, one walk per face word and per pants
+    # boundary loop (fn and spin both read the curve loops), and one of
+    # the word holonomy is asked of
+    word = "p0.b00 p0.b01 p0.b00 p0.b01"
     text = json.dumps(genus2_doc())
     commands = (
         ("verify", {}),
         ("fn", {}),
-        ("holonomy", {"word": "p0.b00 p0.b01"}),
+        ("holonomy", {"word": word}),
         ("wp", {}),
         ("spin", {}),
     )
     fresh = [run_command(parse_document(text), cmd, **kw) for cmd, kw in commands]
 
-    calls = {"build_complex": 0, "assemble_cocycle": 0, "extract_fn": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(fnhol.cli, name)):
-            calls[_name] += 1
-            return _fn(*args)
+    calls = dict.fromkeys(("_problems_and_tree", "spanning_tree_curves", "assemble_cocycle",
+                           "extract_fn", "CellComplex"), 0)
 
-        monkeypatch.setattr(fnhol.cli, name, counted)
+    def counter(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in list(calls)[:-1]:
+        original = getattr(fnhol.surface, name)
+        for module in (fnhol.surface, fnhol.cli, fnhol.spin):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counter(name, original))
+    monkeypatch.setattr(fnhol.surface.CellComplex, "__init__",
+                        counter("CellComplex", fnhol.surface.CellComplex.__init__))
+    walked = []
+    walk = fnhol.surface.walk
+
+    def counted_walk(values, steps, prefixes=None):
+        if prefixes is None:
+            walked.append(tuple(steps))
+        return walk(values, steps, prefixes)
+
+    monkeypatch.setattr(fnhol.surface, "walk", counted_walk)
     doc = parse_document(text)
     shared = [run_command(doc, cmd, **kw) for cmd, kw in commands]
     assert shared == fresh
-    assert calls == {"build_complex": 1, "assemble_cocycle": 1, "extract_fn": 1}
+    assert calls == {"_problems_and_tree": 1, "spanning_tree_curves": 1, "assemble_cocycle": 1,
+                     "extract_fn": 1, "CellComplex": 1}
+    cx = doc.complex
+    face_of = {cycle[r:] + cycle[:r]: fid for fid, cycle in cx.faces.items()
+               for r in range(len(cycle))}
+    loops = [loop for cells in cx.pants.values() for loop in cells.loops]
+    assert sorted(face_of[w] for w in walked if w in face_of) == sorted(cx.faces)
+    assert sorted(w for w in walked if w not in face_of) == sorted(
+        loops + [fnhol.surface.parse_word(cx, word)])
     # the cached values do not depend on the tolerance
     report, code = run_command(doc, "verify", tolerance=1e-30)
     assert code == 1 and report["lines"][-1] == "FAIL"
@@ -322,6 +355,27 @@ def test_each_document_is_built_once(monkeypatch):
     with pytest.raises(AttributeError):
         del doc.complex
     assert doc.complex is doc.cocycle.complex
+
+
+def test_a_document_built_by_hand_is_validated_on_first_use(monkeypatch):
+    # the benchmark's wp-matrix requests build a document from a parsed
+    # spec and a fresh point: its complex validates the spec once, by the
+    # rule of build_complex, and is the parsed document's complex
+    parsed = parse_document(json.dumps(genus2_doc()))
+    checks = []
+    problems_and_tree = fnhol.surface._problems_and_tree
+
+    def counted(spec):
+        checks.append(spec)
+        return problems_and_tree(spec)
+
+    monkeypatch.setattr(fnhol.surface, "_problems_and_tree", counted)
+    doc = fnhol.cli.SurfaceDocument(parsed.spec, parsed.fn, None)
+    assert not checks
+    assert doc.tree == parsed.tree
+    assert run_command(doc, "wp") == run_command(parsed, "wp")
+    assert checks == [parsed.spec]
+    assert doc.complex.faces == parsed.complex.faces and doc.complex.tree == parsed.complex.tree
 
 
 def _exit_code(tmp_path, capsys, raw):
@@ -586,11 +640,15 @@ def test_twists_near_the_bound_pass(length, twist):
 
 
 def test_a_nan_face_product_fails_verify_and_spin():
-    # c2.sq1 is neither the first face in sorted order (verify) nor in
-    # the complex's order (the lift), where Python's max keeps a nan
+    # a nan crossing value of curve 2 puts a nan in the products of its
+    # squares alone; c2.sq0 and c2.sq1 are neither the first faces in
+    # sorted order (verify) nor in the complex's order (the lift), where
+    # Python's max keeps a nan
     doc = parse_document(json.dumps(genus2_doc()))
     nan = math.nan
-    doc.cocycle.face_products()["c2.sq1"] = Mat2(nan, nan, nan, nan, check=False)
+    doc.cocycle.values["c2.x1"] = Mat2(nan, nan, nan, nan, check=False)
+    nan_faces = [f for f, m in doc.cocycle.face_products().items() if math.isnan(m.a)]
+    assert nan_faces == ["c2.sq0", "c2.sq1"]
     assert math.isnan(doc.cocycle.max_face_residual())
     for command in ("verify", "spin"):
         report, code = run_command(doc, command)
@@ -693,7 +751,7 @@ _DISCONNECTED = {
 
 # Documents every command refuses as bad input, each with the command it
 # is given to and the one line it prints to stderr (``<path>`` stands for
-# the file); every refusal of the parse, of validate_surface and of the
+# the file); every refusal of the parse, of its validation and of the
 # commands has a row.  tests/test_imports.py runs them as well.
 REFUSED_DOCUMENTS = {
     "not-json": ("{not json", ["verify"],

@@ -173,8 +173,7 @@ PACKAGE_API = {
     "pants": ["PantsLengths", "bc_magnitude", "bc_magnitude_minus_one", "pants_cocycle",
               "seam_matrix"],
     "surface": ["CellComplex", "Curve", "FNPoint", "SurfaceCocycle", "SurfaceSpec",
-                "assemble_cocycle", "build_complex", "extract_fn", "holonomy",
-                "validate_surface"],
+                "assemble_cocycle", "build_complex", "extract_fn", "holonomy"],
     "variation": ["TangentVector", "VariationCocycle", "grad_log_bc", "variation_cocycle"],
     "wp": ["diagonal_chain", "killing_form", "wp_matrix", "wp_pairing"],
     "spin": ["SpinSurfaceCocycle", "assemble_spin", "enumerate_spin", "rot2",
@@ -188,7 +187,7 @@ def test_the_package_exports_each_name_of_its_defining_module():
     # it imported all of them
     fnhol = importlib.import_module("fnhol")
     names = [name for names in PACKAGE_API.values() for name in names]
-    assert len(names) == 32 and fnhol.__all__ == names
+    assert len(names) == 31 and fnhol.__all__ == names
     assert fnhol.__version__ == "0.1.0"
     star = {}
     exec("from fnhol import *", star)
@@ -442,12 +441,12 @@ def test_the_commands_and_the_library_example_enter_every_function(tmp_path, cap
     # and its library example; every document and every hand-built value
     # the tests refuse; a document per genus 2..8 on a random gluing
     # through every command; a face word's holonomy; a boundary loop's
-    # rotation number with its steps given as lists; short curves that
-    # leave no lift to +I (the outcome is not asserted here); an
-    # assignment to a parsed document; the package's dir() and a name it
-    # does not have.  Line events come from sys.settrace, in the package's
-    # frames only, so that the corpus runs at speed outside them, on every
-    # supported Python
+    # rotation number with its steps given as lists and a lift's face
+    # residual; short curves that leave no lift to +I (the outcome is not
+    # asserted here); an assignment to a parsed document; the package's
+    # dir() and a name it does not have.  Line events come from
+    # sys.settrace, in the package's frames only, so that the corpus runs
+    # at speed outside them, on every supported Python
     import fnhol.cli
     from fnhol.spin import assemble_spin, enumerate_spin, rot2
     from conftest import genus2_spec, random_fn, random_gluing, rng_for
@@ -516,6 +515,7 @@ def test_the_commands_and_the_library_example_enter_every_function(tmp_path, cap
         spec = genus2_spec()
         lift = assemble_spin(spec, random_fn(rng, spec), dict.fromkeys(range(3), -1))
         assert rot2(lift, [["p0.b00", 1], ["p0.b01", 1]]) in (0, 1)
+        assert lift.face_residual("p0.hex-") <= 1e-8
         run(write_document(tmp_path / "short.json", short), "spin")
         parsed = fnhol.cli.parse_document(doc.read_text())
         with pytest.raises(AttributeError):

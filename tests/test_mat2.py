@@ -15,7 +15,8 @@ from fnhol.mat2 import (
     walk,
 )
 from conftest import random_mat2, rng_for
-from oracles import AxisLocationError, close_to, from_entries, nearest_point_on_imaginary_axis
+from oracles import (AxisLocationError, close_to, dist, from_entries, identity,
+                     nearest_point_on_imaginary_axis, proj_dist)
 
 
 def test_det_check():
@@ -34,8 +35,8 @@ def test_diagonal_of_zero_divides_by_zero(zero):
 def test_proj_sign_insensitive():
     m = Mat2(0.0, -2.0, 0.5, 3.0)
     assert ProjMat2(m).rep.entries() == ProjMat2(-m).rep.entries()
-    assert ProjMat2(m).rep.proj_dist(ProjMat2(-m).rep) == 0.0
-    assert m.proj_dist(-m) == 0.0 and m.dist(-m) == 6.0
+    assert proj_dist(ProjMat2(m).rep, ProjMat2(-m).rep) == 0.0
+    assert proj_dist(m, -m) == 0.0 and dist(m, -m) == 6.0
     # canonical representative has its first significant entry positive
     assert ProjMat2(m).rep.b > 0
 
@@ -90,7 +91,7 @@ def test_translation_length():
     with pytest.raises(NonHyperbolicError):
         translation_length(Mat2(0.0, -1.0, 1.0, 0.0))
     with pytest.raises(NonHyperbolicError):
-        translation_length(Mat2.identity())
+        translation_length(identity())
 
 
 def _random_unimodular(rng):
@@ -112,7 +113,7 @@ def test_det_preserved_over_products():
     # products live in; unconstrained random products blow up and make
     # the determinant meaningless in double precision)
     rng = rng_for("detdrift")
-    m = Mat2.identity()
+    m = identity()
     for _ in range(50):
         f = _random_unimodular(rng)
         m = (m @ f).renormalized()
@@ -153,7 +154,7 @@ def test_walk_is_the_left_to_right_product():
     values[5] = -Mat2(0.0, -0.5, 2.0, 0.0)
     for _ in range(200):
         word = [(rng.randrange(6), rng.choice((1, -1))) for _ in range(rng.randrange(1, 9))]
-        want = Mat2.identity()
+        want = identity()
         for eid, sign in word:
             want = want @ (values[eid] if sign > 0 else values[eid].inv())
         assert repr(walk(values, word)) == repr(want)
@@ -199,10 +200,10 @@ def test_distances_keep_a_nan_in_any_entry(position):
     entries[position] = nan
     m = Mat2(*entries, check=False)
     assert math.isnan(m.norm())
-    for other in (Mat2.identity(), -Mat2.identity(), Mat2(2.0, 3.0, 1.0, 2.0)):
-        assert math.isnan(m.dist(other)) and math.isnan(other.dist(m))
-        assert math.isnan(m.proj_dist(other)) and math.isnan(other.proj_dist(m))
-    assert not close_to(m, Mat2.identity())
+    for other in (identity(), -identity(), Mat2(2.0, 3.0, 1.0, 2.0)):
+        assert math.isnan(dist(m, other)) and math.isnan(dist(other, m))
+        assert math.isnan(proj_dist(m, other)) and math.isnan(proj_dist(other, m))
+    assert not close_to(m, identity())
     if position < 3:
         t = [0.0, 0.0, 0.0]
         t[position] = nan
@@ -213,12 +214,12 @@ def test_distances_keep_a_nan_in_any_entry(position):
 def test_finite_distances_are_the_largest_entry():
     m = Mat2(2.0, -3.0, -1.0, 2.0)
     assert m.norm() == 3.0
-    assert m.dist(Mat2.identity()) == 3.0
-    assert m.proj_dist(Mat2.identity()) == 3.0
+    assert dist(m, identity()) == 3.0
+    assert proj_dist(m, identity()) == 3.0
     assert Mat2(math.inf, 0.0, 0.0, 1.0, check=False).norm() == math.inf
     assert TracelessMat2(0.5, -4.0, 2.0).norm() == 4.0
     F = Fraction
     f = Mat2(F(2), F(3), F(1), F(2))
-    assert f.norm() == 3 and f.dist(Mat2(F(1), F(0), F(0), F(1))) == 3
-    assert f.proj_dist(Mat2(F(-2), F(-3), F(-1), F(-2))) == 0
+    assert f.norm() == 3 and dist(f, Mat2(F(1), F(0), F(0), F(1))) == 3
+    assert proj_dist(f, Mat2(F(-2), F(-3), F(-1), F(-2))) == 0
     assert TracelessMat2(F(1, 2), F(-3), F(7, 4)).norm() == 3

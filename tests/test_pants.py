@@ -23,7 +23,9 @@ from oracles import (
     NotFuchsianError,
     close_to,
     gauge_transform,
+    identity,
     nearest_point_on_imaginary_axis,
+    proj_dist,
     standardize,
 )
 
@@ -56,7 +58,7 @@ def hol(values, word):
 
 def face_residuals(values):
     """Face id -> distance of the face word from +-I."""
-    return {f: hol(values, w).proj_dist(Mat2.identity()) for f, w in PANTS_FACES.items()}
+    return {f: proj_dist(hol(values, w), identity()) for f, w in PANTS_FACES.items()}
 
 
 def is_standard(lengths, values, tol=1e-9):
@@ -66,7 +68,7 @@ def is_standard(lengths, values, tol=1e-9):
         arc = Mat2.diagonal(math.exp(0.25 * lengths[k]))
         for eps in (0, 1):
             m = values[f"b{k}{eps}"]
-            if m.proj_dist(arc) > tol * max(1.0, m.norm(), arc.norm()):
+            if proj_dist(m, arc) > tol * max(1.0, m.norm(), arc.norm()):
                 return False
         m = values[f"seam{k}"]
         if abs(m.a * m.b - m.c * m.d) > tol * max(1.0, m.norm() ** 2):
@@ -122,7 +124,7 @@ def test_seam_matrix_involution_and_normalization():
         l = random_lengths(rng)
         for k in range(3):
             a = seam_matrix(l, k)
-            assert (a @ a).proj_dist(Mat2.identity()) <= 1e-10
+            assert proj_dist(a @ a, identity()) <= 1e-10
             m = a
             assert abs(m.a * m.b - m.c * m.d) < 1e-12 * m.norm() ** 2
             assert abs(nearest_point_on_imaginary_axis(a) - 1.0) <= 1e-10
@@ -161,7 +163,7 @@ def test_gamma_relation_and_trace():
     c = pants_cocycle(l)
     g = {k: hol(c, GAMMA_WORDS[k]) for k in range(3)}
     prod = g[2] @ g[1] @ g[0]
-    assert prod.proj_dist(Mat2.identity()) <= 1e-12
+    assert proj_dist(prod, identity()) <= 1e-12
     # the middle boundary word has trace -(lambda_1 + 1/lambda_1)
     assert abs(abs(g[1].trace()) - (math.e + 1 / math.e)) < 1e-12
     assert abs(translation_length(g[1]) - 2.0) < 1e-10
@@ -199,7 +201,7 @@ def test_gamma1_two_expressions_agree():
         a1 = c["seam1"]
         d0 = Mat2.diagonal(math.sqrt(l.lam(0)))
         alt = d0 @ a1.inv() @ Mat2.diagonal(l.lam(1)) @ a1 @ d0.inv()
-        assert word_val.proj_dist(alt) <= 1e-10 * max(1.0, alt.norm())
+        assert proj_dist(word_val, alt) <= 1e-10 * max(1.0, alt.norm())
 
 
 def test_cyclic_symmetry():
@@ -215,7 +217,7 @@ def test_gauge_identity_and_constant():
     rng = rng_for("gauge")
     l = PantsLengths(1.3, 2.1, 0.8)
     c = pants_cocycle(l)
-    same = gauge_transform(c, {v: Mat2.identity() for v in PANTS_VERTICES})
+    same = gauge_transform(c, {v: identity() for v in PANTS_VERTICES})
     assert all(close_to(same[e], c[e], 1e-14) for e in PANTS_EDGES)
     assert is_standard(l, same)
 
@@ -243,8 +245,8 @@ def test_gauge_diagonal_preserves_arcs():
 def test_standardize_idempotent():
     c = pants_cocycle(PantsLengths(1.2, 2.3, 0.7))
     lengths, out, gauge = standardize(c)
-    assert all(out[e].proj_dist(c[e]) <= 1e-12 for e in PANTS_EDGES)
-    assert all(gauge[v].proj_dist(Mat2.identity()) <= 1e-12 for v in PANTS_VERTICES)
+    assert all(proj_dist(out[e], c[e]) <= 1e-12 for e in PANTS_EDGES)
+    assert all(proj_dist(gauge[v], identity()) <= 1e-12 for v in PANTS_VERTICES)
     assert is_standard(lengths, out)
 
 
@@ -258,12 +260,12 @@ def test_standardize_roundtrip():
         assert not is_standard(l, moved)
         lengths, recovered, found = standardize(moved)
         assert all(
-            recovered[e].proj_dist(c[e]) <= 1e-8 for e in PANTS_EDGES
+            proj_dist(recovered[e], c[e]) <= 1e-8 for e in PANTS_EDGES
         )
         # the returned gauge actually produces the standard cocycle
         check = gauge_transform(moved, found)
         assert all(
-            check[e].proj_dist(recovered[e]) <= 1e-9 for e in PANTS_EDGES
+            proj_dist(check[e], recovered[e]) <= 1e-9 for e in PANTS_EDGES
         )
         for k in range(3):
             assert abs(lengths[k] - l[k]) <= 1e-10 * max(1.0, l[k])

@@ -31,6 +31,7 @@ from conftest import (
     random_gluing,
     rng_for,
 )
+from oracles import dist, identity, proj_dist
 
 
 def test_boundary_signs_constraint():
@@ -46,7 +47,7 @@ def test_boundary_signs_constraint():
 
 
 def _face_value(values, word):
-    m = Mat2.identity()
+    m = identity()
     for edge, sign in word:
         rep = values[edge]
         m = m @ (rep if sign > 0 else rep.inv())
@@ -86,11 +87,11 @@ def test_pants_lift_brute_force_uniqueness():
         l = PantsLengths(*(rng.uniform(0.4, 5.0) for _ in range(3)))
         eps = rng.choice([(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)])
         hits = _pants_lift_oracle(
-            l, eps, lambda m: m.dist(Mat2.identity()) < 1e-8
+            l, eps, lambda m: dist(m, identity()) < 1e-8
         )
         assert len(hits) == 1
         found = sl2_pants_cocycle(l, eps)
-        assert all(found[e].dist(hits[0][e]) < 1e-12 for e in found)
+        assert all(dist(found[e], hits[0][e]) < 1e-12 for e in found)
 
 
 def test_pants_lift_matches_oracle_down_to_thin_part():
@@ -99,7 +100,7 @@ def test_pants_lift_matches_oracle_down_to_thin_part():
     # fails with the same message exactly where the 64-way search finds
     # nothing, and otherwise returns the search's matrices bit for bit
     def plus_identity(m):
-        return m.dist(Mat2.identity()) <= 1e-8 * max(1.0, m.norm())
+        return dist(m, identity()) <= 1e-8 * max(1.0, m.norm())
 
     rng = rng_for("spin-sweep")
     ladder = [10.0**e for e in range(-6, 2)] + [50.0]
@@ -200,7 +201,7 @@ def test_assemble_spin_faces_and_reduction():
             assert lifted.max_face_residual() <= 1e-8
             # forgetting the signs gives the projective cocycle
             assert all(
-                m.proj_dist(base.values[e]) <= 1e-12 for e, m in lifted.values.items()
+                proj_dist(m, base.values[e]) <= 1e-12 for e, m in lifted.values.items()
             )
             key = tuple(
                 1 if lifted.values[e].a + lifted.values[e].b + lifted.values[e].c >= 0 else -1
@@ -260,7 +261,7 @@ def test_lift_is_the_closed_form_as_sign_flips(shape, genus):
                 for e, m in want.items():
                     assert _same_entries(lifted.values[e], m), e
                 for fid, cycle in cx.faces.items():
-                    own = walk(lifted.values, cycle).dist(Mat2.identity())
+                    own = dist(walk(lifted.values, cycle), identity())
                     assert lifted.face_residual(fid) == own, fid
                 assert lifted.max_face_residual() <= 1e-8
 
@@ -433,8 +434,8 @@ def test_pants_lift_takes_only_signs_the_command_line_takes(signs):
 
 
 def test_face_minus_identity_counts_as_failure():
-    m = -Mat2.identity()
-    assert m.dist(Mat2.identity()) == 2.0
+    m = -identity()
+    assert dist(m, identity()) == 2.0
 
 
 def apply_pants_gauge(spec, pid, crossing_signs):
@@ -523,8 +524,8 @@ def test_crossing_sign_flip_changes_lift_not_reduction():
     eps = {0: 1, 1: 1, 2: -1}
     a = assemble_spin(cx, fn, eps, {0: 1, 1: 1, 2: 1})
     b = assemble_spin(cx, fn, eps, {0: 1, 1: -1, 2: 1})
-    assert a.values["c1.x0"].dist(b.values["c1.x0"]) > 0.1
-    assert all(m.proj_dist(b.values[e]) <= 1e-14 for e, m in a.values.items())
+    assert dist(a.values["c1.x0"], b.values["c1.x0"]) > 0.1
+    assert all(proj_dist(m, b.values[e]) <= 1e-14 for e, m in a.values.items())
     # and the flipped lift changes the rotation number of a loop that
     # crosses curve 1 exactly once (returning through curve 2)
     assert rot2(a, CROSSING_WORD) != rot2(b, CROSSING_WORD)
@@ -587,7 +588,7 @@ def test_a_lift_reads_its_own_words_off_the_base(shape, genus):
                 assert _rot2_or_error(lifted, word) == _walked_rot2(lifted, word), word
             walked = {}
             for fid in cx.faces:
-                walked[fid] = lifted.face_walk(fid)[1].dist(Mat2.identity())
+                walked[fid] = dist(lifted.face_walk(fid)[1], identity())
                 assert lifted.face_residual(fid) == walked[fid], fid
             assert lifted.max_face_residual() == max(walked.values())
 
@@ -646,18 +647,26 @@ def test_a_base_that_fails_the_pants_test_keeps_no_residuals():
     assert base._face_table is None
 
 
-def test_rot2_takes_every_word_holonomy_takes():
+def test_rot2_takes_every_word_holonomy_takes(monkeypatch):
     # a step given as a list was an unhashable memo key (TypeError), while
-    # holonomy took the same word
+    # holonomy took the same word.  A boundary loop given either way is
+    # read off the base's loop product, and only other words go through
+    # holonomy, each once per base
     cx = build_complex(genus2_spec())
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.7 for i in range(3)})
     lifted = assemble_spin(cx, fn, {0: -1, 1: -1, 2: -1})
     as_lists = [["p0.b00", 1], ["p0.b01", 1]]
     as_tuples = (("p0.b00", 1), ("p0.b01", 1))
     assert holonomy(lifted, as_lists).entries() == holonomy(lifted, as_tuples).entries()
+    asked = []
+    monkeypatch.setattr(fnhol.spin, "holonomy",
+                        lambda cocycle, word: asked.append(word) or holonomy(cocycle, word))
     assert rot2(lifted, as_lists) == rot2(lifted, as_tuples) == 1
+    assert asked == []
+    assert lifted.base.loop_product(as_tuples) is not None
     assert rot2(lifted, iter(as_lists + as_lists)) == 0
-    assert list(lifted.base._traces) == [as_tuples, as_tuples + as_tuples]
+    assert rot2(lifted, as_tuples + as_tuples) == 0
+    assert asked == [as_tuples + as_tuples]
     with pytest.raises(ValueError, match="unknown edge 'p9.b00'"):
         rot2(lifted, [["p9.b00", 1]])
 
@@ -690,8 +699,8 @@ def test_holonomy_on_a_lift_checks_the_word():
 
 def test_a_lift_is_a_surface_cocycle(monkeypatch):
     # a lift is the base's complex and point with flipped values; its
-    # face products and maximum residual are the standard cocycle's
-    # methods, and it keeps no sign data of its own
+    # face products are the standard cocycle's method, and it keeps no
+    # sign data of its own
     spec = genus2_spec()
     fn = FNPoint({i: 2.0 for i in range(3)}, {i: 0.3 for i in range(3)})
     base = assemble_cocycle(spec, fn)
@@ -707,13 +716,14 @@ def test_a_lift_is_a_surface_cocycle(monkeypatch):
     assert isinstance(lifted, SurfaceCocycle)
     assert lifted.complex is base.complex and lifted.fn is base.fn
     assert type(lifted).face_products is SurfaceCocycle.face_products
-    assert type(lifted).max_face_residual is SurfaceCocycle.max_face_residual
-    # the lift's own check evaluates each face residual once, and the
-    # maximum is kept: asking for it again evaluates none
-    faces = len(base.complex.faces)
-    assert len(residuals) == faces
-    assert lifted.max_face_residual() == lifted.max_face_residual() == max(residuals) <= 1e-8
-    assert len(residuals) == faces
+    # the largest residual is kept with the base's residuals, one for all
+    # its lifts: the lift's own check reads it and evaluates no face
+    # residual, and it is the largest of the lift's face residuals
+    assert residuals == []
+    other = SpinSurfaceCocycle(base, {0: -1, 1: -1, 2: -1})
+    assert lifted.max_face_residual() == other.max_face_residual() <= 1e-8
+    assert residuals == []
+    assert lifted.max_face_residual() == max(lifted.face_residual(f) for f in base.complex.faces)
     flipped = {e for e, m in lifted.values.items() if m is not base.values[e]}
     assert flipped and all(
         lifted.values[e].entries() == (-base.values[e]).entries() for e in flipped

@@ -6,7 +6,7 @@ import pytest
 
 import fnhol.surface
 from fnhol.cli import DocumentError, SurfaceDocument, run_command
-from fnhol.mat2 import Mat2, NonHyperbolicError, translation_length
+from fnhol.mat2 import Mat2, NonHyperbolicError, _max_or_nan, translation_length
 from fnhol.pants import PantsLengths
 from fnhol.surface import (
     Curve,
@@ -21,9 +21,9 @@ from fnhol.surface import (
     extract_fn,
     holonomy,
     parse_word,
-    validate_surface,
 )
-from fnhol.spin import SpinSignError, SpinSurfaceCocycle, assemble_spin, rot2
+from fnhol.spin import (SpinSignError, SpinSurfaceCocycle, _check_pants_lift, assemble_spin,
+                        enumerate_spin, rot2)
 from fnhol.variation import TangentVector, variation_cocycle
 from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix
 from conftest import (
@@ -33,18 +33,20 @@ from conftest import (
     genus2_spec,
     genus3_spec,
     handle_spec,
+    problems_of,
     random_fn,
     random_gluing,
     random_tangent,
     rng_for,
 )
-from oracles import close_to
+import oracles
+from oracles import close_to, identity, proj_dist
 
 
 def test_validate_good_specs():
-    assert not validate_surface(genus2_spec())
-    assert not validate_surface(genus3_spec())
-    assert not validate_surface(handle_spec())
+    assert not problems_of(genus2_spec())
+    assert not problems_of(genus3_spec())
+    assert not problems_of(handle_spec())
 
 
 def test_validate_reused_boundary():
@@ -57,15 +59,15 @@ def test_validate_reused_boundary():
             Curve(2, (0, 2), (1, 2)),
         ),
     )
-    problems = validate_surface(spec)
+    problems = problems_of(spec)
     assert problems
     assert any("(0, 0)" in p for p in problems)
 
 
 def test_validate_catches_bad_counts_and_genus():
-    assert validate_surface(SurfaceSpec(1, (0,), ()))
+    assert problems_of(SurfaceSpec(1, (0,), ()))
     spec = SurfaceSpec(2, (0, 1), (Curve(0, (0, 0), (1, 0)),))
-    assert validate_surface(spec)
+    assert problems_of(spec)
 
 
 def test_validate_self_loop_with_equal_sides():
@@ -78,7 +80,7 @@ def test_validate_self_loop_with_equal_sides():
             Curve(2, (1, 1), (1, 2)),
         ),
     )
-    assert validate_surface(spec)
+    assert problems_of(spec)
 
 
 def test_validate_disconnected():
@@ -97,7 +99,7 @@ def test_validate_disconnected():
             Curve(5, (2, 2), (3, 2)),
         ),
     )
-    problems = validate_surface(spec)
+    problems = problems_of(spec)
     assert problems
     assert any("connected" in p for p in problems)
 
@@ -105,13 +107,13 @@ def test_validate_disconnected():
 def test_validate_ids_with_one_string_form():
     # cell names are built from str(id), so 1 and "1" cannot both be ids
     spec = SurfaceSpec(2, (1, "1"), tuple(Curve(i, (1, i), ("1", i)) for i in range(3)))
-    assert validate_surface(spec) == [
+    assert problems_of(spec) == [
         "pants ids 1 and '1' have the same string form"
     ]
     spec = SurfaceSpec(
         2, (0, 1), (Curve(0, (0, 0), (1, 0)), Curve("0", (0, 1), (1, 1)), Curve(2, (0, 2), (1, 2)))
     )
-    assert validate_surface(spec) == [
+    assert problems_of(spec) == [
         "curve ids 0 and '0' have the same string form"
     ]
     with pytest.raises(ValueError, match="same string form"):
@@ -271,8 +273,8 @@ def test_zero_twist_gives_quarter_turn():
     c = assemble_cocycle(spec, fn)
     for i in range(3):
         quarter_turn = Mat2(0.0, -1.0, 1.0, 0.0)
-        assert c.values[f"c{i}.x0"].proj_dist(quarter_turn) <= 1e-15
-        assert c.values[f"c{i}.x1"].proj_dist(quarter_turn) <= 1e-15
+        assert proj_dist(c.values[f"c{i}.x0"], quarter_turn) <= 1e-15
+        assert proj_dist(c.values[f"c{i}.x1"], quarter_turn) <= 1e-15
 
 
 def test_face_relations_random():
@@ -302,10 +304,10 @@ def test_holonomy_words():
     cx = build_complex(spec)
     rng = rng_for("holwords")
     c = assemble_cocycle(cx, random_fn(rng, spec))
-    assert holonomy(c, ()).proj_dist(Mat2.identity()) <= 1e-15
+    assert proj_dist(holonomy(c, ()), identity()) <= 1e-15
     word = parse_word(cx, "p0.seam0 p0.b21 p0.b20 p0.seam0~")
     there_and_back = word + tuple((e, -s) for e, s in reversed(word))
-    assert holonomy(c, there_and_back).proj_dist(Mat2.identity()) <= 1e-10
+    assert proj_dist(holonomy(c, there_and_back), identity()) <= 1e-10
     with pytest.raises(ValueError):
         holonomy(c, (("p0.b00", 1), ("p0.b10", 1)))  # not composable
     with pytest.raises(ValueError):
@@ -462,6 +464,10 @@ LIBRARY_REFUSALS = {
         SpinSignError, "crossing_signs: crossing sign on tree curve 0 must be +1"),
     "lift-off-plus-identity": (_lift_with_a_stretched_crossing, SpinSignError,
                                "face word failed to lift to +I (residual "),
+    "lift-of-a-nan-crossing": (
+        lambda: assemble_spin(_readme_cocycle({"c0.x1": Mat2(*[math.nan] * 4, check=False)}),
+                              _readme_fn(), {0: -1, 1: -1, 2: -1}),
+        SpinSignError, "face word failed to lift to +I (residual nan)"),
     "crossing-not-antidiagonal": (lambda: extract_fn(_readme_cocycle({"c0.x0": Mat2.diagonal(2.0)})),
                                   NonStandardCocycleError,
                                   "crossing edge of curve 0 is not antidiagonal"),
@@ -474,6 +480,13 @@ LIBRARY_REFUSALS = {
     "unknown-command": (lambda: run_command(SurfaceDocument(genus2_spec(), _readme_fn(), None),
                                             "nosuch"),
                         DocumentError, "unknown command 'nosuch'"),
+    "document-built-with-an-invalid-surface": (
+        lambda: SurfaceDocument(SurfaceSpec(1, (0,), ()), _readme_fn(), None).complex,
+        ValueError, "invalid surface: genus 1 must be at least 2"),
+    "face-product-not-renormalizable": (
+        lambda: _readme_cocycle({"c0.x0": Mat2(0.0, 0.0, 0.0, 0.0, check=False)})
+        .max_face_residual(),
+        ValueError, "cannot renormalize matrix with det 0.0"),
 }
 
 
@@ -518,7 +531,7 @@ def test_stored_signs_change_no_result(spec_fn):
     words += list(cx.faces.values())
     for word in words:
         h, hn = holonomy(c, word), holonomy(neg, word)
-        assert h.proj_dist(hn) == 0.0
+        assert proj_dist(h, hn) == 0.0
         assert abs(h.trace()) == abs(hn.trace())
         try:
             length = translation_length(h)
@@ -567,3 +580,145 @@ def test_records_are_immutable_values(record, fields):
             setattr(by_position, name, value)
     with pytest.raises(AttributeError):
         by_position.extra = None
+
+
+# The accepted domain's corners and a twist near each side of its bound,
+# where a square word is walked from a rotation after its crossing edge
+REFERENCE_LENGTHS = (1e-6, 1e-3, 2.0, 50.0)
+REFERENCE_TWISTS = (0.3, 1419.5, -1419.5)
+
+
+def _reference_points(name):
+    """(complex, fn) on a random gluing at each genus 2..8: every length
+    of REFERENCE_LENGTHS on all curves, then three points with each
+    curve's length and twist drawn from the two sets."""
+    rng = rng_for(name)
+    for genus in range(2, 9):
+        spec = random_gluing(rng, genus)
+        cx = build_complex(spec)
+        ids = spec.curve_ids()
+        for length in REFERENCE_LENGTHS:
+            yield cx, FNPoint(dict.fromkeys(ids, length),
+                              {c: rng.choice(REFERENCE_TWISTS) for c in ids})
+        for _ in range(3):
+            yield cx, FNPoint({c: rng.choice(REFERENCE_LENGTHS) for c in ids},
+                              {c: rng.choice(REFERENCE_TWISTS) for c in ids})
+
+
+def _outcome(call, *args):
+    """``call(*args)`` as a float's hex, another value as it is, or a
+    raised ValueError or AssertionError as (its type name, its text)."""
+    try:
+        value = call(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    return value.hex() if isinstance(value, float) else value
+
+
+def _lengths(read):
+    return {c: length.hex() for c, length in read().items()}
+
+
+def test_a_stamped_complex_is_the_complex_of_named_cells():
+    # the ids stamped from one prefix per pants and per curve are the
+    # ones a dict of names per pants made, in the same order
+    rng = rng_for("stamped-complex")
+    specs = [genus2_spec(), handle_spec(), caterpillar(5), comb(4)]
+    specs += [random_gluing(rng, genus) for genus in range(2, 9)]
+    relabelled = random_gluing(rng, 4)
+    names = {p: f"P-{p}" for p in relabelled.pants}
+    specs.append(SurfaceSpec(4, tuple(names.values()), tuple(
+        Curve(f"c{c.id}", (names[c.left[0]], c.left[1]), (names[c.right[0]], c.right[1]))
+        for c in relabelled.curves)))
+    for spec in specs:
+        cx = build_complex(spec)
+        vertices, edges, faces, pants, curves = oracles.complex_cells(spec)
+        assert cx.vertices == vertices
+        assert list(cx.edges.items()) == list(edges.items())
+        assert list(cx.faces.items()) == list(faces.items())
+        assert [(pid, cells[:3]) for pid, cells in cx.pants.items()] == list(pants.items())
+        assert list(cx.curves.items()) == list(curves.items())
+        for cells in cx.pants.values():
+            assert cells.loops == tuple(((a0, 1), (a1, 1)) for a0, a1, _ in cells.edges)
+
+
+def test_face_residuals_and_lengths_match_the_reference_bit_for_bit():
+    # each face walked once, its residual read off the product's entries,
+    # and each loop read off one walk per cocycle give the values and
+    # the raised texts of a renormalized matrix per face and a fresh walk
+    # per loop; a cocycle assembled at the same point twice is the
+    # reference's, so the two share no kept product
+    raised = {"face": 0, "length": 0}
+    for cx, fn in _reference_points("reference-faces"):
+        c, ref = assemble_cocycle(cx, fn), assemble_cocycle(cx, fn)
+        faces = sorted(cx.faces)
+        got = [_outcome(c.face_residual, fid) for fid in faces]
+        want = [_outcome(oracles.face_residual, ref, fid) for fid in faces]
+        assert got == want, fn
+        assert _outcome(c.max_face_residual) == _outcome(
+            lambda: _max_or_nan(oracles.face_residual(ref, f) for f in cx.faces))
+        raised["face"] += any(isinstance(x, tuple) for x in got)
+        got = _outcome(_lengths, lambda: extract_fn(c).lengths)
+        want = _outcome(_lengths, lambda: {cid: oracles.loop_length(ref, cells.loop)
+                                           for cid, cells in cx.curves.items()})
+        assert got == want, fn
+        raised["length"] += isinstance(got, tuple)
+    assert all(raised.values()), raised
+
+
+def test_lift_residuals_and_rotation_numbers_match_the_reference_bit_for_bit():
+    # the per-base residual table, its one maximum and rot2 read off the
+    # base's loop products give the values and raised texts of the
+    # negated face product per face and of holonomy(base, loop) per loop;
+    # rot2 of a doubled loop and of a face word goes through holonomy
+    outcomes = {"found 0": 0, "lifted": 0, "not hyperbolic": 0}
+    rng = rng_for("reference-lifts")
+    for cx, fn in _reference_points("reference-lifts"):
+        base, ref = assemble_cocycle(cx, fn), assemble_cocycle(cx, fn)
+        eps_list, classes = enumerate_spin(cx.spec)
+        loops = [loop for cells in cx.pants.values() for loop in cells.loops]
+        words = loops + [loop + loop for loop in loops] + [next(iter(cx.faces.values()))]
+        for eps, signs in [(rng.choice(eps_list), rng.choice(classes)) for _ in range(2)]:
+            lifted = _outcome(SpinSurfaceCocycle, base, eps, signs)
+            if isinstance(lifted, tuple):
+                assert lifted == ("AssertionError", "expected a unique sign assignment, found 0")
+                with pytest.raises(AssertionError, match="found 0"):
+                    for cells in cx.pants.values():
+                        _check_pants_lift(
+                            (ref.values[seam] for _, _, seam in cells.edges),
+                            ((oracles.lift_residual(ref, f), ref.face_walk(f)[1].norm())
+                             for f in cells.hexagons))
+                outcomes["found 0"] += 1
+                continue
+            outcomes["lifted"] += 1
+            want = {fid: oracles.lift_residual(ref, fid) for fid in cx.faces}
+            assert {fid: lifted.face_residual(fid).hex() for fid in cx.faces} == {
+                fid: r.hex() for fid, r in want.items()}
+            assert lifted.max_face_residual().hex() == _max_or_nan(want.values()).hex()
+            ref_lift = SpinSurfaceCocycle(ref, eps, signs)
+            for word in words:
+                got = _outcome(rot2, lifted, word)
+                assert got == _outcome(oracles.rot2, ref_lift, word), (fn, word)
+                outcomes["not hyperbolic"] += isinstance(got, tuple)
+    assert all(outcomes.values()), outcomes
+
+
+def test_extract_fn_walks_only_the_loops_it_reads():
+    # a hand-built cocycle without values on the boundary arcs that are
+    # no curve's left side reads its coordinates; the loop along those
+    # arcs raises when, and only when, it is read
+    spec = caterpillar(3)
+    c = assemble_cocycle(spec, random_fn(rng_for("unread-loops"), spec))
+    cx = c.complex
+    curve_loops = {cells.loop for cells in cx.curves.values()}
+    unread = [loop for cells in cx.pants.values() for loop in cells.loops
+              if loop not in curve_loops]
+    assert unread
+    values = {e: m for e, m in c.values.items()
+              if all(e != eid for loop in unread for eid, _ in loop)}
+    hand_built = SurfaceCocycle(cx, values, c.fn)
+    back = extract_fn(hand_built)
+    assert back.lengths == extract_fn(c).lengths
+    assert hand_built.loop_product(cx.faces["p0.hex+"]) is None
+    with pytest.raises(KeyError):
+        hand_built.loop_product(unread[0])

@@ -12,7 +12,6 @@ from fnhol.surface import (
     SurfaceCocycle,
     assemble_cocycle,
     build_complex,
-    validate_surface,
 )
 from fnhol.variation import TangentVector, VariationCocycle, variation_cocycle
 from fnhol.wp import (
@@ -30,6 +29,7 @@ from conftest import (
     genus2_spec,
     genus3_spec,
     handle_spec,
+    problems_of,
     random_fn,
     random_tangent,
     rng_for,
@@ -256,10 +256,10 @@ def test_wolpert_reference_values():
 def test_caterpillar_specs_are_valid():
     assert caterpillar(2) == handle_spec()
     for g in (3, 5, 8, 12):
-        assert not validate_surface(caterpillar(g))
+        assert not problems_of(caterpillar(g))
     for g in (2, 3, 5, 8, 12):
         spec = comb(g)
-        assert not validate_surface(spec)
+        assert not problems_of(spec)
         self_glued = [c for c in spec.curves if c.left[0] == c.right[0]]
         assert sorted(c.left[0] for c in self_glued) == list(range(g))
 
@@ -620,19 +620,20 @@ def test_layout_is_made_once_per_complex(monkeypatch):
     laid_out = []
     named = []
     face_layout = fnhol.wp._face_layout
-    cell_names = fnhol.surface._cell_names
+    complex_init = fnhol.surface.CellComplex.__init__
 
     def counted_layout(complex_, fid, start):
         if (fid, start) not in complex_.pairing_layout:
             laid_out.append((fid, start))
         return face_layout(complex_, fid, start)
 
-    def counted_names(*args):
+    def counted_init(self, *args):
         named.append(args)
-        return cell_names(*args)
+        return complex_init(self, *args)
 
     monkeypatch.setattr(fnhol.wp, "_face_layout", counted_layout)
-    monkeypatch.setattr(fnhol.surface, "_cell_names", counted_names)
+    # a complex formats its cell ids when it is built, and nothing else does
+    monkeypatch.setattr(fnhol.surface.CellComplex, "__init__", counted_init)
     assert cx.pairing_layout == {}
     pairings = []
     for fn in fns:

@@ -25,10 +25,7 @@ _EXPORTS = {
     ),
     "pants": (
         "PantsLengths",
-        "bc_magnitude",
-        "bc_magnitude_minus_one",
         "pants_cocycle",
-        "seam_matrix",
     ),
     "surface": (
         "CellComplex",
@@ -44,7 +41,6 @@ _EXPORTS = {
     "variation": (
         "TangentVector",
         "VariationCocycle",
-        "grad_log_bc",
         "variation_cocycle",
     ),
     "wp": (

@@ -25,9 +25,6 @@ from .mat2 import Mat2
 
 __all__ = [
     "PantsLengths",
-    "bc_magnitude",
-    "bc_magnitude_minus_one",
-    "seam_matrix",
     "pants_cocycle",
     "PANTS_EDGES",
     "PANTS_VERTICES",
@@ -90,49 +87,47 @@ PANTS_FACES = {
         ("seam1", 1),
     ),
 }
+# per boundary k: arcs b{k}0, b{k}1 and seam k
+_EDGES_BY_K = tuple((f"b{k}0", f"b{k}1", f"seam{k}") for k in range(3))
 
 
-def bc_magnitude(lengths, k):
-    """|b_k c_k| for the seam between boundaries k-1 and k.
-
-    Equals (cosh(l_{k+1}/2) + cosh((l_{k-1}+l_k)/2))
-    / (2 sinh(l_{k-1}/2) sinh(l_k/2)), and always exceeds 1."""
-    num = math.cosh(0.5 * lengths[k + 1]) + math.cosh(0.5 * (lengths[k - 1] + lengths[k]))
-    den = 2.0 * math.sinh(0.5 * lengths[k - 1]) * math.sinh(0.5 * lengths[k])
-    return num / den
-
-
-def bc_magnitude_minus_one(lengths, k):
-    """|b_k c_k| - 1 in a product form that avoids cancellation.
-
-    Equals cosh(s - l_{k-1}/2) cosh(s - l_k/2)
-    / (sinh(l_{k-1}/2) sinh(l_k/2)) with s = (l0+l1+l2)/4."""
-    s = 0.25 * (lengths[0] + lengths[1] + lengths[2])
-    num = math.cosh(s - 0.5 * lengths[k - 1]) * math.cosh(s - 0.5 * lengths[k])
-    den = math.sinh(0.5 * lengths[k - 1]) * math.sinh(0.5 * lengths[k])
-    return num / den
-
-
-def seam_matrix(lengths, k):
-    """Seam value A_k = (sqrt(f-1), -sqrt(f); sqrt(f), -sqrt(f-1)) with
-    f = |b_k c_k|; it squares to minus the identity, so to the identity
-    in the projective class, and satisfies the normalization a*b = c*d.
-    This representative, with positive (1,1) entry, is also the one the
-    determinant-one lift uses."""
-    alpha = math.sqrt(bc_magnitude_minus_one(lengths, k))
-    beta = math.sqrt(bc_magnitude(lengths, k))
-    return Mat2(alpha, -beta, beta, -alpha, check=False)
+def _pants_table(lengths):
+    """The closed forms of one pants, each evaluated once, as lists indexed
+    by boundary k: sinh(l_k/2), the numerator n_k = cosh(l_{k+1}/2) +
+    cosh((l_{k-1}+l_k)/2), f_k = |b_k c_k| = n_k / (2 sinh(l_{k-1}/2)
+    sinh(l_k/2)) for the seam between boundaries k-1 and k, which always
+    exceeds 1, and f_k - 1 in the product form cosh(s - l_{k-1}/2)
+    cosh(s - l_k/2) / (sinh(l_{k-1}/2) sinh(l_k/2)), s = (l0+l1+l2)/4,
+    which avoids cancellation."""
+    l = lengths.l
+    s = 0.25 * (l[0] + l[1] + l[2])
+    sh, ch, cs = [], [], []
+    for x in l:
+        half = 0.5 * x
+        sh.append(math.sinh(half))
+        ch.append(math.cosh(half))
+        cs.append(math.cosh(s - half))
+    num, f, fm1 = [], [], []
+    for k in range(3):
+        num.append(ch[(k + 1) % 3] + math.cosh(0.5 * (l[k - 1] + l[k])))
+        f.append(num[k] / (2.0 * sh[k - 1] * sh[k]))
+        fm1.append(cs[k - 1] * cs[k] / (sh[k - 1] * sh[k]))
+    return sh, num, f, fm1
 
 
 def pants_cocycle(lengths):
     """The normalized cocycle of the pants with the given boundary
     lengths, edge id -> Mat2: arcs carry diag(exp(l_k/4), ...), seams
-    carry seam_matrix.  Each k's values come in the order seam{k},
-    b{k}0, b{k}1."""
+    carry A_k = (sqrt(f-1), -sqrt(f); sqrt(f), -sqrt(f-1)) with
+    f = |b_k c_k| (:func:`_pants_table`).  A_k squares to minus the
+    identity, so to the identity in the projective class, and satisfies
+    the normalization a*b = c*d; this representative, with positive (1,1)
+    entry, is also the one the determinant-one lift uses.  Each k's
+    values come in the order seam{k}, b{k}0, b{k}1."""
+    _, _, f, fm1 = _pants_table(lengths)
     values = {}
-    for k in range(3):
-        arc = Mat2.diagonal(math.exp(0.25 * lengths[k]))
-        values[f"seam{k}"] = seam_matrix(lengths, k)
-        values[f"b{k}0"] = arc
-        values[f"b{k}1"] = arc
+    for k, (arc0, arc1, seam) in enumerate(_EDGES_BY_K):
+        alpha, beta = math.sqrt(fm1[k]), math.sqrt(f[k])
+        values[seam] = Mat2(alpha, -beta, beta, -alpha, check=False)
+        values[arc0] = values[arc1] = Mat2.diagonal(math.exp(0.25 * lengths[k]))
     return values

@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .mat2 import Mat2, _identity_distances, _max_or_nan, translation_length, walk
 from . import pants as pants_mod
-from .pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
+from .pants import _EDGES_BY_K, PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
 
 __all__ = [
     "LENGTH_RANGE",
@@ -170,8 +170,7 @@ _PANTS_CELLS = PANTS_VERTICES + tuple(PANTS_EDGES) + tuple(PANTS_FACES)
 _AT = {name: i for i, name in enumerate(_PANTS_CELLS)}
 _PANTS_EDGE_ROWS = [(_AT[e], _AT[v0], _AT[v1], kind) for e, (v0, v1, kind) in PANTS_EDGES.items()]
 _PANTS_FACE_ROWS = [(_AT[f], [(_AT[e], s) for e, s in cycle]) for f, cycle in PANTS_FACES.items()]
-_PANTS_EDGES_BY_K = tuple((f"b{k}0", f"b{k}1", f"seam{k}") for k in range(3))
-_PANTS_ROWS_BY_K = [[_AT[e] for e in by_k] for by_k in _PANTS_EDGES_BY_K]
+_PANTS_ROWS_BY_K = [[_AT[e] for e in by_k] for by_k in _EDGES_BY_K]
 _CURVE_CELLS = ("x0", "x1", "sq0", "sq1")
 
 
@@ -466,7 +465,7 @@ def assemble_cocycle(spec, fn):
     values = {}
     for pid, cells in complex_.pants.items():
         local = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
-        for names, ids in zip(_PANTS_EDGES_BY_K, cells.edges):
+        for names, ids in zip(_EDGES_BY_K, cells.edges):
             for e, eid in zip(names, ids):
                 values[eid] = local[e]
     for cid, cells in complex_.curves.items():

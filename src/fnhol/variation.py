@@ -20,13 +20,12 @@ The seam coefficient is the derivative of the closed-form seam matrix.
 import math
 
 from .mat2 import TracelessMat2, ad_action
-from .pants import bc_magnitude, bc_magnitude_minus_one
+from .pants import _pants_table
 from .surface import _cocycle_at, pants_boundary_lengths
 
 __all__ = [
     "TangentVector",
     "VariationCocycle",
-    "grad_log_bc",
     "variation_cocycle",
 ]
 
@@ -68,24 +67,6 @@ class VariationCocycle:
         return -ad_action(self.base.values[eid].inv(), z)
 
 
-def grad_log_bc(lengths, k):
-    """Gradient of log |b_k c_k| with respect to (l0, l1, l2)."""
-    num = math.cosh(0.5 * lengths[k + 1]) + math.cosh(0.5 * (lengths[k - 1] + lengths[k]))
-    cross = math.sinh(0.5 * (lengths[k - 1] + lengths[k])) / (2.0 * num)
-    grad = [0.0, 0.0, 0.0]
-    grad[(k + 1) % 3] = math.sinh(0.5 * lengths[k + 1]) / (2.0 * num)
-    grad[k % 3] = cross - 0.5 / math.tanh(0.5 * lengths[k])
-    grad[(k - 1) % 3] = cross - 0.5 / math.tanh(0.5 * lengths[k - 1])
-    return tuple(grad)
-
-
-def seam_variation_coefficient(lengths, k):
-    """The off-diagonal factor (1/2) sqrt(f/(f-1)) of the seam value's
-    logarithmic derivative."""
-    f = bc_magnitude(lengths, k)
-    return 0.5 * math.sqrt(f / bc_magnitude_minus_one(lengths, k))
-
-
 def variation_cocycle(spec, fn, tangent):
     """Closed-form variation cocycle of the tangent direction at fn.
 
@@ -103,18 +84,26 @@ def variation_cocycle(spec, fn, tangent):
 
 
 def _seam_data(base):
-    """Pants id -> per boundary k, grad log |b_k c_k| and the seam
-    coefficient at ``base.fn``, the point the base was assembled at;
-    evaluated once per base cocycle, when the first variation over it is
-    taken."""
+    """Pants id -> per boundary k, grad log f_k in (l0, l1, l2) and the seam
+    coefficient (1/2) sqrt(f_k/(f_k-1)), f_k = |b_k c_k|, at ``base.fn``,
+    the point the base was assembled at; read off the pants' table
+    (:func:`fnhol.pants._pants_table`) once per base cocycle."""
     if base._seam_data is None:
         data = {}
         for pid in base.complex.pants:
             lengths = pants_boundary_lengths(base.complex, base.fn, pid)
-            data[pid] = tuple(
-                (grad_log_bc(lengths, k), seam_variation_coefficient(lengths, k))
-                for k in range(3)
-            )
+            sh, num, f, fm1 = _pants_table(lengths)
+            l = lengths.l
+            coth = [0.5 / math.tanh(0.5 * x) for x in l]  # (1/2) coth(l_k/2)
+            rows = []
+            for k in range(3):
+                cross = math.sinh(0.5 * (l[k - 1] + l[k])) / (2.0 * num[k])
+                grad = [0.0, 0.0, 0.0]
+                grad[(k + 1) % 3] = sh[(k + 1) % 3] / (2.0 * num[k])
+                grad[k] = cross - coth[k]
+                grad[k - 1] = cross - coth[k - 1]
+                rows.append((tuple(grad), 0.5 * math.sqrt(f[k] / fm1[k])))
+            data[pid] = tuple(rows)
         base._seam_data = data
     return base._seam_data
 

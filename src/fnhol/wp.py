@@ -28,16 +28,18 @@ surface has only a few (its hexagons and squares).
 The pairing is a bilinear form on H^1, so :class:`PairingKernel` builds
 it once per base cocycle, and the cocycle keeps it: per face, the
 prefix products of the cocycle's one face walk
-(:meth:`SurfaceCocycle.face_walk`) are the transport matrices of every
-position of its cycle.  A variation cocycle is transported once,
-visiting only the edges it carries, into its values per face id at the
-positions of that face's cycle, and the pairing of two transported
-cocycles is a contraction over the faces they share, one face at a
-time.  Values that are exactly zero are left out; every sum is a
-``math.fsum``, which is correctly rounded in any order, and the
-transports are the same left-to-right products, so a face's part is the
-same to the bit as :func:`pair_chain` against the face's
-:func:`diagonal_chain` at the walk's rotation.
+(:meth:`SurfaceCocycle.face_walk`), renormalized, are the moves of every
+position of its cycle, kept as entry tuples.  A variation cocycle is
+transported once, visiting only the edges it carries, into entry tuples
+(x, y, z) per face id at the positions of that face's cycle, and the
+pairing of two transported cocycles is a contraction over the faces
+they share, one face at a time.  Values that are exactly zero are left
+out; every sum is a ``math.fsum``, which is correctly rounded in any
+order, and the kernel writes out ``Mat2.renormalized``,
+``VariationCocycle.value``, :func:`ad_action` and :func:`killing_form`
+operation for operation, so a face's part is the same to the bit as
+:func:`pair_chain` against the face's :func:`diagonal_chain` at the
+walk's rotation.
 
 :func:`wp_matrix` transports each coordinate direction once through
 one kernel.  A direction carries values on a few faces only, so it
@@ -50,7 +52,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .mat2 import Mat2, _max_or_nan, ad_action, walk
+from .mat2 import _max_or_nan, ad_action, walk
 from .surface import _cocycle_at
 from .variation import TangentVector, variation_cocycle
 
@@ -189,15 +191,15 @@ def pair_chain(cocycle, z1, z2, chain):
 def _face_part(terms, values1, values2):
     """One face's part of the pairing of two transported variations, each
     its values at the positions of the face cycle: the fsum of the chain
-    terms.  With finite values, a term with an exactly zero value (None)
-    contributes an exact zero, which no fsum can see."""
+    terms, each :func:`killing_form` on entry tuples.  With finite values,
+    a term with an exactly zero value (None) adds an exact zero."""
     total = []
     for sign, j, i in terms:
         x = values1[j]
         if x is not None:
             y = values2[i]
             if y is not None:
-                total.append(sign * killing_form(x, y))
+                total.append(sign * (2.0 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]))
     return PAIRING_NORMALIZATION * math.fsum(total)
 
 
@@ -226,11 +228,11 @@ class PairingKernel:
 
     Per face the kernel takes the running products of the cocycle's face
     walk, begun at the rotation the walk chose, and positions count from
-    there: the move of a position is its prefix product P_upto of the
-    edge values, renormalized, the holonomy of the path from the
-    basepoint to the start of the edge carried there.  Everything else,
-    the chain terms of that rotation and which prefix each position
-    reads, is the complex's layout (:func:`_face_layout`)."""
+    there: the move of a position is the entry tuple of its prefix product
+    P_upto of the edge values, renormalized, the holonomy of the path from
+    the basepoint to the start of the edge carried there.  The chain terms
+    of that rotation and which prefix each position reads are the
+    complex's layout (:func:`_face_layout`)."""
 
     def __init__(self, cocycle):
         complex_ = cocycle.complex
@@ -242,7 +244,12 @@ class PairingKernel:
             terms, stops, positions = _face_layout(complex_, fid, start)
             moves = {0: None}  # the empty path needs no move
             for upto in stops:
-                moves[upto] = Mat2(*prefixes[upto - 1], check=False).renormalized()
+                a, b, c, d = prefixes[upto - 1]
+                det = a * d - b * c
+                if det <= 0.0:
+                    raise ValueError(f"cannot renormalize matrix with det {det!r}")
+                s = 1.0 / math.sqrt(det)
+                moves[upto] = (a * s, b * s, c * s, d * s)
             for pos, (eid, orient, upto) in enumerate(positions):
                 held = self._edge_positions.setdefault(eid, (orient, []))[1]
                 held.append((fid, pos, moves[upto]))
@@ -251,20 +258,33 @@ class PairingKernel:
     def transport(self, variation):
         """The variation's values on the faces of the edges it carries,
         moved to each face basepoint: face id -> its values at the
-        positions of the face cycle, None where a value is exactly zero.
-        Faces where every value is exactly zero are left out."""
+        positions of the face cycle, as entry tuples (x, y, z) of (x y; z -x)
+        or None where exactly zero.  Faces with no nonzero value are left out."""
         transported = {}
         edge_positions = self._edge_positions
         face_terms = self._face_terms
+        values_of = variation.base.values
         for eid, z in variation.values.items():
             if not (z.x or z.y or z.z):
                 continue  # every transport of an exact zero is one
             orient, held = edge_positions[eid]
-            if orient < 0:
-                z = variation.value(eid, orient)
+            x, y, w = z.x, z.y, z.z
+            if orient < 0:  # z(e^-1) = -Ad(rho(e)^-1) z(e), as VariationCocycle.value
+                m = values_of[eid]
+                a, b, c, d = m.d, -m.b, -m.c, m.a
+                p, q = a * x + b * w, a * y - b * x
+                r, s = c * x + d * w, c * y - d * x
+                x, y, w = -(p * d - q * c), -(-p * b + q * a), -(r * d - s * c)
             for fid, pos, move in held:
-                v = z if move is None else ad_action(move, z)
-                if v.x or v.y or v.z:
+                if move is None:
+                    v = (x, y, w)
+                else:
+                    # (a b; c d) (x y; w -x) (d -b; -c a), using det = 1
+                    a, b, c, d = move
+                    p, q = a * x + b * w, a * y - b * x
+                    r, s = c * x + d * w, c * y - d * x
+                    v = (p * d - q * c, -p * b + q * a, r * d - s * c)
+                if v[0] or v[1] or v[2]:
                     values = transported.get(fid)
                     if values is None:
                         values = transported[fid] = [None] * face_terms[fid][0]

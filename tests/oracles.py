@@ -4,6 +4,10 @@ Each one computes independently something the package's pipeline
 computes in closed form or through its kernel, and none of them runs in
 the pipeline:
 
+* the per-boundary closed forms of a pants, one function per value:
+  |b_k c_k|, |b_k c_k| - 1 in product form, the seam matrix, the
+  gradient of log |b_k c_k| and the seam variation coefficient, as the
+  package evaluated them before it kept one table per pants;
 * pants gauges and their standardization, which recovers the normalized
   pants cocycle from any gauged copy;
 * the central-difference variation cocycle, the coboundary of a vertex
@@ -60,6 +64,56 @@ def close_to(m, other, tol=CMP_TOL):
     """Whether Mat2 ``m`` is within ``tol`` times the larger of 1 and the
     two norms of ``other``, entry by entry; a nan entry is never close."""
     return dist(m, other) <= tol * max(1.0, m.norm(), other.norm())
+
+
+def bc_magnitude(lengths, k):
+    """|b_k c_k| for the seam between boundaries k-1 and k.
+
+    Equals (cosh(l_{k+1}/2) + cosh((l_{k-1}+l_k)/2))
+    / (2 sinh(l_{k-1}/2) sinh(l_k/2)), and always exceeds 1."""
+    num = math.cosh(0.5 * lengths[k + 1]) + math.cosh(0.5 * (lengths[k - 1] + lengths[k]))
+    den = 2.0 * math.sinh(0.5 * lengths[k - 1]) * math.sinh(0.5 * lengths[k])
+    return num / den
+
+
+def bc_magnitude_minus_one(lengths, k):
+    """|b_k c_k| - 1 in a product form that avoids cancellation.
+
+    Equals cosh(s - l_{k-1}/2) cosh(s - l_k/2)
+    / (sinh(l_{k-1}/2) sinh(l_k/2)) with s = (l0+l1+l2)/4."""
+    s = 0.25 * (lengths[0] + lengths[1] + lengths[2])
+    num = math.cosh(s - 0.5 * lengths[k - 1]) * math.cosh(s - 0.5 * lengths[k])
+    den = math.sinh(0.5 * lengths[k - 1]) * math.sinh(0.5 * lengths[k])
+    return num / den
+
+
+def seam_matrix(lengths, k):
+    """Seam value A_k = (sqrt(f-1), -sqrt(f); sqrt(f), -sqrt(f-1)) with
+    f = |b_k c_k|; it squares to minus the identity, so to the identity
+    in the projective class, and satisfies the normalization a*b = c*d.
+    This representative, with positive (1,1) entry, is also the one the
+    determinant-one lift uses."""
+    alpha = math.sqrt(bc_magnitude_minus_one(lengths, k))
+    beta = math.sqrt(bc_magnitude(lengths, k))
+    return Mat2(alpha, -beta, beta, -alpha, check=False)
+
+
+def grad_log_bc(lengths, k):
+    """Gradient of log |b_k c_k| with respect to (l0, l1, l2)."""
+    num = math.cosh(0.5 * lengths[k + 1]) + math.cosh(0.5 * (lengths[k - 1] + lengths[k]))
+    cross = math.sinh(0.5 * (lengths[k - 1] + lengths[k])) / (2.0 * num)
+    grad = [0.0, 0.0, 0.0]
+    grad[(k + 1) % 3] = math.sinh(0.5 * lengths[k + 1]) / (2.0 * num)
+    grad[k % 3] = cross - 0.5 / math.tanh(0.5 * lengths[k])
+    grad[(k - 1) % 3] = cross - 0.5 / math.tanh(0.5 * lengths[k - 1])
+    return tuple(grad)
+
+
+def seam_variation_coefficient(lengths, k):
+    """The off-diagonal factor (1/2) sqrt(f/(f-1)) of the seam value's
+    logarithmic derivative."""
+    f = bc_magnitude(lengths, k)
+    return 0.5 * math.sqrt(f / bc_magnitude_minus_one(lengths, k))
 
 
 class AxisLocationError(ValueError):

@@ -224,7 +224,7 @@ def test_spin_walks_face_words_once(monkeypatch):
     doc = parse_document(json.dumps(genus2_doc()))
     assert run_command(doc, "verify")[1] == 0
     cycles = set(doc.complex.faces.values())
-    calls = {"walk": 0, "seam_matrix": 0, "pants_cocycle": 0}
+    calls = {"walk": 0, "_pants_table": 0, "pants_cocycle": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -236,7 +236,7 @@ def test_spin_walks_face_words_once(monkeypatch):
 
     for module in (fnhol.surface, fnhol.spin):
         monkeypatch.setattr(module, "walk", counted("walk", module.walk))
-    for name in ("seam_matrix", "pants_cocycle"):
+    for name in ("_pants_table", "pants_cocycle"):
         monkeypatch.setattr(fnhol.pants, name, counted(name, getattr(fnhol.pants, name)))
     walks = []
     max_face_residual = SpinSurfaceCocycle.max_face_residual
@@ -248,7 +248,7 @@ def test_spin_walks_face_words_once(monkeypatch):
     monkeypatch.setattr(SpinSurfaceCocycle, "max_face_residual", residual)
     report, code = run_command(doc, "spin")
     assert code == 0
-    assert calls == {"walk": 0, "seam_matrix": 0, "pants_cocycle": 0}
+    assert calls == {"walk": 0, "_pants_table": 0, "pants_cocycle": 0}
     assert len(walks) == 1 and report["max_residual"] == walks[0]
 
 

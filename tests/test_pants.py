@@ -13,19 +13,19 @@ from fnhol.pants import (
     PANTS_FACES,
     PANTS_VERTICES,
     PantsLengths,
-    bc_magnitude,
-    bc_magnitude_minus_one,
     pants_cocycle,
-    seam_matrix,
 )
 from conftest import random_mat2, rng_for
 from oracles import (
     NotFuchsianError,
+    bc_magnitude,
+    bc_magnitude_minus_one,
     close_to,
     gauge_transform,
     identity,
     nearest_point_on_imaginary_axis,
     proj_dist,
+    seam_matrix,
     standardize,
 )
 

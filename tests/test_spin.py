@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from fnhol.mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
-from fnhol.pants import PANTS_FACES, PantsLengths, seam_matrix
+from fnhol.pants import PANTS_FACES, PantsLengths
 from fnhol.surface import (FNPoint, SurfaceCocycle, assemble_cocycle, build_complex, check_word,
                            holonomy)
 from fnhol.spin import (
@@ -31,7 +31,7 @@ from conftest import (
     random_gluing,
     rng_for,
 )
-from oracles import dist, identity, proj_dist
+from oracles import dist, identity, proj_dist, seam_matrix
 
 
 def test_boundary_signs_constraint():

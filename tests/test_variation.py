@@ -1,14 +1,17 @@
+import itertools
 import math
 
 import pytest
 
+import fnhol.pants
 import fnhol.surface
 import fnhol.variation
 import fnhol.wp
 from fnhol.mat2 import TracelessMat2, ad_action
-from fnhol.pants import PantsLengths, bc_magnitude
-from fnhol.surface import FNPoint, assemble_cocycle, build_complex
-from fnhol.variation import TangentVector, grad_log_bc, variation_cocycle
+from fnhol.pants import PantsLengths, pants_cocycle
+from fnhol.surface import (LENGTH_RANGE, FNPoint, assemble_cocycle, build_complex,
+                           pants_boundary_lengths)
+from fnhol.variation import TangentVector, variation_cocycle
 from fnhol.spin import assemble_spin
 from fnhol.wp import killing_form, wp_matrix, wp_pairing
 from conftest import (
@@ -22,10 +25,15 @@ from conftest import (
 )
 from oracles import (
     SignLiftError,
+    bc_magnitude,
+    bc_magnitude_minus_one,
     check_cocycle_condition,
     coboundary,
     fd_variation,
+    grad_log_bc,
     linear_combination,
+    seam_matrix,
+    seam_variation_coefficient,
 )
 
 H = TracelessMat2.diag(1.0)
@@ -390,28 +398,58 @@ def test_wp_pairing_refuses_variations_at_another_point():
 
 
 def test_seam_data_is_evaluated_once_per_base(monkeypatch):
-    # three gradients and three seam coefficients per pants for the whole
-    # pairing matrix, none while the cocycle is assembled
+    # one table per pants for the whole pairing matrix, read by the seam
+    # data, beside the one assembly reads
     spec = caterpillar(5)
     cx = build_complex(spec)
     fn = random_fn(rng_for("seam-data"), spec)
-    calls = {"grad_log_bc": 0, "seam_variation_coefficient": 0}
+    calls = {"pants": 0, "variation": 0}
     for name in calls:
-        original = getattr(fnhol.variation, name)
+        module = getattr(fnhol, name)
+        original = module._pants_table
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(fnhol.variation, name, counted)
+        monkeypatch.setattr(module, "_pants_table", counted)
+    once = len(spec.pants)
     base = assemble_cocycle(cx, fn)
-    assert calls == {"grad_log_bc": 0, "seam_variation_coefficient": 0}
+    assert calls == {"pants": once, "variation": 0}
     wp_matrix(base, fn)
-    once = 3 * len(spec.pants)
-    assert calls == {"grad_log_bc": once, "seam_variation_coefficient": once}
+    assert calls == {"pants": once, "variation": once}
     variation_cocycle(base, fn, random_tangent(rng_for("seam-data-2"), spec))
     wp_matrix(base, fn)
-    assert calls == {"grad_log_bc": once, "seam_variation_coefficient": once}
+    assert calls == {"pants": once, "variation": once}
+
+
+def test_the_pants_table_keeps_the_bits_of_the_closed_forms():
+    # the table, the pants values and the seam data equal the per-boundary
+    # closed forms they replaced (tests/oracles.py), on random length
+    # triples and on the corners of the accepted range
+    lo, hi = LENGTH_RANGE
+    rng = rng_for("pants-table")
+    triples = list(itertools.product((lo, 2.0, hi), repeat=3))
+    triples += [tuple(math.exp(rng.uniform(math.log(lo), math.log(hi))) for _ in range(3))
+                for _ in range(100)]
+    triples += [tuple(rng.uniform(0.5, 5.0) for _ in range(3)) for _ in range(100)]
+    spec = genus2_spec()
+    cx = build_complex(spec)
+    for triple in triples:
+        lengths = PantsLengths(*triple)
+        _, _, f, fm1 = fnhol.pants._pants_table(lengths)
+        assert f == [bc_magnitude(lengths, k) for k in range(3)]
+        assert fm1 == [bc_magnitude_minus_one(lengths, k) for k in range(3)]
+        values = pants_cocycle(lengths)
+        for k in range(3):
+            assert values[f"seam{k}"].entries() == seam_matrix(lengths, k).entries()
+        fn = FNPoint(dict(enumerate(triple)), {0: 0.3, 1: -1.2, 2: 4.0})
+        base = assemble_cocycle(cx, fn)
+        seams = fnhol.variation._seam_data(base)
+        for pid in cx.pants:
+            own = pants_boundary_lengths(cx, fn, pid)
+            assert seams[pid] == tuple(
+                (grad_log_bc(own, k), seam_variation_coefficient(own, k)) for k in range(3))
 
 
 def test_curves_outside_the_complex_are_ignored():

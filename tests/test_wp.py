@@ -387,24 +387,29 @@ def test_long_curve_matrix_is_the_face_by_face_sum():
 
 
 def test_wp_matrix_work_grows_linearly_in_genus(monkeypatch):
-    # each added genus adds the same number of adjoint actions and trace
-    # forms; pairing every direction with every other grew quadratically
-    calls = [0]
-    for module, name in ((fnhol.wp, "ad_action"), (fnhol.variation, "ad_action"),
-                         (fnhol.wp, "killing_form")):
-        original = getattr(module, name)
+    # each added genus adds the same number of transported values and
+    # contraction terms; pairing every direction with every other grew
+    # quadratically
+    work = [0]
+    transport, face_part = PairingKernel.transport, fnhol.wp._face_part
 
-        def counted(*args, original=original):
-            calls[0] += 1
-            return original(*args)
+    def counted_transport(self, variation):
+        out = transport(self, variation)
+        work[0] += sum(v is not None for values in out.values() for v in values)
+        return out
 
-        monkeypatch.setattr(module, name, counted)
+    def counted_face_part(terms, values1, values2):
+        work[0] += len(terms)
+        return face_part(terms, values1, values2)
+
+    monkeypatch.setattr(PairingKernel, "transport", counted_transport)
+    monkeypatch.setattr(fnhol.wp, "_face_part", counted_face_part)
     counts = []
     for g in (6, 12, 18):
         spec = caterpillar(g)
-        calls[0] = 0
+        work[0] = 0
         wp_matrix(build_complex(spec), random_fn(rng_for(f"linear-{g}"), spec))
-        counts.append(calls[0])
+        counts.append(work[0])
     assert counts[2] - counts[1] == counts[1] - counts[0] > 0
 
 
@@ -586,7 +591,7 @@ def test_kernel_transport_keeps_only_nonzero_slots():
     assert set(transported) == set(cx.curves[0].squares)
     for fid, values in transported.items():
         assert len(values) == len(cx.faces[fid])
-        assert all(v.x or v.y or v.z for v in values if v is not None)
+        assert all(len(v) == 3 and any(v) for v in values if v is not None)
     zero = variation_cocycle(cx, fn, TangentVector())
     assert kernel.transport(zero) == {}
     assert kernel.pair(kernel.transport(zero), kernel.transport(z)) == 0.0

@@ -238,16 +238,16 @@ def _verdict(command, fields, lines, ok):
 
 def _spin_list(spec):
     """The ``spin --list`` report: every boundary-sign assignment and
-    crossing-sign class; it needs no cell complex.  Each curve id is
-    formatted once, not once per listed assignment.  The tree curves are
-    those every class holds at +1: the last class, in product order,
-    holds every other curve at -1."""
+    crossing-sign class; it needs no cell complex.  Each report row and
+    text line is read in one pass off a listed row's values, which follow
+    the curves sorted by str.  The tree curves are those every class
+    holds at +1: the last class, in product order, holds every other
+    curve at -1."""
     from . import spin
 
     eps_list, classes = spin.enumerate_spin(spec)
-    order = sorted(spec.curve_ids(), key=str)
-    names = [str(c) for c in order]
-    tree = [n for n, c in zip(names, order) if classes[-1][c] == 1]
+    names = [str(c) for c in classes[-1]]
+    tree = [n for n, s in zip(names, classes[-1].values()) if s == 1]
     tokens = [{1: f"{n}:+1", -1: f"{n}:-1"} for n in names]
     lines = [
         f"boundary-sign assignments {len(eps_list)}",
@@ -259,9 +259,9 @@ def _spin_list(spec):
     for kind, assignments in (("eps", eps_list), ("class", classes)):
         rows = listed[kind] = []
         for signs in assignments:
-            values = [signs[c] for c in order]
+            values = signs.values()
             rows.append(dict(zip(names, values)))
-            lines.append(kind + " " + " ".join([t[v] for t, v in zip(tokens, values)]))
+            lines.append(kind + " " + " ".join(map(dict.__getitem__, tokens, values)))
     return {
         "command": "spin",
         "eps_assignments": listed["eps"],

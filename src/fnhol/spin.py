@@ -32,19 +32,23 @@ eps_k = -1.
 
 Globally, the boundary signs form an affine system over GF(2), one
 equation per pants, of rank 2g-3; Gaussian elimination gives its 2^g
-solutions directly.  The free data beyond the per-pants lifts is one
-sign per crossing edge pair.  Gauging by the per-pants transformations
-(-I on all six vertices of one pants) lets the signs on a spanning tree
-of the gluing graph be fixed to +1; the remaining g signs enumerate the
-2^g spin structures compatible with a given boundary-sign assignment.
+solutions directly, as bit masks over the curves sorted by str.  The
+free data beyond the per-pants lifts is one sign per crossing edge pair.
+Gauging by the per-pants transformations (-I on all six vertices of one
+pants) lets the signs on a spanning tree of the gluing graph be fixed to
++1; the remaining g signs enumerate the 2^g spin structures compatible
+with a given boundary-sign assignment, masks again, from the same
+doubling over the bits of the curves outside the tree.
+:func:`enumerate_spin` validates the decomposition as
+:func:`fnhol.surface.build_complex` does and writes both lists from
+their masks, each row a copy of the row before it with the signs
+changed only at the bits where the two masks differ.
 """
-
-import itertools
 
 from .mat2 import HYPERBOLIC_MARGIN, NonHyperbolicError, _identity_distances, _max_or_nan, walk
 from . import pants as pants_mod
 from .surface import (SpinSignError, SurfaceCocycle, _check_crossing_signs, _check_eps,
-                      _cocycle_at, _renormalized_product, holonomy, spanning_tree_curves)
+                      _cocycle_at, _renormalized_product, _valid_tree, holonomy)
 
 __all__ = [
     "SpinSignError",
@@ -184,10 +188,36 @@ def assemble_spin(spec, fn, eps, crossing_signs=None):
     return out
 
 
+def _doubled(masks, flips):
+    """``masks`` doubled once per flip, in order: each mask x followed by
+    x ^ flip, so the first flip varies slowest, as the first factor of
+    itertools.product does."""
+    for flip in flips:
+        masks = [y for x in masks for y in (x, x ^ flip)]
+    return masks
+
+
+def _sign_rows(curve_ids, masks):
+    """One dict over ``curve_ids`` per mask (bit i for curve_ids[i]), -1
+    at its set bits and +1 elsewhere: each row a copy of the row before it
+    with the signs negated at the bits where the two masks differ."""
+    rows, row, prev = [], dict.fromkeys(curve_ids, 1), 0
+    for x in masks:
+        row = row.copy()
+        diff = x ^ prev
+        while diff:
+            i = diff.bit_length() - 1
+            row[curve_ids[i]] = -row[curve_ids[i]]
+            diff ^= 1 << i
+        rows.append(row)
+        prev = x
+    return rows
+
+
 def _solve_pants_signs(curve_ids, spec):
-    """Every eps: curve id -> +-1 that multiplies to -1 around every
-    pants of ``spec``, in the order of itertools.product((1, -1), ...)
-    over ``curve_ids``.
+    """The mask of every eps: curve id -> +-1 that multiplies to -1
+    around every pants of ``spec``, in the order of
+    itertools.product((1, -1), ...) over ``curve_ids``.
 
     Over GF(2), with bit i of a mask standing for curve_ids[i] and a set
     bit for -1, each pants gives the equation (row . x) = 1, where a
@@ -221,17 +251,14 @@ def _solve_pants_signs(curve_ids, spec):
         pivots[p] = [row, rhs]
 
     # setting free variable i flips x_i and every pivot whose row holds i
-    masks = [sum(rhs << p for p, (_, rhs) in pivots.items())]
+    flips = []
     for i in range(len(curve_ids)):
         if i not in pivots:
             flip = 1 << i
             for p, (row, _) in pivots.items():
                 flip |= (row >> i & 1) << p
-            masks = [y for x in masks for y in (x, x ^ flip)]
-    return [
-        {cid: -1 if x >> i & 1 else 1 for i, cid in enumerate(curve_ids)}
-        for x in masks
-    ]
+            flips.append(flip)
+    return _doubled([sum(rhs << p for p, (_, rhs) in pivots.items())], flips)
 
 
 def enumerate_spin(spec):
@@ -239,23 +266,19 @@ def enumerate_spin(spec):
     :class:`~fnhol.surface.SurfaceSpec`; it needs no cell complex)
     satisfying every pants constraint, and the crossing-sign classes
     (one per choice of sign on the g curves outside the spanning tree;
-    tree curves are held at +1).
+    tree curves are held at +1).  ValueError ("invalid surface: ...",
+    as :func:`fnhol.surface.build_complex` raises it) unless ``spec`` is
+    a valid decomposition.
 
     Returns (eps assignments, crossing-sign classes), each a list of
-    dicts over the curve ids sorted by str, in itertools.product order
-    of the signs (1, -1).  Every pair combines into a valid lift, so
-    there are len(eps) * 2^g lifts in normal form."""
+    distinct dicts over the curve ids sorted by str, in itertools.product
+    order of the signs (1, -1).  Every pair combines into a valid lift,
+    so there are len(eps) * 2^g lifts in normal form."""
+    tree = set(_valid_tree(spec))
     curve_ids = sorted((c.id for c in spec.curves), key=str)
-    eps_assignments = _solve_pants_signs(curve_ids, spec)
-
-    tree = set(spanning_tree_curves(spec))
-    free = [c for c in curve_ids if c not in tree]
-    classes = []
-    for combo in itertools.product((1, -1), repeat=len(free)):
-        signs = {c: 1 for c in curve_ids}
-        signs.update(dict(zip(free, combo)))
-        classes.append(signs)
-    return eps_assignments, classes
+    classes = _doubled([0], [1 << i for i, c in enumerate(curve_ids) if c not in tree])
+    return (_sign_rows(curve_ids, _solve_pants_signs(curve_ids, spec)),
+            _sign_rows(curve_ids, classes))
 
 
 def rot2(spin_cocycle, loop):

@@ -282,11 +282,11 @@ class SurfaceCocycle:
 
     The values are fixed once the cocycle is constructed.  Every product
     along a face word is taken by :meth:`face_walk`; the face products
-    are walked once, on first use, and kept with their residuals.  So
-    are each boundary loop's product (:meth:`loop_product`), the largest
-    face residual, the seam data that variations over it
-    (:mod:`fnhol.variation`) read at ``fn``, the pairing kernel over it
-    (:mod:`fnhol.wp`), and what its lifts
+    are walked once, on first use, and kept, their residuals from the
+    first :meth:`face_residual`.  So are each boundary loop's product
+    (:meth:`loop_product`), the largest face residual, the seam data
+    that variations over it (:mod:`fnhol.variation`) read at ``fn``,
+    the pairing kernel over it (:mod:`fnhol.wp`), and what its lifts
     (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) share: one
     residual per face and their largest, read off the face products and
     kept once every pants passes the lift test, the negated values and
@@ -333,24 +333,26 @@ class SurfaceCocycle:
         return start, product
 
     def face_products(self):
-        """Face id -> the product of :meth:`face_walk`; the one walk per face
-        also keeps its residual (None where renormalizing raises, det <= 0)."""
+        """Face id -> the product of :meth:`face_walk`, one walk per face,
+        walked on the first call and kept."""
         if self._face_products is None:
-            products, residuals = self._face_products, self._face_residuals = {}, {}
-            for fid in self.complex.faces:
-                m = products[fid] = self.face_walk(fid)[1]
-                det = m.det()
-                if det <= 0.0:
-                    residuals[fid] = None
-                    continue
-                s = 1.0 / math.sqrt(det)
-                residuals[fid] = min(_identity_distances(m.a * s, m.b * s, m.c * s, m.d * s))
+            self._face_products = {fid: self.face_walk(fid)[1] for fid in self.complex.faces}
         return self._face_products
 
     def face_residual(self, fid):
-        """Distance of the renormalized face product from +-I (ValueError if det <= 0)."""
-        self.face_products()
-        residual = self._face_residuals[fid]
+        """Distance of the renormalized face product from +-I (ValueError if det <= 0);
+        the first call reads every face's off the kept products."""
+        residuals = self._face_residuals
+        if residuals is None:
+            residuals = self._face_residuals = {}
+            for f, m in self.face_products().items():
+                det = m.det()
+                if det <= 0.0:
+                    residuals[f] = None
+                    continue
+                s = 1.0 / math.sqrt(det)
+                residuals[f] = min(_identity_distances(m.a * s, m.b * s, m.c * s, m.d * s))
+        residual = residuals[fid]
         if residual is None:
             self._face_products[fid].renormalized()  # raises "cannot renormalize ..."
         return residual
@@ -405,18 +407,14 @@ def _crossing_entry(twist, name):
 
 # The accepted spin sign data, one rule for the library and the command line:
 # each sign a number equal to +1 or -1 and not a bool (so -1.0 passes)
-def _check_sign(value, name):
-    """SpinSignError, naming the sign by ``name``, unless it is +-1."""
-    if isinstance(value, bool) or value not in (-1, 1):
-        raise SpinSignError(f"{name}: expected +-1, got {value!r}")
-
-
 def _check_signs(signs, curves, name):
-    """SpinSignError naming the field ``name`` unless each key is in ``curves`` with a sign."""
+    """SpinSignError naming the field ``name`` unless each key is in ``curves``
+    with a sign; ``"<name>.<key>"`` is formatted only for a refused sign."""
     for key, value in signs.items():
         if key not in curves:
             raise SpinSignError(f"{name}: unknown curve {key!r}")
-        _check_sign(value, f"{name}.{key}")
+        if isinstance(value, bool) or value not in (-1, 1):
+            raise SpinSignError(f"{name}.{key}: expected +-1, got {value!r}")
 
 
 def _check_eps(eps, pants_curves, name):

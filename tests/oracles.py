@@ -22,18 +22,24 @@ the pipeline:
   cocycle: a cell complex built from a dict of names per pants, a face
   residual through a renormalized matrix, a lift's residual through the
   negated product, and a loop's length and rotation number through
-  :func:`fnhol.surface.holonomy` and a fresh walk.
+  :func:`fnhol.surface.holonomy` and a fresh walk;
+* the spin listing as the package wrote it before it copied each sign
+  row off the one before it: one dict per boundary-sign mask, the
+  crossing-sign classes from itertools.product, and a report row and
+  text line read with one lookup per curve.
 
 The tests import them from here; the package does not ship them.
 """
 
+import itertools
 import math
 
 from fnhol.mat2 import (HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, TracelessMat2, _max_or_nan,
                         ad_action, translation_length, walk)
 from fnhol.pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES, PantsLengths
+from fnhol.spin import _solve_pants_signs
 from fnhol.surface import (CellComplex, CurveCells, Edge, FNPoint, _pants_curves,
-                           assemble_cocycle, build_complex, holonomy)
+                           assemble_cocycle, build_complex, holonomy, spanning_tree_curves)
 from fnhol.variation import VariationCocycle
 from fnhol.wp import DiagonalTerm, FaceChain, diagonal_chain, pair_chain
 
@@ -425,3 +431,54 @@ def rot2(spin_cocycle, loop):
     if abs(tr) <= 2.0 + HYPERBOLIC_MARGIN:
         raise NonHyperbolicError(f"loop holonomy trace {tr!r} is not hyperbolic")
     return 0 if tr > 0.0 else 1
+
+
+def enumerate_spin(spec):
+    """(eps assignments, crossing-sign classes) of a valid ``spec``, as
+    :func:`fnhol.spin.enumerate_spin` returns them: one dict per mask of
+    ``_solve_pants_signs``, a sign read off each bit, and one dict of +1
+    per sign combination of the curves outside the spanning tree."""
+    curve_ids = sorted((c.id for c in spec.curves), key=str)
+    eps_assignments = [
+        {cid: -1 if x >> i & 1 else 1 for i, cid in enumerate(curve_ids)}
+        for x in _solve_pants_signs(curve_ids, spec)
+    ]
+
+    tree = set(spanning_tree_curves(spec))
+    free = [c for c in curve_ids if c not in tree]
+    classes = []
+    for combo in itertools.product((1, -1), repeat=len(free)):
+        signs = {c: 1 for c in curve_ids}
+        signs.update(dict(zip(free, combo)))
+        classes.append(signs)
+    return eps_assignments, classes
+
+
+def spin_list(spec):
+    """The ``spin --list`` report of a valid ``spec`` over
+    :func:`enumerate_spin` above, each row read with one lookup per curve."""
+    eps_list, classes = enumerate_spin(spec)
+    order = sorted(spec.curve_ids(), key=str)
+    names = [str(c) for c in order]
+    tree = [n for n, c in zip(names, order) if classes[-1][c] == 1]
+    tokens = [{1: f"{n}:+1", -1: f"{n}:-1"} for n in names]
+    lines = [
+        f"boundary-sign assignments {len(eps_list)}",
+        f"crossing-sign classes per assignment {len(classes)}",
+        f"total lifts in normal form {len(eps_list) * len(classes)}",
+        f"tree curves {' '.join(tree)}",
+    ]
+    listed = {}
+    for kind, assignments in (("eps", eps_list), ("class", classes)):
+        rows = listed[kind] = []
+        for signs in assignments:
+            values = [signs[c] for c in order]
+            rows.append(dict(zip(names, values)))
+            lines.append(kind + " " + " ".join([t[v] for t, v in zip(tokens, values)]))
+    return {
+        "command": "spin",
+        "eps_assignments": listed["eps"],
+        "crossing_classes": listed["class"],
+        "tree_curves": tree,
+        "lines": lines,
+    }

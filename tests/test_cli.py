@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -13,13 +14,16 @@ import fnhol.surface
 import fnhol.wp
 from fnhol.cli import (
     DocumentError,
+    _emit,
     main,
     parse_document,
     run_command,
 )
 from fnhol.mat2 import Mat2
 from fnhol.spin import SpinSurfaceCocycle
-from conftest import comb, random_fn, random_gluing, rng_for
+from fnhol.surface import Curve, SurfaceSpec
+import oracles
+from conftest import caterpillar, comb, random_fn, random_gluing, rng_for
 
 
 def genus2_doc(spin=True):
@@ -200,6 +204,51 @@ def test_spin_list_seeks_the_spanning_tree_once(monkeypatch):
         assert all(all(s[int(c)] == 1 for c in want) for s in classes)
 
 
+def _with_string_ids(spec):
+    """The same decomposition with every pants id p renamed "pants-p" and
+    every curve id c "curve-c", which sort by str in another order."""
+    pid = {p: f"pants-{p}" for p in spec.pants}
+    return SurfaceSpec(spec.genus, tuple(pid.values()), tuple(
+        Curve(f"curve-{c.id}", (pid[c.left[0]], c.left[1]), (pid[c.right[0]], c.right[1]))
+        for c in spec.curves))
+
+
+def _emitted(report, formats=("text", "json")):
+    """The bytes ``--format text`` and ``--format json`` write of a report."""
+    out = []
+    for fmt in formats:
+        stream = io.StringIO()
+        _emit(report, fmt, stream)
+        out.append(stream.getvalue())
+    return out
+
+
+def test_the_listing_matches_the_row_by_row_reference():
+    # the rows copied off the row before them, and the report read off
+    # their values in one pass, are the reference's rows and bytes, key
+    # order included, on every shape with int and string ids; every row
+    # is a dict of its own.  The JSON is compared as json.dumps writes it
+    # without the indent, which only adds whitespace and would take the
+    # slow pure-Python encoder over 2^10 rows
+    rng = rng_for("listing-reference")
+    for genus in range(2, 11):
+        for spec in (caterpillar(genus), comb(genus), random_gluing(rng, genus)):
+            for spec in (spec, _with_string_ids(spec)):
+                got, want = fnhol.spin.enumerate_spin(spec), oracles.enumerate_spin(spec)
+                assert [[list(row.items()) for row in rows] for rows in got] == [
+                    [list(row.items()) for row in rows] for rows in want]
+                rows = got[0] + got[1]
+                for i, row in enumerate(rows):
+                    row["mark"] = i
+                assert [row["mark"] for row in rows] == list(range(len(rows)))
+                report, code = run_command(fnhol.cli.SurfaceDocument(spec, None, None), "spin",
+                                           list_spin=True)
+                assert code == 0
+                want = oracles.spin_list(spec)
+                assert _emitted(report, ["text"]) == _emitted(want, ["text"])
+                assert json.dumps(report) == json.dumps(want)
+
+
 def test_commands_that_do_not_pair_lay_out_nothing(monkeypatch):
     # the pairing kernel's layout is kept with the complex, made on first
     # use; verify, fn, holonomy and spin never pair, so never make it
@@ -250,6 +299,78 @@ def test_spin_walks_face_words_once(monkeypatch):
     assert code == 0
     assert calls == {"walk": 0, "_pants_table": 0, "pants_cocycle": 0}
     assert len(walks) == 1 and report["max_residual"] == walks[0]
+
+
+def _verify_bytes(doc):
+    """The bytes verify writes of a document in text and JSON."""
+    report, code = run_command(doc, "verify")
+    return _emitted(report), code
+
+
+def test_spin_reads_face_products_only(monkeypatch):
+    # on a fresh document the lift reads its residual table off the face
+    # products, one distance per face, and leaves the renormalized
+    # residuals that only verify reads unbuilt; verify after spin writes
+    # what verify alone writes
+    rng = rng_for("spin-face-products")
+    docs = [genus2_doc()]
+    for genus in (3, 5):
+        spec = random_gluing(rng, genus)
+        eps_list, classes = fnhol.spin.enumerate_spin(spec)
+        docs.append(_document(spec, random_fn(rng, spec), rng.choice(eps_list),
+                              rng.choice(classes)))
+    distances = fnhol.mat2._identity_distances
+    for raw in docs:
+        doc = parse_document(json.dumps(raw))
+        read = []
+
+        def counted(a, b, c, d):
+            read.append((a, b, c, d))
+            return distances(a, b, c, d)
+
+        for module in (fnhol.surface, fnhol.spin):
+            monkeypatch.setattr(module, "_identity_distances", counted)
+        assert run_command(doc, "spin")[1] == 0
+        monkeypatch.undo()
+        assert len(read) == len(doc.complex.faces)
+        assert doc.cocycle._face_residuals is None
+        assert _verify_bytes(doc) == _verify_bytes(parse_document(json.dumps(raw)))
+
+
+def test_a_face_that_cannot_be_renormalized_is_refused_where_it_is_read():
+    # p1.seam0 with det -1 puts det -1 on both hexagons of pants 1, and a
+    # zero c2.x1 det 0 on both squares of curve 2: verify reads the faces
+    # in sorted order and meets c2.sq0 first, the largest residual reads
+    # them in the complex's order and meets p1.hex+ first, and a spin
+    # lift taken before either changes neither refusal
+    def broken(seam=True):
+        doc = parse_document(json.dumps(genus2_doc()))
+        values = doc.cocycle.values
+        if seam:
+            m = values["p1.seam0"]
+            values["p1.seam0"] = Mat2(m.a, m.b, -m.c, -m.d, check=False)
+        values["c2.x1"] = Mat2(0.0, 0.0, 0.0, 0.0, check=False)
+        return doc
+
+    sorted_first = "cannot renormalize matrix with det 0.0"
+    complex_first = "cannot renormalize matrix with det -0.9999999999999999"
+    for spin_first in (False, True):
+        doc = broken()
+        if spin_first:
+            with pytest.raises(AssertionError, match="found 0"):
+                run_command(doc, "spin")
+        with pytest.raises(ValueError) as info:
+            run_command(doc, "verify")
+        assert str(info.value) == sorted_first
+        with pytest.raises(ValueError) as info:
+            doc.cocycle.max_face_residual()
+        assert str(info.value) == complex_first
+    doc = broken(seam=False)
+    report, code = run_command(doc, "spin")
+    assert code == 1 and report["max_residual"] == 1.0
+    with pytest.raises(ValueError) as info:
+        run_command(doc, "verify")
+    assert str(info.value) == sorted_first
 
 
 def _handle_doc(short_length):

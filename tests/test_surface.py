@@ -454,6 +454,13 @@ LIBRARY_REFUSALS = {
                                                              _readme_fn().twists),
                                   TangentVector({0: 1.0})),
         ValueError, "the cocycle was assembled at another point than fn"),
+    "spin-listing-of-a-curve-on-an-unknown-pants": (
+        lambda: enumerate_spin(SurfaceSpec(2, (0, 1), genus2_spec().curves[:2]
+                                           + (Curve(2, (0, 2), (7, 2)),))),
+        ValueError, "invalid surface: curve 2 refers to unknown pants 7; "),
+    "spin-listing-of-another-genus": (
+        lambda: enumerate_spin(SurfaceSpec(3, (0, 1), genus2_spec().curves)), ValueError,
+        "invalid surface: expected 4 pants, got 2; expected 6 curves, got 3"),
     "spin-signs": (lambda: assemble_spin(genus2_spec(), _readme_fn(), {0: 1, 1: 1, 2: 1}),
                    SpinSignError, "eps: boundary signs must multiply to -1 around every pants"),
     "lift-built-with-spin-signs": (

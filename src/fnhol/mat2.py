@@ -76,15 +76,11 @@ class Mat2:
         return Mat2(self.d, -self.b, -self.c, self.a, check=False)
 
     def renormalized(self):
-        """Rescale so the determinant is exactly 1 again.
+        """Rescale so the determinant is exactly 1 again (:func:`_renormalized`).
 
         Used on the result of a long product to stop determinant drift;
         not scalar-generic (a float square root)."""
-        det = self.det()
-        if det <= 0.0:
-            raise ValueError(f"cannot renormalize matrix with det {det!r}")
-        s = 1.0 / math.sqrt(det)
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s, check=False)
+        return Mat2(*_renormalized(self.a, self.b, self.c, self.d), check=False)
 
     def is_finite(self):
         """Whether no entry overflowed or became nan."""
@@ -122,6 +118,17 @@ def walk(values, word, prefixes=None):
         if prefixes is not None:
             prefixes.append((a, b, c, d))
     return Mat2(a, b, c, d, check=False)
+
+
+def _renormalized(a, b, c, d):
+    """The entries of (a b; c d) rescaled to determinant 1, as a tuple; the
+    one renormalization of the package, and ValueError for a determinant
+    of 0 or below."""
+    det = a * d - b * c
+    if det <= 0.0:
+        raise ValueError(f"cannot renormalize matrix with det {det!r}")
+    s = 1.0 / math.sqrt(det)
+    return a * s, b * s, c * s, d * s
 
 
 def _identity_distances(a, b, c, d):

@@ -14,7 +14,8 @@ zero entries.  The flip rule puts an odd number of flipped edges on
 every ``hex-`` face and an even number on every other face, whatever
 the signs, so every lift of a base has the same face residuals and
 passes or fails the pants lift test alike.  The base therefore keeps,
-once for all its lifts, one residual per face and their largest, built
+once for all its lifts, in the one slot ``_lifts`` that this module
+alone reads and writes, one residual per face and their largest, built
 and tested when its first lift is made, the negated values the lifts
 hold, and the trace of each loop a lift's :func:`rot2` is asked of; no
 lift walks a word for them.
@@ -141,10 +142,9 @@ class SpinSurfaceCocycle(SurfaceCocycle):
                          "eps")
         signs = _check_crossing_signs(crossing_signs, complex_.spec, complex_.tree,
                                       "crossing_signs")
-        if base._face_table is None:
-            base._face_table = _lift_residuals(base)
-            base._negated = {}
-            base._traces = {}
+        if base._lifts is None:
+            # (residuals, their largest, negated values, loop traces)
+            base._lifts = (*_lift_residuals(base), {}, {})
         flipped = {arc1 for cells in complex_.pants.values()
                    for c, (_, arc1, _) in zip(cells.curves, cells.edges) if eps[c] < 0}
         for cid, cells in complex_.curves.items():
@@ -156,17 +156,17 @@ class SpinSurfaceCocycle(SurfaceCocycle):
         self.base = base
         self._flipped = flipped
         super().__init__(complex_, base.values, base.fn)
-        values, negated = self.values, base._negated
+        values, negated = self.values, base._lifts[2]
         for eid in flipped:
             values[eid] = negated[eid] if eid in negated else negated.setdefault(eid, -values[eid])
 
     def face_residual(self, fid):
         """Distance of the face word from +I (not from -I)."""
-        return self.base._face_table[0][fid]
+        return self.base._lifts[0][fid]
 
     def max_face_residual(self):
         """The largest :meth:`face_residual`, nan if any is nan."""
-        return self.base._face_table[1]
+        return self.base._lifts[1]
 
 
 def assemble_spin(spec, fn, eps, crossing_signs=None):
@@ -294,7 +294,7 @@ def rot2(spin_cocycle, loop):
     ``holonomy(spin_cocycle, loop)``."""
     base, flipped = spin_cocycle.base, spin_cocycle._flipped
     word = tuple(loop)
-    traces = base._traces
+    traces = base._lifts[3]
     try:
         tr = traces.get(word)
     except TypeError:

@@ -20,10 +20,11 @@ the curve length) as -2 log T_i.
 """
 
 import math
+import sys
 import weakref
 from collections import namedtuple
 
-from .mat2 import Mat2, _identity_distances, _max_or_nan, translation_length, walk
+from .mat2 import Mat2, _identity_distances, _max_or_nan, _renormalized, translation_length, walk
 from . import pants as pants_mod
 from .pants import _EDGES_BY_K, PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
 
@@ -86,7 +87,7 @@ def _problems_and_tree(spec):
     when a problem is found before the tree is sought)."""
     problems = []
     if spec.genus < 2:
-        problems.append(f"genus {spec.genus} must be at least 2")
+        problems.append(f"genus {_written(spec.genus)} must be at least 2")
         return problems, None
     if len(set(spec.pants)) != len(spec.pants):
         problems.append("pants ids are not distinct")
@@ -100,9 +101,9 @@ def _problems_and_tree(spec):
             if y != x:
                 problems.append(f"{kind} ids {y!r} and {x!r} have the same string form")
     if len(spec.pants) != 2 * spec.genus - 2:
-        problems.append(f"expected {2 * spec.genus - 2} pants, got {len(spec.pants)}")
+        problems.append(f"expected {_written(2 * spec.genus - 2)} pants, got {len(spec.pants)}")
     if len(spec.curves) != 3 * spec.genus - 3:
-        problems.append(f"expected {3 * spec.genus - 3} curves, got {len(spec.curves)}")
+        problems.append(f"expected {_written(3 * spec.genus - 3)} curves, got {len(spec.curves)}")
 
     pants_set = set(spec.pants)
     seen = {}
@@ -131,6 +132,16 @@ def _problems_and_tree(spec):
     if len(tree) != len(spec.pants) - 1:
         problems.append("gluing graph is not connected")
     return problems, tree
+
+
+def _written(n):
+    """``str(n)``; for an integer with more digits than Python writes
+    (:func:`sys.get_int_max_str_digits`), the power of ten it passes."""
+    try:
+        return str(n)
+    except ValueError:
+        bound = f"10^{sys.get_int_max_str_digits()}"
+        return f"at least {bound}" if n > 0 else f"at most -{bound}"
 
 
 def spanning_tree_curves(spec):
@@ -282,33 +293,27 @@ class SurfaceCocycle:
 
     The values are fixed once the cocycle is constructed.  Every product
     along a face word is taken by :meth:`face_walk`; the face products
-    are walked once, on first use, and kept, their residuals from the
-    first :meth:`face_residual`.  So are each boundary loop's product
-    (:meth:`loop_product`), the largest face residual, the seam data
-    that variations over it (:mod:`fnhol.variation`) read at ``fn``,
-    the pairing kernel over it (:mod:`fnhol.wp`), and what its lifts
-    (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) share: one
-    residual per face and their largest, read off the face products and
-    kept once every pants passes the lift test, the negated values and
-    the loop traces, each filled when the first lift is made."""
+    are walked once, on first use, and kept, and :meth:`face_residual`
+    reads its face's kept product on every call.  The cocycle also
+    keeps, each made on first use, every boundary loop's product
+    (:meth:`loop_product`), the seam data that variations over it
+    (:mod:`fnhol.variation`) read at ``fn``, the pairing kernel over it
+    (:mod:`fnhol.wp`) and ``_lifts``, what its lifts
+    (:class:`fnhol.spin.SpinSurfaceCocycle`, a subclass) share, which
+    only :mod:`fnhol.spin` reads or writes."""
 
-    __slots__ = ("complex", "values", "fn", "_face_products", "_face_residuals",
-                 "_max_residual", "_loops", "_seam_data", "_pairing_kernel", "_face_table",
-                 "_negated", "_traces", "__weakref__")
+    __slots__ = ("complex", "values", "fn", "_face_products", "_loops", "_seam_data",
+                 "_pairing_kernel", "_lifts", "__weakref__")
 
     def __init__(self, complex_, values, fn):
         self.complex = complex_
         self.values = dict(values)
         self.fn = fn
         self._face_products = None
-        self._face_residuals = None
-        self._max_residual = None
         self._loops = None
         self._seam_data = None
         self._pairing_kernel = None
-        self._face_table = None
-        self._negated = None
-        self._traces = None
+        self._lifts = None
 
     def face_walk(self, fid, prefixes=None):
         """(start, product): the product along the face word, not
@@ -340,29 +345,13 @@ class SurfaceCocycle:
         return self._face_products
 
     def face_residual(self, fid):
-        """Distance of the renormalized face product from +-I (ValueError if det <= 0);
-        the first call reads every face's off the kept products."""
-        residuals = self._face_residuals
-        if residuals is None:
-            residuals = self._face_residuals = {}
-            for f, m in self.face_products().items():
-                det = m.det()
-                if det <= 0.0:
-                    residuals[f] = None
-                    continue
-                s = 1.0 / math.sqrt(det)
-                residuals[f] = min(_identity_distances(m.a * s, m.b * s, m.c * s, m.d * s))
-        residual = residuals[fid]
-        if residual is None:
-            self._face_products[fid].renormalized()  # raises "cannot renormalize ..."
-        return residual
+        """Distance of the renormalized face product from +-I (ValueError if det <= 0)."""
+        m = self.face_products()[fid]
+        return min(_identity_distances(*_renormalized(m.a, m.b, m.c, m.d)))
 
     def max_face_residual(self):
-        """The largest :meth:`face_residual`, nan if any is nan; evaluated
-        on the first call and kept."""
-        if self._max_residual is None:
-            self._max_residual = _max_or_nan(map(self.face_residual, self.complex.faces))
-        return self._max_residual
+        """The largest :meth:`face_residual`, nan if any is nan."""
+        return _max_or_nan(map(self.face_residual, self.complex.faces))
 
     def loop_product(self, word):
         """The product along a pants boundary loop (``PantsCells.loops``),

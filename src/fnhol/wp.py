@@ -35,7 +35,8 @@ transported once, visiting only the edges it carries, into entry tuples
 pairing of two transported cocycles is a contraction over the faces
 they share, one face at a time.  Values that are exactly zero are left
 out; every sum is a ``math.fsum``, which is correctly rounded in any
-order, and the kernel writes out ``Mat2.renormalized``,
+order.  The kernel renormalizes its moves by ``mat2._renormalized``,
+the rule ``Mat2.renormalized`` applies, and writes out
 ``VariationCocycle.value``, :func:`ad_action` and :func:`killing_form`
 operation for operation, so a face's part is the same to the bit as
 :func:`pair_chain` against the face's :func:`diagonal_chain` at the
@@ -52,7 +53,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .mat2 import _max_or_nan, ad_action, walk
+from .mat2 import _max_or_nan, _renormalized, ad_action, walk
 from .surface import _cocycle_at
 from .variation import TangentVector, variation_cocycle
 
@@ -244,12 +245,7 @@ class PairingKernel:
             terms, stops, positions = _face_layout(complex_, fid, start)
             moves = {0: None}  # the empty path needs no move
             for upto in stops:
-                a, b, c, d = prefixes[upto - 1]
-                det = a * d - b * c
-                if det <= 0.0:
-                    raise ValueError(f"cannot renormalize matrix with det {det!r}")
-                s = 1.0 / math.sqrt(det)
-                moves[upto] = (a * s, b * s, c * s, d * s)
+                moves[upto] = _renormalized(*prefixes[upto - 1])
             for pos, (eid, orient, upto) in enumerate(positions):
                 held = self._edge_positions.setdefault(eid, (orient, []))[1]
                 held.append((fid, pos, moves[upto]))
@@ -314,11 +310,16 @@ def wp_pairing(cocycle, z1, z2):
     all face contributions, correctly rounded.
 
     The face chains already assemble into a diagonal cycle, so no
-    correction terms enter the sum.  Both variations must be taken at the cocycle's point (ValueError if not),
-    since their values on reversed edges are read through their own
-    base."""
+    correction terms enter the sum.  Both variations must be taken at
+    the cocycle's point, since their values on reversed edges are read
+    through their own base, and over its decomposition: the cocycle's
+    complex or one built from an equal spec.  ValueError if not."""
     for z in (z1, z2):
         _cocycle_at(cocycle, z.base.fn)
+        complex_ = z.base.complex
+        if complex_ is not cocycle.complex and complex_.spec != cocycle.complex.spec:
+            raise ValueError("the variation was taken over another decomposition than the "
+                             "cocycle")
     kernel = _kernel(cocycle)
     return kernel.pair(kernel.transport(z1), kernel.transport(z2))
 

@@ -333,7 +333,6 @@ def test_spin_reads_face_products_only(monkeypatch):
         assert run_command(doc, "spin")[1] == 0
         monkeypatch.undo()
         assert len(read) == len(doc.complex.faces)
-        assert doc.cocycle._face_residuals is None
         assert _verify_bytes(doc) == _verify_bytes(parse_document(json.dumps(raw)))
 
 
@@ -924,6 +923,12 @@ REFUSED_DOCUMENTS = {
         ["verify"], "document: pants ids 1 and '1' have the same string form"),
     "counts-of-another-genus": (_edited((("genus",), 3)), ["verify"],
                                 "document: expected 4 pants, got 2; expected 6 curves, got 3"),
+    # 2g-2 has one digit more than Python writes: the interpreter's advice
+    # on sys.set_int_max_str_digits() was the message
+    "genus-beyond-the-digit-limit": (
+        _edited((("genus",), int("9" * 4300))), ["verify"],
+        "document: expected at least 10^4300 pants, got 2; expected at least 10^4300 curves, "
+        "got 3"),
     "boundary-glued-to-itself": (_edited((("curves", 0, "right"), {"pants": 0, "k": 0})),
                                  ["verify"],
                                  "document: curve 0 glues a boundary to itself; boundary (0, 0) "

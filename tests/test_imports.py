@@ -144,6 +144,16 @@ def test_only_surface_holds_the_spin_sign_rules():
         assert holding == {"surface.py"}, text
 
 
+def test_only_mat2_renormalizes():
+    # the rescaling to determinant 1 is one rule, mat2._renormalized,
+    # which face residuals and the pairing kernel's moves call rather than
+    # writing it out, so only mat2 holds its refusal
+    holding = {p.name for p in PACKAGE.glob("*.py")
+               if any("cannot renormalize" in s
+                      for s in string_literals(p.read_text(encoding="utf-8")))}
+    assert holding == {"mat2.py"}
+
+
 def unresolved_exports(module):
     """The entries of a module's ``__all__`` that are not attributes of
     it, which ``from module import *`` would fail on."""

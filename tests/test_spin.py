@@ -629,7 +629,7 @@ def test_lifts_of_one_base_walk_each_loop_once(monkeypatch):
     assert len({lifted.base for lifted in lifts}) == 1
     assert sorted(walked) == sorted(loops + list(cx.faces.values()))
     assert len(tested) == len(cx.pants)
-    assert lifts[0].base._face_table is lifts[-1].base._face_table
+    assert lifts[0].base._lifts is lifts[-1].base._lifts
 
 
 def test_a_base_that_fails_the_pants_test_keeps_no_residuals():
@@ -644,7 +644,7 @@ def test_a_base_that_fails_the_pants_test_keeps_no_residuals():
     for eps in eps_list:
         with pytest.raises(AssertionError, match="found 0"):
             SpinSurfaceCocycle(base, eps, classes[-1])
-    assert base._face_table is None
+    assert base._lifts is None
 
 
 def test_rot2_takes_every_word_holonomy_takes(monkeypatch):

@@ -25,7 +25,7 @@ from fnhol.surface import (
 from fnhol.spin import (SpinSignError, SpinSurfaceCocycle, _check_pants_lift, assemble_spin,
                         enumerate_spin, rot2)
 from fnhol.variation import TangentVector, variation_cocycle
-from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix
+from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix, wp_pairing
 from conftest import (
     caterpillar,
     check_face_tables,
@@ -433,6 +433,25 @@ def _rot2_of_a_face():
     return rot2(lift, lift.complex.faces["p0.hex+"])
 
 
+def _zero_crossing_cocycle():
+    return _readme_cocycle({"c0.x0": Mat2(0.0, 0.0, 0.0, 0.0, check=False)})
+
+
+def _pairing_of_a_zero_crossing():
+    c = _zero_crossing_cocycle()
+    z = variation_cocycle(c, c.fn, TangentVector({0: 1.0}))
+    return wp_pairing(c, z, z)
+
+
+def _pairing_over_another_decomposition():
+    # the handle has the genus-2 surface's curve ids and edge names, so
+    # both variations are at the cocycle's point and name its edges
+    c = _readme_cocycle()
+    z_a = variation_cocycle(c, c.fn, TangentVector({0: 1.0}))
+    z_b = variation_cocycle(handle_spec(), _readme_fn(), TangentVector({}, {0: 1.0}))
+    return wp_pairing(c, z_a, z_b)
+
+
 # What the library refuses of values a caller builds by hand from its
 # public types, as (call, exception, start of the message).  The
 # command line never builds these; tests/test_imports.py runs them too.
@@ -446,6 +465,12 @@ LIBRARY_REFUSALS = {
                                   "boundary length 0.0 must be positive"),
     "invalid-surface": (lambda: build_complex(SurfaceSpec(1, (0,), ())), ValueError,
                         "invalid surface: genus 1 must be at least 2"),
+    # 2g-2 has one digit more than Python writes: the interpreter's advice
+    # on sys.set_int_max_str_digits() was the message
+    "genus-beyond-the-digit-limit": (
+        lambda: build_complex(SurfaceSpec(int("9" * 4300), (0, 1), genus2_spec().curves)),
+        ValueError, "invalid surface: expected at least 10^4300 pants, got 2; expected at least "
+        "10^4300 curves, got 3"),
     "coordinates-missing": (
         lambda: assemble_cocycle(genus2_spec(), FNPoint(dict.fromkeys(range(3), 2.0), {0: 0.3})),
         ValueError, "coordinates missing for curves ['1', '2']"),
@@ -494,6 +519,15 @@ LIBRARY_REFUSALS = {
         lambda: _readme_cocycle({"c0.x0": Mat2(0.0, 0.0, 0.0, 0.0, check=False)})
         .max_face_residual(),
         ValueError, "cannot renormalize matrix with det 0.0"),
+    "pairing-matrix-move-not-renormalizable": (
+        lambda: wp_matrix(_zero_crossing_cocycle(), _readme_fn()),
+        ValueError, "cannot renormalize matrix with det 0.0"),
+    "pairing-move-not-renormalizable": (_pairing_of_a_zero_crossing, ValueError,
+                                        "cannot renormalize matrix with det 0.0"),
+    # the pairing read the handle's values on the genus-2 surface's faces
+    "pairing-of-a-variation-over-another-decomposition": (
+        _pairing_over_another_decomposition, ValueError,
+        "the variation was taken over another decomposition than the cocycle"),
 }
 
 

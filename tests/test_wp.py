@@ -202,6 +202,19 @@ def test_wp_reproduces_twist_length_form():
         assert abs(got - wolpert_reference(u, v)) <= 1e-8
 
 
+def test_wp_pairing_takes_variations_over_an_equal_decomposition():
+    # a variation over another complex of an equal spec has the values of
+    # one over the cocycle's own complex, so it pairs to the same bits
+    # (test_surface.py's LIBRARY_REFUSALS holds the refused other spec)
+    spec = genus2_spec()
+    fn = random_fn(rng_for("equal-spec"), spec)
+    base = assemble_cocycle(spec, fn)
+    u, v = TangentVector({0: 1.0}, {1: 0.5}), TangentVector({2: -0.3}, {0: 1.0})
+    zu = variation_cocycle(base, fn, u)
+    want = wp_pairing(base, zu, variation_cocycle(base, fn, v))
+    assert wp_pairing(base, zu, variation_cocycle(genus2_spec(), fn, v)) == want
+
+
 def test_wp_antisymmetry_and_self_pairing():
     spec = genus2_spec()
     cx, base, u, v, zu, zv = _setup(spec, "antisym")

@@ -19,7 +19,6 @@ from importlib import import_module
 _EXPORTS = {
     "mat2": (
         "Mat2",
-        "TracelessMat2",
         "ad_action",
         "translation_length",
     ),

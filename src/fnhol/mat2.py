@@ -7,8 +7,8 @@ Conventions used throughout the package:
   classes; "projective" is only a comparison (a face residual is the
   distance to the nearer of +-I) and, when the command line writes a
   holonomy, a canonical sign (:class:`ProjMat2`).
-* ``TracelessMat2(x, y, z)`` is ``(x y; z -x)``, a tangent direction in
-  the 2x2 traceless matrices.
+* A tangent direction in the 2x2 traceless matrices, the value of a
+  variation cocycle, is the entry tuple ``(x, y, z)`` of ``(x y; z -x)``.
 
 The product path (``@``, :func:`walk`, ``inv``, :func:`ad_action`)
 converts no scalar and calls no ``math`` function, so it runs unchanged
@@ -173,63 +173,17 @@ class ProjMat2:
         return f"ProjMat2({self.rep!r})"
 
 
-class TracelessMat2:
-    """The traceless matrix (x y; z -x); values of variation cocycles."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x, y, z):
-        self.x = x
-        self.y = y
-        self.z = z
-
-    @staticmethod
-    def zero():
-        return TracelessMat2(0.0, 0.0, 0.0)
-
-    @staticmethod
-    def diag(x):
-        """x * (1 0; 0 -1)."""
-        return TracelessMat2(x, 0.0, 0.0)
-
-    @staticmethod
-    def offdiag(y):
-        """y * (0 1; 1 0)."""
-        return TracelessMat2(0.0, y, y)
-
-    def __add__(self, other):
-        return TracelessMat2(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return TracelessMat2(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return TracelessMat2(-self.x, -self.y, -self.z)
-
-    def norm(self):
-        return _max_or_nan((abs(self.x), abs(self.y), abs(self.z)))
-
-    def dist(self, other):
-        return (self - other).norm()
-
-    def entries(self):
-        return (self.x, self.y, self.z, -self.x)
-
-    def __repr__(self):
-        return f"TracelessMat2({self.x!r}, {self.y!r}, {self.z!r})"
-
-
 def ad_action(m, t):
-    """Conjugation m @ t @ m^-1 of a traceless matrix by a Mat2 (the
-    sign of m does not matter)."""
+    """Conjugation m @ t @ m^-1 of a traceless matrix t = (x, y, z) by a
+    Mat2, as an entry tuple (the sign of m does not matter)."""
     a, b, c, d = m.a, m.b, m.c, m.d
-    x, y, z = t.x, t.y, t.z
+    x, y, z = t
     # (a b; c d) (x y; z -x) (d -b; -c a), using det = 1
     p = a * x + b * z
     q = a * y - b * x
     r = c * x + d * z
     s = c * y - d * x
-    return TracelessMat2(p * d - q * c, -p * b + q * a, r * d - s * c)
+    return (p * d - q * c, -p * b + q * a, r * d - s * c)
 
 
 def translation_length(m):

@@ -44,14 +44,7 @@ class PantsLengths:
                 raise ValueError(f"boundary length {v!r} must be positive")
 
     def __getitem__(self, k):
-        return self.l[k % 3]
-
-    def lam(self, k):
-        """Boundary eigenvalue exp(l_k / 2) > 1."""
-        return math.exp(0.5 * self[k])
-
-    def __iter__(self):
-        return iter(self.l)
+        return self.l[k]
 
     def __repr__(self):
         return f"PantsLengths{self.l!r}"

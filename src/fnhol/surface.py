@@ -97,7 +97,11 @@ def _problems_and_tree(spec):
     for kind, ids in (("pants", spec.pants), ("curve", spec.curve_ids())):
         by_str = {}
         for x in ids:
-            y = by_str.setdefault(str(x), x)
+            try:
+                y = by_str.setdefault(str(x), x)
+            except ValueError:  # the messages below name the ids
+                problems.append(f"{kind} id {_written(x)} has no string form")
+                return problems, None
             if y != x:
                 problems.append(f"{kind} ids {y!r} and {x!r} have the same string form")
     if len(spec.pants) != 2 * spec.genus - 2:
@@ -113,10 +117,10 @@ def _problems_and_tree(spec):
         for side in (c.left, c.right):
             pid, k = side
             if pid not in pants_set:
-                problems.append(f"curve {c.id} refers to unknown pants {pid}")
+                problems.append(f"curve {c.id} refers to unknown pants {_written(pid)}")
                 continue
             if k not in (0, 1, 2):
-                problems.append(f"curve {c.id} uses boundary index {k} outside 0..2")
+                problems.append(f"curve {c.id} uses boundary index {_written(k)} outside 0..2")
                 continue
             if side in seen:
                 problems.append(f"boundary {side} used by curves {seen[side]} and {c.id}")
@@ -134,11 +138,12 @@ def _problems_and_tree(spec):
     return problems, tree
 
 
-def _written(n):
-    """``str(n)``; for an integer with more digits than Python writes
-    (:func:`sys.get_int_max_str_digits`), the power of ten it passes."""
+def _written(n, form=str):
+    """``form(n)``, ``str`` or ``repr``; for an integer with more digits than
+    Python writes (:func:`sys.get_int_max_str_digits`), the power of ten it
+    passes."""
     try:
-        return str(n)
+        return form(n)
     except ValueError:
         bound = f"10^{sys.get_int_max_str_digits()}"
         return f"at least {bound}" if n > 0 else f"at most -{bound}"
@@ -376,7 +381,7 @@ def _check_length(length, name):
     ValueError, naming the length by ``name``, if not."""
     lo, hi = LENGTH_RANGE
     if not lo <= length <= hi:
-        raise ValueError(f"{name}: {length!r} outside [{lo}, {hi}]")
+        raise ValueError(f"{name}: {_written(length, repr)} outside [{lo}, {hi}]")
     return length
 
 
@@ -389,7 +394,7 @@ def _crossing_entry(twist, name):
     except OverflowError:
         t = math.inf
     if not (0.0 < t < math.inf and 1.0 / t < math.inf):
-        raise ValueError(f"{name}: {twist!r} makes exp(-twist/2) or its inverse "
+        raise ValueError(f"{name}: {_written(twist, repr)} makes exp(-twist/2) or its inverse "
                          "zero or not finite")
     return t
 
@@ -401,9 +406,9 @@ def _check_signs(signs, curves, name):
     with a sign; ``"<name>.<key>"`` is formatted only for a refused sign."""
     for key, value in signs.items():
         if key not in curves:
-            raise SpinSignError(f"{name}: unknown curve {key!r}")
+            raise SpinSignError(f"{name}: unknown curve {_written(key, repr)}")
         if isinstance(value, bool) or value not in (-1, 1):
-            raise SpinSignError(f"{name}.{key}: expected +-1, got {value!r}")
+            raise SpinSignError(f"{name}.{key}: expected +-1, got {_written(value, repr)}")
 
 
 def _check_eps(eps, pants_curves, name):

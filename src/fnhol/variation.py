@@ -19,7 +19,7 @@ The seam coefficient is the derivative of the closed-form seam matrix.
 
 import math
 
-from .mat2 import TracelessMat2, ad_action
+from .mat2 import ad_action
 from .pants import _pants_table
 from .surface import _cocycle_at, pants_boundary_lengths
 
@@ -46,7 +46,8 @@ class TangentVector:
 
 
 class VariationCocycle:
-    """Traceless values (edge id -> TracelessMat2) over a base cocycle.
+    """Traceless values over a base cocycle: edge id -> the entry tuple
+    (x, y, z) of (x y; z -x).
 
     An edge missing from ``values`` carries zero."""
 
@@ -58,13 +59,14 @@ class VariationCocycle:
 
     def value(self, eid, sign=1):
         """z on the edge, or on its reversal via
-        z(e^-1) = -Ad(rho(e))^-1 z(e)."""
+        z(e^-1) = -Ad(rho(e))^-1 z(e), as an entry tuple."""
         z = self.values.get(eid)
         if z is None:
-            return TracelessMat2.zero()
+            return (0.0, 0.0, 0.0)
         if sign > 0:
             return z
-        return -ad_action(self.base.values[eid].inv(), z)
+        x, y, w = ad_action(self.base.values[eid].inv(), z)
+        return (-x, -y, -w)
 
 
 def variation_cocycle(spec, fn, tangent):
@@ -109,7 +111,7 @@ def _seam_data(base):
 
 
 def _variation_values(base, tangent):
-    """The closed-form values (edge id -> TracelessMat2) of the tangent
+    """The closed-form values (edge id -> entry tuple) of the tangent
     direction at the base's point, on the edges where it acts.  Only the
     curves of the tangent are visited; those not in the complex are
     ignored."""
@@ -121,15 +123,16 @@ def _variation_values(base, tangent):
         cells = pants[pid]
         dl = tuple(dl_of.get(c, 0.0) for c in cells.curves)
         for (arc0, arc1, seam), (grad, coef), dl_k in zip(cells.edges, seams[pid], dl):
-            arc = TracelessMat2.diag(0.25 * dl_k)
+            arc = (0.25 * dl_k, 0.0, 0.0)
             values[arc0] = arc
             values[arc1] = arc
             dlogf = grad[0] * dl[0] + grad[1] * dl[1] + grad[2] * dl[2]
-            values[seam] = TracelessMat2.offdiag(coef * dlogf)
+            y = coef * dlogf
+            values[seam] = (0.0, y, y)
     for c, dtau in tangent.dtau.items():
         cells = curves.get(c)
         if cells is not None:
-            cross = TracelessMat2.diag(0.5 * dtau)
+            cross = (0.5 * dtau, 0.0, 0.0)
             for eid in cells.crossings:
                 values[eid] = cross
     return values

@@ -29,18 +29,19 @@ The pairing is a bilinear form on H^1, so :class:`PairingKernel` builds
 it once per base cocycle, and the cocycle keeps it: per face, the
 prefix products of the cocycle's one face walk
 (:meth:`SurfaceCocycle.face_walk`), renormalized, are the moves of every
-position of its cycle, kept as entry tuples.  A variation cocycle is
-transported once, visiting only the edges it carries, into entry tuples
-(x, y, z) per face id at the positions of that face's cycle, and the
-pairing of two transported cocycles is a contraction over the faces
-they share, one face at a time.  Values that are exactly zero are left
-out; every sum is a ``math.fsum``, which is correctly rounded in any
-order.  The kernel renormalizes its moves by ``mat2._renormalized``,
-the rule ``Mat2.renormalized`` applies, and writes out
+position of its cycle, kept as entry tuples.  A variation's values are
+already entry tuples (x, y, z) of (x y; z -x); it is transported once,
+visiting only the edges it carries, into such tuples per face id at the
+positions of that face's cycle, and the pairing of two transported
+cocycles is a contraction over the faces they share, one face at a
+time.  Values that are exactly zero are left out; every sum is a
+``math.fsum``, which is correctly rounded in any order.  The kernel
+renormalizes its moves by ``mat2._renormalized``, the rule
+``Mat2.renormalized`` applies, and writes the reversal of
 ``VariationCocycle.value``, :func:`ad_action` and :func:`killing_form`
-operation for operation, so a face's part is the same to the bit as
-:func:`pair_chain` against the face's :func:`diagonal_chain` at the
-walk's rotation.
+out inline in the same operations, so a face's part is the same to the
+bit as :func:`pair_chain` against the face's :func:`diagonal_chain` at
+the walk's rotation.
 
 :func:`wp_matrix` transports each coordinate direction once through
 one kernel.  A direction carries values on a few faces only, so it
@@ -75,8 +76,9 @@ _REVERSED_KINDS = frozenset({"arc1"})
 
 
 def killing_form(x, y):
-    """trace(XY) = 2 x_X x_Y + y_X z_Y + z_X y_Y on traceless matrices."""
-    return 2.0 * x.x * y.x + x.y * y.z + x.z * y.y
+    """trace(XY) = 2 x_X x_Y + y_X z_Y + z_X y_Y on traceless matrices,
+    given as entry tuples (x, y, z)."""
+    return 2.0 * x[0] * y[0] + x[1] * y[2] + x[2] * y[1]
 
 
 class DiagonalTerm(
@@ -260,11 +262,10 @@ class PairingKernel:
         edge_positions = self._edge_positions
         face_terms = self._face_terms
         values_of = variation.base.values
-        for eid, z in variation.values.items():
-            if not (z.x or z.y or z.z):
+        for eid, (x, y, w) in variation.values.items():
+            if not (x or y or w):
                 continue  # every transport of an exact zero is one
             orient, held = edge_positions[eid]
-            x, y, w = z.x, z.y, z.z
             if orient < 0:  # z(e^-1) = -Ad(rho(e)^-1) z(e), as VariationCocycle.value
                 m = values_of[eid]
                 a, b, c, d = m.d, -m.b, -m.c, m.a

@@ -12,6 +12,7 @@ the pipeline:
   pants cocycle from any gauged copy;
 * the central-difference variation cocycle, the coboundary of a vertex
   cochain and the twisted cocycle-condition check;
+* the length gradient of a closed word, read off a variation cocycle;
 * the pairing of one face chain at a time, the bigon correction chain of
   a pants and Wolpert's twist-length expression;
 * the nearest point of a hyperbolic axis on the imaginary axis;
@@ -34,13 +35,13 @@ The tests import them from here; the package does not ship them.
 import itertools
 import math
 
-from fnhol.mat2 import (HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, TracelessMat2, _max_or_nan,
-                        ad_action, translation_length, walk)
+from fnhol.mat2 import (HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, _max_or_nan, ad_action,
+                        translation_length, walk)
 from fnhol.pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES, PantsLengths
 from fnhol.spin import _solve_pants_signs
 from fnhol.surface import (CellComplex, CurveCells, Edge, FNPoint, _pants_curves,
                            assemble_cocycle, build_complex, holonomy, spanning_tree_curves)
-from fnhol.variation import VariationCocycle
+from fnhol.variation import VariationCocycle, variation_cocycle
 from fnhol.wp import DiagonalTerm, FaceChain, diagonal_chain, pair_chain
 
 
@@ -77,7 +78,7 @@ def bc_magnitude(lengths, k):
 
     Equals (cosh(l_{k+1}/2) + cosh((l_{k-1}+l_k)/2))
     / (2 sinh(l_{k-1}/2) sinh(l_k/2)), and always exceeds 1."""
-    num = math.cosh(0.5 * lengths[k + 1]) + math.cosh(0.5 * (lengths[k - 1] + lengths[k]))
+    num = math.cosh(0.5 * lengths[(k + 1) % 3]) + math.cosh(0.5 * (lengths[k - 1] + lengths[k]))
     den = 2.0 * math.sinh(0.5 * lengths[k - 1]) * math.sinh(0.5 * lengths[k])
     return num / den
 
@@ -106,10 +107,10 @@ def seam_matrix(lengths, k):
 
 def grad_log_bc(lengths, k):
     """Gradient of log |b_k c_k| with respect to (l0, l1, l2)."""
-    num = math.cosh(0.5 * lengths[k + 1]) + math.cosh(0.5 * (lengths[k - 1] + lengths[k]))
+    num = math.cosh(0.5 * lengths[(k + 1) % 3]) + math.cosh(0.5 * (lengths[k - 1] + lengths[k]))
     cross = math.sinh(0.5 * (lengths[k - 1] + lengths[k])) / (2.0 * num)
     grad = [0.0, 0.0, 0.0]
-    grad[(k + 1) % 3] = math.sinh(0.5 * lengths[k + 1]) / (2.0 * num)
+    grad[(k + 1) % 3] = math.sinh(0.5 * lengths[(k + 1) % 3]) / (2.0 * num)
     grad[k % 3] = cross - 0.5 / math.tanh(0.5 * lengths[k])
     grad[(k - 1) % 3] = cross - 0.5 / math.tanh(0.5 * lengths[k - 1])
     return tuple(grad)
@@ -128,14 +129,30 @@ class AxisLocationError(ValueError):
 
 
 def scaled(z, t):
-    """t * z for a TracelessMat2 z."""
-    return TracelessMat2(t * z.x, t * z.y, t * z.z)
+    """t * z for a traceless matrix z = (x, y, z)."""
+    return (t * z[0], t * z[1], t * z[2])
+
+
+def t_add(u, v):
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
+
+
+def t_sub(u, v):
+    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
+
+
+def t_norm(z):
+    """Max-entry norm of a traceless matrix (x, y, z), nan if an entry is nan."""
+    return _max_or_nan((abs(z[0]), abs(z[1]), abs(z[2])))
+
+
+def t_dist(u, v):
+    return t_norm(t_sub(u, v))
 
 
 def from_entries(a, b, c, d):
-    """Project a 2x2 matrix onto its traceless part."""
-    x = 0.5 * (a - d)
-    return TracelessMat2(x, b, c)
+    """Project a 2x2 matrix onto its traceless part (x, y, z)."""
+    return (0.5 * (a - d), b, c)
 
 
 def nearest_point_on_imaginary_axis(conj):
@@ -264,9 +281,9 @@ def shifted(fn, tangent, h):
 
 def linear_combination(z1, z2, s, t):
     """The variation cocycle s * z1 + t * z2 over the base of z1."""
-    zero = TracelessMat2.zero()
+    zero = (0.0, 0.0, 0.0)
     values = {
-        e: scaled(z1.values.get(e, zero), s) + scaled(z2.values.get(e, zero), t)
+        e: t_add(scaled(z1.values.get(e, zero), s), scaled(z2.values.get(e, zero), t))
         for e in {**z1.values, **z2.values}
     }
     return VariationCocycle(z1.base, values)
@@ -312,12 +329,12 @@ def coboundary(cocycle, vertex_cochain):
     """The variation cocycle of an infinitesimal gauge move:
     (dw)(e) = Ad(rho(e)) w(v1) - w(v0) for an edge from v0 to v1.
     Vertices missing from ``vertex_cochain`` count as zero."""
-    zero = TracelessMat2.zero()
+    zero = (0.0, 0.0, 0.0)
     values = {}
     for eid, edge in cocycle.complex.edges.items():
         w0 = vertex_cochain.get(edge.start, zero)
         w1 = vertex_cochain.get(edge.end, zero)
-        values[eid] = ad_action(cocycle.values[eid], w1) - w0
+        values[eid] = t_sub(ad_action(cocycle.values[eid], w1), w0)
     return VariationCocycle(cocycle, values)
 
 
@@ -337,9 +354,28 @@ def check_cocycle_condition(cocycle, variation):
         rotated = cycle[start:] + cycle[:start]
         total = variation.value(*rotated[0])
         for step, prefix in zip(rotated[1:], prefixes):
-            total = total + ad_action(Mat2(*prefix, check=False), variation.value(*step))
-        entries += (abs(total.x), abs(total.y), abs(total.z))
+            total = t_add(total, ad_action(Mat2(*prefix, check=False), variation.value(*step)))
+        entries += (abs(total[0]), abs(total[1]), abs(total[2]))
     return _max_or_nan(entries)
+
+
+def length_gradient(cocycle, word, tangent):
+    """The derivative in the tangent direction of the translation length of
+    a closed word's holonomy P, read off the variation cocycle: with P_i
+    the product of the word's first i steps, P moves by D P, where
+    D = sum_i Ad(P_{i-1}) z(e_i^{s_i}), so the length, 2 arccosh(|t|/2)
+    at t = tr P, moves by 2 sgn(t) tr(D P) / sqrt(t^2 - 4)."""
+    z = variation_cocycle(cocycle, cocycle.fn, tangent)
+    prefixes = []
+    p = walk(cocycle.values, word, prefixes)
+    moves = [identity()] + [Mat2(*q, check=False) for q in prefixes[:-1]]
+    d = (0.0, 0.0, 0.0)
+    for move, step in zip(moves, word):
+        d = t_add(d, ad_action(move, z.value(*step)))
+    x, y, w = d
+    t = p.trace()
+    trace_dp = x * p.a + y * p.c + w * p.b - x * p.d
+    return 2.0 * math.copysign(1.0, t) * trace_dp / math.sqrt(t * t - 4.0)
 
 
 def pants_bigon_chain(complex_, pid):

@@ -471,6 +471,31 @@ LIBRARY_REFUSALS = {
         lambda: build_complex(SurfaceSpec(int("9" * 4300), (0, 1), genus2_spec().curves)),
         ValueError, "invalid surface: expected at least 10^4300 pants, got 2; expected at least "
         "10^4300 curves, got 3"),
+    # ids and values past that limit are named the same way, where the
+    # interpreter's advice was the message
+    "pants-id-beyond-the-digit-limit": (
+        lambda: build_complex(SurfaceSpec(2, (0, 10**5000), genus2_spec().curves)), ValueError,
+        "invalid surface: pants id at least 10^4300 has no string form"),
+    "curve-id-beyond-the-digit-limit": (
+        lambda: build_complex(SurfaceSpec(2, (0, 1), genus2_spec().curves[:2]
+                                          + (Curve(10**5000, (0, 2), (1, 2)),))),
+        ValueError, "invalid surface: curve id at least 10^4300 has no string form"),
+    "curve-on-a-pants-beyond-the-digit-limit": (
+        lambda: build_complex(SurfaceSpec(2, (0, 1), genus2_spec().curves[:2]
+                                          + (Curve(2, (0, 2), (-10**5000, 2)),))),
+        ValueError, "invalid surface: curve 2 refers to unknown pants at most -10^4300; "),
+    "boundary-index-beyond-the-digit-limit": (
+        lambda: build_complex(SurfaceSpec(2, (0, 1), genus2_spec().curves[:2]
+                                          + (Curve(2, (0, 2), (1, 10**5000)),))),
+        ValueError, "invalid surface: curve 2 uses boundary index at least 10^4300 outside 0..2"),
+    "length-beyond-the-digit-limit": (
+        lambda: assemble_cocycle(genus2_spec(), FNPoint({**_readme_fn().lengths, 2: 10**5000},
+                                                        _readme_fn().twists)),
+        ValueError, "length of curve 2: at least 10^4300 outside [1e-06, 50.0]"),
+    "twist-beyond-the-digit-limit": (
+        lambda: assemble_cocycle(genus2_spec(), FNPoint(_readme_fn().lengths,
+                                                        {**_readme_fn().twists, 1: 10**5000})),
+        ValueError, "twist of curve 1: at least 10^4300 makes exp(-twist/2) or its inverse"),
     "coordinates-missing": (
         lambda: assemble_cocycle(genus2_spec(), FNPoint(dict.fromkeys(range(3), 2.0), {0: 0.3})),
         ValueError, "coordinates missing for curves ['1', '2']"),
@@ -488,6 +513,13 @@ LIBRARY_REFUSALS = {
         "invalid surface: expected 4 pants, got 2; expected 6 curves, got 3"),
     "spin-signs": (lambda: assemble_spin(genus2_spec(), _readme_fn(), {0: 1, 1: 1, 2: 1}),
                    SpinSignError, "eps: boundary signs must multiply to -1 around every pants"),
+    "spin-sign-on-a-curve-beyond-the-digit-limit": (
+        lambda: assemble_spin(genus2_spec(), _readme_fn(), {0: -1, 1: -1, 2: -1, 10**5000: 1}),
+        SpinSignError, "eps: unknown curve at least 10^4300"),
+    "crossing-sign-on-a-curve-beyond-the-digit-limit": (
+        lambda: assemble_spin(genus2_spec(), _readme_fn(), {0: -1, 1: -1, 2: -1},
+                              {10**5000: 1}),
+        SpinSignError, "crossing_signs: unknown curve at least 10^4300"),
     "lift-built-with-spin-signs": (
         lambda: SpinSurfaceCocycle(_readme_cocycle(), {0: -1, 1: 1, 2: -1}), SpinSignError,
         "eps: boundary signs must multiply to -1 around every pants"),

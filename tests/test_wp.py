@@ -6,7 +6,7 @@ import pytest
 import fnhol.surface
 import fnhol.variation
 import fnhol.wp
-from fnhol.mat2 import Mat2, TracelessMat2
+from fnhol.mat2 import Mat2
 from fnhol.surface import (
     FNPoint,
     SurfaceCocycle,
@@ -45,14 +45,14 @@ from oracles import (
 
 
 def test_killing_form_values():
-    H = TracelessMat2.diag(1.0)
-    K = TracelessMat2.offdiag(1.0)
-    J = TracelessMat2(0.0, -1.0, 1.0)
+    H = (1.0, 0.0, 0.0)
+    K = (0.0, 1.0, 1.0)
+    J = (0.0, -1.0, 1.0)
     assert killing_form(H, H) == 2.0
     assert killing_form(H, K) == 0.0
     assert killing_form(K, J) == 0.0
-    X = TracelessMat2(0.3, -1.2, 0.4)
-    Y = TracelessMat2(-0.8, 0.1, 2.0)
+    X = (0.3, -1.2, 0.4)
+    Y = (-0.8, 0.1, 2.0)
     assert abs(killing_form(X, Y) - (2 * 0.3 * -0.8 + -1.2 * 2.0 + 0.4 * 0.1)) < 1e-15
 
 
@@ -227,7 +227,7 @@ def test_wp_gauge_invariance():
     cx, base, u, v, zu, zv = _setup(spec, "gaugeinv")
     rng = rng_for("gaugeinv-w")
     w = {
-        vx: TracelessMat2(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+        vx: (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
         for vx in cx.vertices
     }
     dw = coboundary(base, w)
@@ -336,7 +336,7 @@ def test_kernel_equals_face_by_face_sum_exactly(spec_fn, monkeypatch):
         zv = variation_cocycle(cx, fn, random_tangent(rng, spec))
         base = zu.base
         w = {
-            vx: TracelessMat2(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
+            vx: (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
             for vx in cx.vertices
         }
         dense = linear_combination(zu, coboundary(base, w), 1.0, 1.0)

@@ -22,10 +22,7 @@ _EXPORTS = {
         "ad_action",
         "translation_length",
     ),
-    "pants": (
-        "PantsLengths",
-        "pants_cocycle",
-    ),
+    "pants": ("pants_cocycle",),
     "surface": (
         "CellComplex",
         "Curve",

@@ -52,9 +52,10 @@ from collections import namedtuple
 from functools import cached_property
 
 from .mat2 import NonHyperbolicError, ProjMat2, _max_or_nan, translation_length
+from .pants import _check_length
 from .surface import (CellComplex, Curve, FNPoint, SurfaceSpec, _check_crossing_signs, _check_eps,
-                      _check_length, _crossing_entry, _pants_curves, _problems_and_tree,
-                      _valid_tree, assemble_cocycle, extract_fn, holonomy, parse_word)
+                      _crossing_entry, _pants_curves, _problems_and_tree, _valid_tree,
+                      assemble_cocycle, extract_fn, holonomy, parse_word)
 
 
 class DocumentError(ValueError):

@@ -77,8 +77,10 @@ def _check_pants_lift(seams, hexagons):
 
 def sl2_pants_cocycle(lengths, signs):
     """The unique determinant-one lift of the normalized pants cocycle
-    with the given boundary trace signs (eps_0, eps_1, eps_2), which pass
-    :func:`fnhol.surface._check_eps` as curves 0, 1, 2 of one pants.
+    with boundary lengths (l0, l1, l2) and the given boundary trace signs
+    (eps_0, eps_1, eps_2), which pass :func:`fnhol.surface._check_eps` as
+    curves 0, 1, 2 of one pants.  ValueError naming the boundary for a
+    length outside the accepted range (:func:`fnhol.pants._check_length`).
 
     Returns edge id -> Mat2: :func:`fnhol.pants.pants_cocycle` with
     b{k}1 negated where eps_k = -1.  Both hexagon words evaluate to +I;

@@ -17,19 +17,22 @@ the assembled cocycle the boundary arcs on both sides of curve i carry
 diag(lambda_i^(1/2), ...) and the crossing edges carry (0, -1/T_i; T_i, 0) with
 T_i = exp(-twist_i / 2), so twists are recovered globally (not modulo
 the curve length) as -2 log T_i.
+
+Lengths pass the one length rule of :mod:`fnhol.pants`: assembly checks
+each curve's length by name, then hands each pants its three lengths,
+read off the complex's tables and the point.  The accepted twists and
+spin sign data, the rest of the domain, are checked here.
 """
 
 import math
-import sys
 import weakref
 from collections import namedtuple
 
 from .mat2 import Mat2, _identity_distances, _max_or_nan, _renormalized, translation_length, walk
 from . import pants as pants_mod
-from .pants import _EDGES_BY_K, PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
+from .pants import _EDGES_BY_K, PANTS_EDGES, PANTS_FACES, PANTS_VERTICES, _check_length, _written
 
 __all__ = [
-    "LENGTH_RANGE",
     "SurfaceSpec",
     "Curve",
     "CellComplex",
@@ -45,12 +48,6 @@ __all__ = [
     "NonStandardCocycleError",
     "SpinSignError",
 ]
-
-# The accepted curve lengths, the one rule of the library and the command
-# line (:func:`_check_length`): arcs are at most exp(12.5), and |b_k c_k| at
-# most (cosh 25 + cosh 50) / (2 sinh(5e-7)^2), about 5e33, so every pants is finite
-LENGTH_RANGE = (1e-6, 50.0)
-
 
 class NonStandardCocycleError(ValueError):
     """The cocycle does not have the normalized shape this operation
@@ -136,17 +133,6 @@ def _problems_and_tree(spec):
     if len(tree) != len(spec.pants) - 1:
         problems.append("gluing graph is not connected")
     return problems, tree
-
-
-def _written(n, form=str):
-    """``form(n)``, ``str`` or ``repr``; for an integer with more digits than
-    Python writes (:func:`sys.get_int_max_str_digits`), the power of ten it
-    passes."""
-    try:
-        return form(n)
-    except ValueError:
-        bound = f"10^{sys.get_int_max_str_digits()}"
-        return f"at least {bound}" if n > 0 else f"at most -{bound}"
 
 
 def spanning_tree_curves(spec):
@@ -371,20 +357,6 @@ class SurfaceCocycle:
         return product
 
 
-def pants_boundary_lengths(complex_, fn, pid):
-    c0, c1, c2 = complex_.pants[pid].curves
-    return pants_mod.PantsLengths(fn.lengths[c0], fn.lengths[c1], fn.lengths[c2])
-
-
-def _check_length(length, name):
-    """``length`` if it lies in :data:`LENGTH_RANGE` (nan does not);
-    ValueError, naming the length by ``name``, if not."""
-    lo, hi = LENGTH_RANGE
-    if not lo <= length <= hi:
-        raise ValueError(f"{name}: {_written(length, repr)} outside [{lo}, {hi}]")
-    return length
-
-
 def _crossing_entry(twist, name):
     """T = exp(-twist/2), which the crossing edges carry with 1/T;
     ValueError, naming the twist by ``name``, unless T and 1/T are both
@@ -445,18 +417,19 @@ def assemble_cocycle(spec, fn):
     """The normalized cocycle of the hyperbolic structure with the given
     Fenchel-Nielsen coordinates, a fresh one on every call.  ValueError,
     naming the curve, when a coordinate is missing, when a length is
-    outside :data:`LENGTH_RANGE` (:func:`_check_length`) or when a twist
-    is outside what the crossing entries take (:func:`_crossing_entry`);
-    every cocycle it returns is finite."""
+    outside the accepted range (:func:`fnhol.pants._check_length`) or
+    when a twist is outside what the crossing entries take
+    (:func:`_crossing_entry`); every cocycle it returns is finite."""
     complex_ = spec if isinstance(spec, CellComplex) else build_complex(spec)
     missing = complex_.curves.keys() - (fn.lengths.keys() & fn.twists.keys())
     if missing:
         raise ValueError(f"coordinates missing for curves {sorted(map(str, missing))}")
+    lengths = fn.lengths
     for cid in complex_.curves:
-        _check_length(fn.lengths[cid], f"length of curve {cid}")
+        _check_length(lengths[cid], f"length of curve {cid}")
     values = {}
-    for pid, cells in complex_.pants.items():
-        local = pants_mod.pants_cocycle(pants_boundary_lengths(complex_, fn, pid))
+    for cells in complex_.pants.values():
+        local = pants_mod.pants_cocycle([lengths[c] for c in cells.curves])
         for names, ids in zip(_EDGES_BY_K, cells.edges):
             for e, eid in zip(names, ids):
                 values[eid] = local[e]
@@ -505,10 +478,12 @@ def holonomy(cocycle, word):
     renormalized: a sign-free representative for the assembled cocycle,
     the determinant-one matrix whose trace sign counts for a spin lift.
 
-    ``word`` is a sequence of (edge id, +1/-1); reversed edges
-    contribute inverses.  The empty word gives the identity.  ValueError
-    when the word is not composable, or when its product overflows a
-    double (an entry or the determinant is not finite)."""
+    ``word`` is any iterable of (edge id, +1/-1) steps, read once;
+    reversed edges contribute inverses.  The empty word gives the
+    identity.  ValueError when the word is not composable, or when its
+    product overflows a double (an entry or the determinant is not
+    finite)."""
+    word = tuple(word)
     check_word(cocycle.complex, word)
     return _renormalized_product(walk(cocycle.values, word))
 

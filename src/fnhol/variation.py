@@ -21,7 +21,7 @@ import math
 
 from .mat2 import ad_action
 from .pants import _pants_table
-from .surface import _cocycle_at, pants_boundary_lengths
+from .surface import _cocycle_at
 
 __all__ = [
     "TangentVector",
@@ -92,10 +92,9 @@ def _seam_data(base):
     (:func:`fnhol.pants._pants_table`) once per base cocycle."""
     if base._seam_data is None:
         data = {}
-        for pid in base.complex.pants:
-            lengths = pants_boundary_lengths(base.complex, base.fn, pid)
-            sh, num, f, fm1 = _pants_table(lengths)
-            l = lengths.l
+        lengths = base.fn.lengths
+        for pid, cells in base.complex.pants.items():
+            l, sh, num, f, fm1 = _pants_table([lengths[c] for c in cells.curves])
             coth = [0.5 / math.tanh(0.5 * x) for x in l]  # (1/2) coth(l_k/2)
             rows = []
             for k in range(3):

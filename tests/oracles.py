@@ -37,7 +37,7 @@ import math
 
 from fnhol.mat2 import (HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, _max_or_nan, ad_action,
                         translation_length, walk)
-from fnhol.pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES, PantsLengths
+from fnhol.pants import PANTS_EDGES, PANTS_FACES, PANTS_VERTICES
 from fnhol.spin import _solve_pants_signs
 from fnhol.surface import (CellComplex, CurveCells, Edge, FNPoint, _pants_curves,
                            assemble_cocycle, build_complex, holonomy, spanning_tree_curves)
@@ -216,7 +216,7 @@ def _eigen_conjugator(m):
 def standardize(values):
     """Gauge an arbitrary pants holonomy cocycle (edge id -> Mat2) into
     the normalized form, returning ``(lengths, standard values, gauge)``
-    with the recovered :class:`PantsLengths` and
+    with the recovered boundary lengths (l0, l1, l2) and
     ``gauge_transform(values, gauge)`` equal to the standard values.
 
     Proceeds in three vertex-gauge steps: diagonalize the two boundary
@@ -264,7 +264,7 @@ def standardize(values):
     gauge = {}
     for v in PANTS_VERTICES:
         gauge[v] = (g1[v] @ g2[v] @ g3[v]).renormalized()
-    return PantsLengths(*lengths), result, gauge
+    return tuple(lengths), result, gauge
 
 
 class SignLiftError(ValueError):

@@ -1066,6 +1066,8 @@ LOADED = (
     "    return sorted(m[6:] for m in sys.modules if m.startswith('fnhol.'))\n"
     "import fnhol\n"
     "steps = [loaded()]\n"
+    "import fnhol.pants\n"
+    "steps.append(loaded())\n"
     "import fnhol.cli as cli\n"
     "doc = cli.parse_document(sys.argv[1])\n"
     "doc.complex\n"
@@ -1085,16 +1087,18 @@ LOADED = (
 )
 def test_each_command_loads_only_the_modules_it_runs(command, list_spin, added):
     # compiling a module is most of a fresh process's set-up, so the
-    # package loads nothing on import, and representing a point (parse,
-    # build, verify, fn, holonomy) never compiles the pairing, the
+    # package loads nothing on import, the pants layer, which holds the
+    # length rule, loads only the matrices, and representing a point
+    # (parse, build, verify, fn, holonomy) never compiles the pairing, the
     # variations or the spin lifts; each later command adds its own
     src = os.path.dirname(os.path.dirname(fnhol.cli.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-c", LOADED, json.dumps(genus2_doc()), command, str(int(list_spin))]
     run = subprocess.run(argv, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    package, point, after = json.loads(run.stdout)
+    package, pants, point, after = json.loads(run.stdout)
     assert package == []
+    assert pants == ["mat2", "pants"]
     assert point == ["cli", "mat2", "pants", "surface"]
     assert sorted(set(after) - set(point)) == added and set(point) <= set(after)
 

@@ -104,12 +104,13 @@ def test_projmat2_is_named_only_in_mat2_and_the_cli():
     assert naming == PROJMAT2_FILES
 
 
-def test_only_surface_names_the_length_range():
-    # the accepted lengths are one rule, which the command line applies
-    # through surface._check_length rather than a range of its own
+def test_only_pants_names_the_length_range():
+    # the accepted lengths are one rule, in the lowest module that takes a
+    # length, which assembly and the command line apply through
+    # pants._check_length rather than a range of their own
     naming = {p.name for p in PACKAGE.glob("*.py")
               if "LENGTH_RANGE" in names_in(p.read_text(encoding="utf-8"))}
-    assert naming == {"surface.py"}
+    assert naming == {"pants.py"}
 
 
 def string_literals(source):
@@ -180,7 +181,7 @@ def test_every_export_resolves(path):
 # the names the package re-exports, by defining module, in ``__all__`` order
 PACKAGE_API = {
     "mat2": ["Mat2", "ad_action", "translation_length"],
-    "pants": ["PantsLengths", "pants_cocycle"],
+    "pants": ["pants_cocycle"],
     "surface": ["CellComplex", "Curve", "FNPoint", "SurfaceCocycle", "SurfaceSpec",
                 "assemble_cocycle", "build_complex", "extract_fn", "holonomy"],
     "variation": ["TangentVector", "VariationCocycle", "variation_cocycle"],
@@ -196,7 +197,7 @@ def test_the_package_exports_each_name_of_its_defining_module():
     # it imported all of them
     fnhol = importlib.import_module("fnhol")
     names = [name for names in PACKAGE_API.values() for name in names]
-    assert len(names) == 26 and fnhol.__all__ == names
+    assert len(names) == 25 and fnhol.__all__ == names
     assert fnhol.__version__ == "0.1.0"
     star = {}
     exec("from fnhol import *", star)
@@ -397,7 +398,6 @@ NOT_RUN = {
     "wp.pair_chain": _PINNED,
     "wp._transported": _PINNED_ONLY,
     "wp.killing_form": _PINNED_ONLY,
-    "spin.sl2_pants_cocycle": _PINNED,
     "variation.VariationCocycle.value": _REFERENCE_PATH,
     "mat2.ad_action": _REFERENCE_PATH,
     "mat2.Mat2.inv": _REFERENCE_PATH,
@@ -448,13 +448,14 @@ def test_the_commands_and_the_library_example_enter_every_function(tmp_path, cap
     # the tests refuse; a document per genus 2..8 on a random gluing
     # through every command; a face word's holonomy; a boundary loop's
     # rotation number with its steps given as lists and a lift's face
-    # residual; short curves that leave no lift to +I, through spin and wp
-    # (the outcome is not asserted here); an assignment to a parsed document; the package's
+    # residual; one pants' lift on its own; short curves that leave no
+    # lift to +I, through spin and wp (the outcome is not asserted here);
+    # an assignment to a parsed document; the package's
     # dir() and a name it does not have.  Line events come from
     # sys.settrace, in the package's frames only, so that the corpus runs
     # at speed outside them, on every supported Python
     import fnhol.cli
-    from fnhol.spin import assemble_spin, enumerate_spin, rot2
+    from fnhol.spin import assemble_spin, enumerate_spin, rot2, sl2_pants_cocycle
     from conftest import genus2_spec, random_fn, random_gluing, rng_for
     from test_cli import (FACE_WORD, README_COMMANDS, REFUSED_DOCUMENTS, _document, _handle_doc,
                           write_document)
@@ -526,6 +527,7 @@ def test_the_commands_and_the_library_example_enter_every_function(tmp_path, cap
         lift = assemble_spin(spec, random_fn(rng, spec), dict.fromkeys(range(3), -1))
         assert rot2(lift, [["p0.b00", 1], ["p0.b01", 1]]) in (0, 1)
         assert lift.face_residual("p0.hex-") <= 1e-8
+        sl2_pants_cocycle((2.0, 2.0, 2.0), (-1, -1, -1))
         for short in shorts:
             path = write_document(tmp_path / "short.json", short)
             run(path, "spin")

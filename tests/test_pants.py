@@ -12,7 +12,6 @@ from fnhol.pants import (
     PANTS_EDGES,
     PANTS_FACES,
     PANTS_VERTICES,
-    PantsLengths,
     pants_cocycle,
 )
 from conftest import random_mat2, rng_for
@@ -49,7 +48,7 @@ GAMMA_WORDS = {
 
 
 def random_lengths(rng, lo=0.1, hi=10.0):
-    return PantsLengths(*(rng.uniform(lo, hi) for _ in range(3)))
+    return tuple(rng.uniform(lo, hi) for _ in range(3))
 
 
 def hol(values, word):
@@ -77,7 +76,7 @@ def is_standard(lengths, values, tol=1e-9):
 
 
 def test_bc_magnitude_reference_value():
-    l = PantsLengths(2, 2, 2)
+    l = (2, 2, 2)
     expected = (math.cosh(1) + math.cosh(2)) / (2 * math.sinh(1) ** 2)
     for k in range(3):
         assert abs(bc_magnitude(l, k) - expected) < 1e-15
@@ -111,7 +110,7 @@ def test_bc_magnitude_minus_one_identity():
 
 
 def test_seam_matrix_reference_entries():
-    m = seam_matrix(PantsLengths(2, 2, 2), 0)
+    m = seam_matrix((2, 2, 2), 0)
     assert abs(m.a - 0.9595) < 1e-4
     assert abs(m.b + 1.3859) < 1e-4
     assert abs(m.c - 1.3859) < 1e-4
@@ -149,7 +148,7 @@ def test_pants_cocycle_faces_and_lengths():
 
 def test_max_face_residual_keeps_a_nan():
     # hex+ comes first and is finite; a nan on b01 shows only in hex-
-    c = pants_cocycle(PantsLengths(2, 2, 2))
+    c = pants_cocycle((2, 2, 2))
     c["b01"] = Mat2(math.nan, 0.0, 0.0, math.nan, check=False)
     residuals = face_residuals(c)
     assert residuals["hex+"] <= 1e-9
@@ -159,7 +158,7 @@ def test_max_face_residual_keeps_a_nan():
 
 
 def test_gamma_relation_and_trace():
-    l = PantsLengths(2, 2, 2)
+    l = (2, 2, 2)
     c = pants_cocycle(l)
     g = {k: hol(c, GAMMA_WORDS[k]) for k in range(3)}
     prod = g[2] @ g[1] @ g[0]
@@ -175,7 +174,7 @@ def test_boundary_trace_sign_is_negative():
     rng = rng_for("keen")
     for _ in range(200):
         l = random_lengths(rng)
-        lam = [math.exp(0.5 * x) for x in l.l]
+        lam = [math.exp(0.5 * x) for x in l]
         a = seam_matrix(l, 0)
         m = Mat2.diagonal(lam[0]) @ a @ Mat2.diagonal(lam[2]) @ a.inv()
         assert m.trace() < -2.0
@@ -188,7 +187,7 @@ def test_seam_foot_of_middle_boundary():
     rng = rng_for("foot")
     for _ in range(100):
         l = random_lengths(rng, 0.2, 6.0)
-        lam = [math.exp(0.5 * x) for x in l.l]
+        lam = [math.exp(0.5 * x) for x in l]
         c = pants_cocycle(l)
         conj = Mat2.diagonal(math.sqrt(lam[0])) @ c["seam1"].inv()
         assert abs(nearest_point_on_imaginary_axis(conj) - lam[0]) <= 1e-8 * lam[0]
@@ -198,7 +197,7 @@ def test_gamma1_two_expressions_agree():
     rng = rng_for("gamma1")
     for _ in range(50):
         l = random_lengths(rng, 0.3, 6.0)
-        lam = [math.exp(0.5 * x) for x in l.l]
+        lam = [math.exp(0.5 * x) for x in l]
         c = pants_cocycle(l)
         word_val = hol(c, GAMMA_WORDS[1])
         a1 = c["seam1"]
@@ -208,17 +207,17 @@ def test_gamma1_two_expressions_agree():
 
 
 def test_cyclic_symmetry():
-    l = PantsLengths(1.0, 2.0, 3.0)
-    shifted = PantsLengths(2.0, 3.0, 1.0)  # boundary k of shifted = boundary k+1 of l
+    l = (1.0, 2.0, 3.0)
+    shifted = (2.0, 3.0, 1.0)  # boundary k of shifted = boundary k+1 of l
     for k in range(3):
         assert close_to(seam_matrix(shifted, k), seam_matrix(l, (k + 1) % 3), 1e-12)
-    sym = PantsLengths(2, 2, 2)
+    sym = (2, 2, 2)
     assert close_to(seam_matrix(sym, 0), seam_matrix(sym, 1), 1e-15)
 
 
 def test_gauge_identity_and_constant():
     rng = rng_for("gauge")
-    l = PantsLengths(1.3, 2.1, 0.8)
+    l = (1.3, 2.1, 0.8)
     c = pants_cocycle(l)
     same = gauge_transform(c, {v: identity() for v in PANTS_VERTICES})
     assert all(close_to(same[e], c[e], 1e-14) for e in PANTS_EDGES)
@@ -231,7 +230,7 @@ def test_gauge_identity_and_constant():
 
 def test_gauge_diagonal_preserves_arcs():
     rng = rng_for("gauge-diag")
-    l = PantsLengths(1.3, 2.1, 0.8)
+    l = (1.3, 2.1, 0.8)
     c = pants_cocycle(l)
     gauge = {}
     for k in range(3):
@@ -246,7 +245,7 @@ def test_gauge_diagonal_preserves_arcs():
 
 
 def test_standardize_idempotent():
-    c = pants_cocycle(PantsLengths(1.2, 2.3, 0.7))
+    c = pants_cocycle((1.2, 2.3, 0.7))
     lengths, out, gauge = standardize(c)
     assert all(proj_dist(out[e], c[e]) <= 1e-12 for e in PANTS_EDGES)
     assert all(proj_dist(gauge[v], identity()) <= 1e-12 for v in PANTS_VERTICES)
@@ -275,7 +274,7 @@ def test_standardize_roundtrip():
 
 
 def test_standardize_rejects_non_hyperbolic_boundary():
-    c = pants_cocycle(PantsLengths(1.0, 1.0, 1.0))
+    c = pants_cocycle((1.0, 1.0, 1.0))
     broken = dict(c)
     broken["b00"] = Mat2(0.0, -1.0, 1.0, 0.0)
     broken["b01"] = broken["b00"]
@@ -284,7 +283,7 @@ def test_standardize_rejects_non_hyperbolic_boundary():
 
 
 def test_lengths_validation():
-    with pytest.raises(ValueError):
-        PantsLengths(1.0, -2.0, 1.0)
-    with pytest.raises(ValueError):
-        PantsLengths(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^length of boundary 1: -2\.0 outside \[1e-06, 50\.0\]$"):
+        pants_cocycle((1.0, -2.0, 1.0))
+    with pytest.raises(ValueError, match=r"^length of boundary 0: 0\.0 outside "):
+        pants_cocycle((0.0, 1.0, 1.0))

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from fnhol.mat2 import HYPERBOLIC_MARGIN, Mat2, NonHyperbolicError, walk
-from fnhol.pants import PANTS_FACES, PantsLengths
+from fnhol.pants import PANTS_FACES
 from fnhol.surface import (FNPoint, SurfaceCocycle, assemble_cocycle, build_complex, check_word,
                            holonomy)
 from fnhol.spin import (
@@ -35,7 +35,7 @@ from oracles import dist, identity, proj_dist, seam_matrix
 
 
 def test_boundary_signs_constraint():
-    l = PantsLengths(2, 2, 2)
+    l = (2, 2, 2)
     sl2_pants_cocycle(l, (1, 1, -1))
     sl2_pants_cocycle(l, (-1, -1, -1))
     with pytest.raises(SpinSignError):
@@ -84,7 +84,7 @@ def test_pants_lift_brute_force_uniqueness():
     # the two +I face relations together with the positivity rules
     rng = rng_for("spin-unique")
     for _ in range(10):
-        l = PantsLengths(*(rng.uniform(0.4, 5.0) for _ in range(3)))
+        l = tuple(rng.uniform(0.4, 5.0) for _ in range(3))
         eps = rng.choice([(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)])
         hits = _pants_lift_oracle(
             l, eps, lambda m: dist(m, identity()) < 1e-8
@@ -111,11 +111,10 @@ def test_pants_lift_matches_oracle_down_to_thin_part():
         for _ in range(60)
     ]
     outcomes = {0: 0, 1: 0}
-    for lengths in cases:
-        l = PantsLengths(*lengths)
+    for l in cases:
         eps = rng.choice([(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)])
         hits = _pants_lift_oracle(l, eps, plus_identity)
-        assert len(hits) <= 1, lengths
+        assert len(hits) <= 1, l
         outcomes[len(hits)] += 1
         if not hits:
             with pytest.raises(AssertionError) as info:
@@ -131,7 +130,7 @@ def test_pants_lift_matches_oracle_down_to_thin_part():
 
 
 def test_pants_lift_boundary_trace_signs():
-    l = PantsLengths(1.7, 0.9, 2.4)
+    l = (1.7, 0.9, 2.4)
     for eps in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, -1)):
         vals = sl2_pants_cocycle(l, eps)
         for k in range(3):
@@ -141,7 +140,7 @@ def test_pants_lift_boundary_trace_signs():
 
 def test_pants_lift_rejects_bad_signs():
     with pytest.raises(SpinSignError):
-        sl2_pants_cocycle(PantsLengths(2, 2, 2), (1, 1, 1))
+        sl2_pants_cocycle((2, 2, 2), (1, 1, 1))
 
 
 def test_genus2_enumeration():
@@ -217,7 +216,7 @@ def _closed_form_lift(cx, fn, eps, signs):
     values = {}
     for pid, cells in cx.pants.items():
         sides = cells.curves
-        lengths = PantsLengths(*(fn.lengths[c] for c in sides))
+        lengths = tuple(fn.lengths[c] for c in sides)
         for e, m in sl2_pants_cocycle(lengths, [eps[c] for c in sides]).items():
             values[f"p{pid}.{e}"] = m
     for c in cx.spec.curves:
@@ -422,7 +421,7 @@ def test_float_signs_lift_as_integer_signs():
     want = assemble_spin(cx, fn, {0: -1, 1: -1, 2: -1}, {1: -1})
     got = assemble_spin(cx, fn, {0: -1.0, 1: -1.0, 2: -1.0}, {1: -1.0})
     assert entries(got.values) == entries(want.values)
-    l = PantsLengths(2, 2, 2)
+    l = (2, 2, 2)
     assert entries(sl2_pants_cocycle(l, (1.0, 1, -1.0))) == entries(
         sl2_pants_cocycle(l, (1, 1, -1)))
 
@@ -430,7 +429,7 @@ def test_float_signs_lift_as_integer_signs():
 @pytest.mark.parametrize("signs", [(True, 1, -1), (1, 1, "-1"), (1.5, 1, -1), (1, -1)])
 def test_pants_lift_takes_only_signs_the_command_line_takes(signs):
     with pytest.raises(SpinSignError):
-        sl2_pants_cocycle(PantsLengths(2, 2, 2), signs)
+        sl2_pants_cocycle((2, 2, 2), signs)
 
 
 def test_face_minus_identity_counts_as_failure():

@@ -7,7 +7,7 @@ import pytest
 import fnhol.surface
 from fnhol.cli import DocumentError, SurfaceDocument, run_command
 from fnhol.mat2 import Mat2, NonHyperbolicError, _max_or_nan, translation_length
-from fnhol.pants import PantsLengths
+from fnhol.pants import pants_cocycle
 from fnhol.surface import (
     Curve,
     CurveCells,
@@ -23,7 +23,7 @@ from fnhol.surface import (
     parse_word,
 )
 from fnhol.spin import (SpinSignError, SpinSurfaceCocycle, _check_pants_lift, assemble_spin,
-                        enumerate_spin, rot2)
+                        enumerate_spin, rot2, sl2_pants_cocycle)
 from fnhol.variation import TangentVector, variation_cocycle
 from fnhol.wp import DiagonalTerm, FaceChain, wp_matrix, wp_pairing
 from conftest import (
@@ -166,13 +166,14 @@ def test_assemble_takes_every_corner_of_the_document_length_range():
 
 
 @pytest.mark.parametrize("entry", ["assemble_cocycle", "variation_cocycle", "wp_matrix",
-                                   "assemble_spin"])
+                                   "assemble_spin", "pants_cocycle", "sl2_pants_cocycle"])
 @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, 1e-15, 1e-7, 9.99e-7, 50.000001,
                                     60.0, 100.0, 1e4, math.inf])
 def test_every_entry_point_refuses_a_length_outside_the_range(entry, length):
     # one rule for every entry point, with the message the command line
     # prints; at 1e-15, 1e-7 and 60 the cocycle was wrong (face residuals
-    # 0.79, 1.1e-8, 7.6e-4), and at 100 its face residual raised
+    # 0.79, 1.1e-8, 7.6e-4), and at 100 its face residual raised.  A pants
+    # names the length by its boundary, a surface by its curve
     spec = genus2_spec()
     fn = FNPoint({0: 2.0, 1: length, 2: 2.0}, {i: 0.3 for i in range(3)})
     calls = {
@@ -181,8 +182,11 @@ def test_every_entry_point_refuses_a_length_outside_the_range(entry, length):
                                                        TangentVector({0: 1.0})),
         "wp_matrix": lambda: wp_matrix(spec, fn),
         "assemble_spin": lambda: assemble_spin(build_complex(spec), fn, {i: -1 for i in range(3)}),
+        "pants_cocycle": lambda: pants_cocycle((2.0, length, 2.0)),
+        "sl2_pants_cocycle": lambda: sl2_pants_cocycle((2.0, length, 2.0), (-1, -1, -1)),
     }
-    message = f"length of curve 1: {length!r} outside [1e-06, 50.0]"
+    where = "boundary" if entry.endswith("pants_cocycle") else "curve"
+    message = f"length of {where} 1: {length!r} outside [1e-06, 50.0]"
     with pytest.raises(ValueError, match=re.escape(message)):
         calls[entry]()
 
@@ -306,6 +310,12 @@ def test_holonomy_words():
     c = assemble_cocycle(cx, random_fn(rng, spec))
     assert proj_dist(holonomy(c, ()), identity()) <= 1e-15
     word = parse_word(cx, "p0.seam0 p0.b21 p0.b20 p0.seam0~")
+    # a word is any iterable of steps, read once, so the check does not
+    # use up an iterator before the walk
+    h = holonomy(c, word)
+    assert proj_dist(h, identity()) > 1.0
+    for same in (list(word), [list(step) for step in word], iter(word)):
+        assert holonomy(c, same).entries() == h.entries()
     there_and_back = word + tuple((e, -s) for e, s in reversed(word))
     assert proj_dist(holonomy(c, there_and_back), identity()) <= 1e-10
     with pytest.raises(ValueError):
@@ -433,6 +443,13 @@ def _rot2_of_a_face():
     return rot2(lift, lift.complex.faces["p0.hex+"])
 
 
+def _variation_over_a_zero_length():
+    # README's values, built by hand at a point whose curve 1 has length 0
+    c = _readme_cocycle()
+    base = SurfaceCocycle(c.complex, c.values, FNPoint({**c.fn.lengths, 1: 0.0}, c.fn.twists))
+    return variation_cocycle(base, base.fn, TangentVector({0: 1.0}))
+
+
 def _zero_crossing_cocycle():
     return _readme_cocycle({"c0.x0": Mat2(0.0, 0.0, 0.0, 0.0, check=False)})
 
@@ -461,8 +478,24 @@ LIBRARY_REFUSALS = {
     "renormalize-nonpositive-determinant": (
         lambda: Mat2(1.0, 0.0, 0.0, -1.0, check=False).renormalized(), ValueError,
         "cannot renormalize matrix with det -1.0"),
-    "pants-length-not-positive": (lambda: PantsLengths(1.0, 0.0, 1.0), ValueError,
-                                  "boundary length 0.0 must be positive"),
+    # a pants takes its lengths under the one rule of every entry point,
+    # where 1e-300 gave seams of determinant 0.0, 1500 and 10**400 raised
+    # OverflowError, and a lift took 60 and found no sign assignment
+    "pants-length-not-positive": (lambda: pants_cocycle((1.0, 0.0, 1.0)), ValueError,
+                                  "length of boundary 1: 0.0 outside [1e-06, 50.0]"),
+    "pants-length-below-the-range": (lambda: pants_cocycle((1e-300, 1.0, 1.0)), ValueError,
+                                     "length of boundary 0: 1e-300 outside [1e-06, 50.0]"),
+    "pants-length-above-the-range": (lambda: pants_cocycle((1500.0, 1.0, 1.0)), ValueError,
+                                     "length of boundary 0: 1500.0 outside [1e-06, 50.0]"),
+    "pants-length-beyond-every-double": (
+        lambda: pants_cocycle((10**400, 1, 1)), ValueError,
+        f"length of boundary 0: {10**400} outside [1e-06, 50.0]"),
+    "pants-lift-length-above-the-range": (
+        lambda: sl2_pants_cocycle((0.5, 1.0, 60.0), (-1, -1, -1)), ValueError,
+        "length of boundary 2: 60.0 outside [1e-06, 50.0]"),
+    "variation-over-a-base-with-a-zero-length": (
+        _variation_over_a_zero_length, ValueError,
+        "length of boundary 1: 0.0 outside [1e-06, 50.0]"),
     "invalid-surface": (lambda: build_complex(SurfaceSpec(1, (0,), ())), ValueError,
                         "invalid surface: genus 1 must be at least 2"),
     # 2g-2 has one digit more than Python writes: the interpreter's advice
